@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Certify the headline ordered families and print the verdict table.
 
+The fallbacks column counts, per prefix Wronskian W_s, the grid cells whose
+double-precision value failed its certificate and was recomputed at
+extended precision.
+
 Usage: python scripts/certify_families.py [--interval A:B] [--out OUTDIR]
 """
 
@@ -33,7 +37,8 @@ def main() -> int:
     a, b = (float(p) for p in args.interval.split(":"))
     out = Path(args.out)
 
-    print(f"{'family':>8} {'classification':>16} {'bound':>6} {'nu':>16} {'time':>7}")
+    print(f"{'family':>8} {'classification':>16} {'bound':>6} {'nu':>16} "
+          f"{'fallbacks':>28} {'time':>7}")
     for name, k, lam in HEADLINERS:
         t0 = time.time()
         fams = family(name, k, lam=lam)
@@ -41,7 +46,7 @@ def main() -> int:
         write_json(out / f"{name}_{k}.json", verdict.to_dict())
         print(f"{name + '^' + str(k):>8} {verdict.classification:>16} "
               f"{str(verdict.zero_bound):>6} {str(list(verdict.nu)):>16} "
-              f"{time.time() - t0:6.1f}s")
+              f"{str(list(verdict.fallbacks)):>28} {time.time() - t0:6.1f}s")
     print(f"verdicts written to {out}")
     return 0
 

@@ -138,12 +138,13 @@ class BasisFunction:
         if self.deriv_order == 0:
             return self.fn(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.array([self.jet(float(xi), 0).value for xi in xs])
+        vals = np.array(np.broadcast_to(self.jet(xs, 0).value, xs.shape))
         return vals if np.ndim(x) else float(vals[0])
 
     def jet(self, x, order: int) -> Jet:
-        """Taylor jet at x; the base point's numeric type is preserved."""
-        if x <= 0.0:
+        """Taylor jet at x (a point or an ndarray of points); the base point's
+        numeric type is preserved."""
+        if np.any(x <= 0.0):
             raise DomainError(f"family functions are defined for x > 0, got {x}")
         base = self.fn(Jet.variable(x, order + self.deriv_order, var="x"))
         return jet_derivative(base, self.deriv_order)

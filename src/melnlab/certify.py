@@ -32,86 +32,148 @@ __all__ = [
 
 SIMPLICITY_FLOOR = 1e-9
 BISECT_RTOL = 1e-12
-# equilibrated determinants below this magnitude lose too many digits to
-# cancellation in double precision and are recomputed in software floats
-PRECISE_FALLBACK = 1e-6
 PRECISE_DPS = 50
+# Certificate for the double-precision determinant of an equilibrated
+# Wronskian matrix A: rho = CERT_C * (s+1) * u * kappa bounds its relative
+# error, where kappa = sum_ij |A_ij (A^-1)_ji| is the componentwise
+# condition number of det (d log det / dA_ij = (A^-1)_ji).  Each entry
+# carries a few ulps from the jet recursion and from the divisions by the
+# equilibration factors, and LU with partial pivoting adds a backward error
+# of order (s+1)*u per entry on a row- and column-equilibrated matrix;
+# CERT_C = 16 covers both (the tests measure at most a third of rho on F1-F7,
+# G, the H pencil and J0).  The eighth-derivative members of H8 break the
+# entry assumption: their double jets lose up to ~2e-12 relative through
+# cancelling Leibniz sums, so their accepted values can miss rho (by up to
+# 8e-10 on a 64-point grid, all signs correct).  A cell is taken in
+# double precision only when rho <= CERT_REL_MAX, ten times below AC08's
+# 1e-9 tolerance; every other cell is recomputed at PRECISE_DPS digits.
+CERT_C = 16.0
+CERT_REL_MAX = 1e-10
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 # -- Wronskians ---------------------------------------------------------------
 
 
-def _derivative_matrix(fams: list[BasisFunction], x: float, s: int) -> np.ndarray:
-    jets = [bf.jet(x, s) for bf in fams[: s + 1]]
-    return np.array([[jet.derivative(row) for jet in jets] for row in range(s + 1)])
+def _derivative_matrices(fams: list[BasisFunction], xs: np.ndarray, s: int) -> np.ndarray:
+    """Stack of Wronskian matrices, M[i, row, col] = d^row/dx^row fams[col] at xs[i]."""
+    M = np.empty((len(xs), s + 1, s + 1))
+    for col, bf in enumerate(fams[: s + 1]):
+        jet = bf.jet(xs, s)
+        for row in range(s + 1):
+            M[:, row, col] = jet.derivative(row)
+    return M
+
+
+def _precise_det(fams: list[BasisFunction], x: float, s: int):
+    """W_s(x) as an mpmath number, entries and elimination at the current precision."""
+    import mpmath
+
+    xm = mpmath.mpf(x)
+    jets = [bf.jet(xm, s) for bf in fams[: s + 1]]
+    M = mpmath.matrix(s + 1, s + 1)
+    for row in range(s + 1):
+        for col in range(s + 1):
+            M[row, col] = jets[col].derivative(row)
+    try:
+        return mpmath.det(M)
+    except TypeError:
+        # mpmath 1.3's LU_decomp finds no pivot in an exactly zero column
+        # and then fails on the unset pivot index: the matrix is singular
+        return mpmath.mpf(0)
 
 
 def _precise_logdet(fams: list[BasisFunction], x: float, s: int) -> tuple[float, float]:
-    """(sign, log|W_s(x)|) with entries and elimination at extended precision."""
+    """(sign, log|W_s(x)|) computed at PRECISE_DPS digits."""
     import mpmath
 
     with mpmath.workdps(PRECISE_DPS):
-        xm = mpmath.mpf(x)
-        jets = [bf.jet(xm, s) for bf in fams[: s + 1]]
-        M = mpmath.matrix(s + 1, s + 1)
-        for row in range(s + 1):
-            for col in range(s + 1):
-                M[row, col] = jets[col].derivative(row)
-        det = mpmath.det(M)
+        det = _precise_det(fams, x, s)
         if det == 0:
             return 0.0, -math.inf
         return float(mpmath.sign(det)), float(mpmath.log(abs(det)))
 
 
-def _scaled_det(M: np.ndarray) -> tuple[float, float, float]:
-    """(sign, log|det(scaled)|, log(scale)) with per-row/column equilibration."""
-    A = np.array(M, dtype=float)
-    logscale = 0.0
+def _equilibrate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, r, c): A[k] ~ M[k] / (r[k] c[k]^T), rows and columns of max-norm ~1."""
+    A = M.copy()
+    r = np.ones(M.shape[:2])
+    c = np.ones(M.shape[:2])
     for _ in range(2):
-        rn = np.max(np.abs(A), axis=1)
+        rn = np.max(np.abs(A), axis=2)
         rn[rn == 0.0] = 1.0
-        A /= rn[:, None]
-        logscale += float(np.sum(np.log(rn)))
-        cn = np.max(np.abs(A), axis=0)
+        A /= rn[:, :, None]
+        r *= rn
+        cn = np.max(np.abs(A), axis=1)
         cn[cn == 0.0] = 1.0
-        A /= cn[None, :]
-        logscale += float(np.sum(np.log(cn)))
-    sign, mag = np.linalg.slogdet(A)
-    return float(sign), float(mag), logscale
+        A /= cn[:, None, :]
+        c *= cn
+    return A, r, c
 
 
-def wronskian(fams: list[BasisFunction], x: float, s: int) -> tuple[float, bool]:
-    """Wronskian W_s(x) of the first s+1 members; returns (value, well_scaled).
+def _rho(A: np.ndarray, s: int) -> np.ndarray:
+    """Relative error bound of each double-precision det A (nonsingular A)."""
+    kappa = np.einsum("kij,kji->k", np.abs(A), np.abs(np.linalg.inv(A)))
+    return CERT_C * (s + 1) * _UNIT_ROUNDOFF * kappa
 
-    When the equilibrated determinant signals heavy cancellation the value is
-    recomputed at extended precision, so the result is reliable either way;
-    ``well_scaled`` reports False only if the value overflows a double.
+
+def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int):
+    """Certified W_s on a grid: (sign, log|det A|, log|W_s|, cells recomputed).
+
+    A is the equilibrated Wronskian matrix, so det A has the sign and zeros
+    of W_s at magnitude ~1.  Cells whose double-precision determinant is
+    non-finite or fails the CERT_REL_MAX certificate are recomputed by
+    _precise_logdet; no per-cell matrix outlives the call.
     """
     if s >= len(fams):
         raise DomainError(f"family has {len(fams)} members; s={s} out of range")
-    M = _derivative_matrix(fams, x, s)
-    sign, mag, logscale = _scaled_det(M)
-    if not np.isfinite(mag) or math.exp(min(mag, 0.0)) < PRECISE_FALLBACK:
-        sign, logdet = _precise_logdet(fams, x, s)
-        if sign == 0.0:
-            return 0.0, True
-    else:
-        logdet = mag + logscale
-    if abs(logdet) >= 700.0:
-        return math.copysign(math.inf, sign) if logdet > 0 else math.copysign(0.0, sign), False
-    return sign * math.exp(logdet), True
+    with np.errstate(all="ignore"):
+        A, r, c = _equilibrate(_derivative_matrices(fams, xs, s))
+        logscale = np.sum(np.log(r), axis=1) + np.sum(np.log(c), axis=1)
+        sign, mag = np.linalg.slogdet(A)
+        certified = np.isfinite(mag) & np.isfinite(logscale)
+        certified[certified] = _rho(A[certified], s) <= CERT_REL_MAX
+        logw = mag + logscale
+        uncertain = np.flatnonzero(~certified)
+        for i in uncertain:
+            sign[i], logw[i] = _precise_logdet(fams, float(xs[i]), s)
+            mag[i] = logw[i] - logscale[i]
+    return sign, mag, logw, len(uncertain)
 
 
-def wronskian_scaled(fams: list[BasisFunction], x: float, s: int) -> float:
-    """Equilibrated determinant: same zeros and sign as W_s, magnitude ~1."""
-    M = _derivative_matrix(fams, x, s)
-    sign, mag, logscale = _scaled_det(M)
-    if not np.isfinite(mag) or math.exp(min(mag, 0.0)) < PRECISE_FALLBACK:
-        sign, logdet = _precise_logdet(fams, x, s)
-        if sign == 0.0:
-            return 0.0
-        mag = logdet - logscale
-    return sign * math.exp(max(min(mag, 300.0), -300.0))
+def _on_grid(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def wronskian(fams: list[BasisFunction], x, s: int):
+    """Wronskian W_s(x) of the first s+1 members; returns (value, well_scaled).
+
+    ``x`` is a point or an array of points.  Values are certified (see
+    _wronskian_logs), so the result is reliable either way; ``well_scaled``
+    reports False only if the value overflows or underflows a double.
+    """
+    sign, _, logw, _ = _wronskian_logs(fams, _on_grid(x), s)
+    well = (sign == 0.0) | (np.abs(logw) < 700.0)
+    with np.errstate(over="ignore"):
+        value = sign * np.exp(logw)
+    if np.ndim(x):
+        return value, well
+    return float(value[0]), bool(well[0])
+
+
+def wronskian_scaled(fams: list[BasisFunction], x, s: int):
+    """Equilibrated determinant: same zeros and sign as W_s, magnitude ~1.
+
+    ``x`` is a point or an array of points.
+    """
+    return _scaled_wronskian(fams, x, s)[0]
+
+
+def _scaled_wronskian(fams: list[BasisFunction], x, s: int):
+    """(wronskian_scaled(fams, x, s), number of cells recomputed at PRECISE_DPS)."""
+    sign, mag, _, recomputed = _wronskian_logs(fams, _on_grid(x), s)
+    value = sign * np.exp(np.clip(mag, -300.0, 300.0))
+    return (value if np.ndim(x) else float(value[0])), recomputed
 
 
 # -- zero isolation --------------------------------------------------------------
@@ -319,6 +381,8 @@ class AccuracyVerdict:
     classification: str        # 'ECT' | 'ET-accuracy-1' | 'theorem-3-bound' | 'inconclusive'
     zero_bound: int | None
     exhaustive: bool
+    # per s, the cells whose Wronskian needed extended precision
+    fallbacks: tuple[int, ...] = field(default_factory=tuple)
     reports: tuple[ZeroReport, ...] = field(default_factory=tuple, repr=False)
 
     def to_dict(self) -> dict:
@@ -329,6 +393,7 @@ class AccuracyVerdict:
             "classification": self.classification,
             "zero_bound": self.zero_bound,
             "exhaustive": self.exhaustive,
+            "fallbacks": list(self.fallbacks),
             "wronskian_reports": [r.to_dict() for r in self.reports],
         }
 
@@ -348,12 +413,13 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     n = len(fams) - 1
     nu: list[int] = []
     reports: list[ZeroReport] = []
+    fallbacks = [0] * (n + 1)
     exhaustive = True
     for s in range(n + 1):
         def ws(x, _s=s):
-            xs = np.atleast_1d(x)
-            vals = np.array([wronskian_scaled(fams, float(xi), _s) for xi in xs])
-            return vals if np.ndim(x) else float(vals[0])
+            vals, recomputed = _scaled_wronskian(fams, x, _s)
+            fallbacks[_s] += recomputed
+            return vals
 
         rep = isolate_zeros(ws, a, b, budget=budget, initial=2048)
         reports.append(rep)
@@ -373,7 +439,8 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
             cls, bound = "inconclusive", None
     return AccuracyVerdict(family_name=name, interval=(a, b), nu=tuple(nu),
                            classification=cls, zero_bound=bound,
-                           exhaustive=exhaustive, reports=tuple(reports))
+                           exhaustive=exhaustive, fallbacks=tuple(fallbacks),
+                           reports=tuple(reports))
 
 
 # -- witnesses for the two span lower bounds ---------------------------------------

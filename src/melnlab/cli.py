@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .basis import family, family_G, family_H_pencil, family_H8, family_J0
-from .certify import certify_family, prop4_witness, prop5_witness
+from .certify import certify_family, prop4_witness, prop5_witness, wronskian_scaled
 from .closedforms import (VCoefficients, config_from_v, cov_r_of_x, fit_to_span,
                           m1_closed, sign_pattern_search)
 from .config import config_to_dict, load_config
@@ -204,9 +204,8 @@ def cmd_cheb(args) -> int:
     verdict = certify_family(fams, interval[0], interval[1], name=name)
     write_json(out / "verdict.json", verdict.to_dict())
     xs = np.geomspace(interval[0], interval[1], 400)
-    from .certify import wronskian_scaled
     for s in range(len(fams)):
-        rows = [(float(x), wronskian_scaled(fams, float(x), s)) for x in xs]
+        rows = list(zip(xs.tolist(), wronskian_scaled(fams, xs, s).tolist()))
         write_csv(out / f"wronskian_{s}.csv", ["x", f"W{s}_scaled"], rows)
     write_gnuplot(out / "plot.gp", f"scaled Wronskians of {name}",
                   [(f"wronskian_{s}.csv", 1, 2, f"W{s}") for s in range(len(fams))])

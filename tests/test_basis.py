@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from melnlab.basis import family, family_G, family_H8, family_H_pencil, family_J0, u
@@ -105,3 +106,18 @@ def test_substituted_power():
 def test_domain_guard():
     with pytest.raises(DomainError):
         u(13, 1).jet(-1.0, 2)
+    with pytest.raises(DomainError):
+        u(13, 1).jet(np.array([0.5, -1.0]), 2)
+
+
+@pytest.mark.parametrize("bf", [u(15, 2), u(21, 1).derivative(5), family_H8(2)[3]],
+                         ids=lambda bf: bf.label)
+def test_array_jets_and_values_match_pointwise(bf):
+    xs = np.geomspace(0.2, 5.0, 9)
+    jet = bf.jet(xs, 3)
+    for m in range(4):
+        want = [bf.jet(float(x), 3).derivative(m) for x in xs]
+        np.testing.assert_allclose(jet.derivative(m), want, rtol=1e-14)
+    vals = bf(xs)
+    assert vals.shape == xs.shape
+    np.testing.assert_allclose(vals, [bf(float(x)) for x in xs], rtol=1e-14)

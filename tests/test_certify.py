@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melnlab.basis import family, u
-from melnlab.certify import (certify_family, isolate_zeros, theorem3_bound,
+from melnlab.basis import family, family_G, family_H_pencil, family_J0, u
+from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, _derivative_matrices,
+                             _equilibrate, _precise_det, _rho, _wronskian_logs,
+                             certify_family, isolate_zeros, theorem3_bound,
                              wronskian, wronskian_scaled)
 
 XS = np.geomspace(0.1, 10.0, 50)
@@ -137,6 +140,65 @@ def test_scaled_wronskian_same_sign():
             assert math.copysign(1, det) == math.copysign(1, scaled)
 
 
+CERTIFIED_FAMILIES = ([(name, k) for name in ("F1", "F2", "F3", "F4", "F5", "F6")
+                       for k in (1, 2)]
+                      + [("F7", 1), ("F7", 2), ("G", 2), ("H", 2), ("J0", None)])
+
+
+def certified_family(name, k):
+    if name == "F7":
+        return family("F7", k, lam=3.0 - k)
+    if name == "G":
+        return family_G(k)
+    if name == "H":
+        return family_H_pencil(k, -1.0, 0.5)
+    if name == "J0":
+        return family_J0()
+    return family(name, k)
+
+
+@pytest.mark.parametrize("name,k", CERTIFIED_FAMILIES)
+def test_certificate_is_sound(name, k):
+    """Every cell the double path accepts matches 50 digits within its rho."""
+    import mpmath
+
+    fams = certified_family(name, k)
+    xs = np.geomspace(0.1, 10.0, 64)
+    for s in range(len(fams)):
+        A, r, c = _equilibrate(_derivative_matrices(fams, xs, s))
+        sign, mag = np.linalg.slogdet(A)
+        rho = np.full(len(xs), np.inf)
+        finite = np.isfinite(mag)
+        rho[finite] = _rho(A[finite], s)
+        accepted = rho <= CERT_REL_MAX
+        got_sign, got_mag, _, recomputed = _wronskian_logs(fams, xs, s)
+        assert recomputed == np.count_nonzero(~accepted)
+        assert np.array_equal(got_sign[accepted], sign[accepted])
+        assert np.array_equal(got_mag[accepted], mag[accepted])
+        for i in np.flatnonzero(accepted):
+            with mpmath.workdps(PRECISE_DPS):
+                # exact determinant of M / (r c^T), the matrix A rounds
+                ref = _precise_det(fams, float(xs[i]), s)
+                for scale in np.concatenate([r[i], c[i]]):
+                    ref /= mpmath.mpf(float(scale))
+                dev = abs(sign[i] * mpmath.exp(float(mag[i])) / ref - 1)
+            assert mpmath.sign(ref) == sign[i], (name, k, s, xs[i])
+            assert dev <= rho[i], (name, k, s, xs[i], float(dev), rho[i])
+
+
+@pytest.mark.parametrize("name,k", [("F2", 2), ("F3", 1), ("F5", 1), ("J0", None)])
+def test_scalar_and_batched_wronskians_identical(name, k):
+    fams = certified_family(name, k)
+    xs = np.geomspace(0.1, 10.0, 64)
+    for s in range(len(fams)):
+        scaled = [wronskian_scaled(fams, float(x), s) for x in xs]
+        assert wronskian_scaled(fams, xs, s).tobytes() == np.array(scaled).tobytes()
+        value, well = wronskian(fams, xs, s)
+        pointwise = [wronskian(fams, float(x), s) for x in xs]
+        assert value.tobytes() == np.array([v for v, _ in pointwise]).tobytes()
+        assert well.tolist() == [w for _, w in pointwise]
+
+
 # -- zero isolation -----------------------------------------------------------
 
 
@@ -242,6 +304,12 @@ def test_certify_f62_accuracy_one():
     assert verdict.nu == (0, 0, 0, 0, 0, 0, 1)
 
 
+def test_certify_f51_needs_no_extended_precision():
+    verdict = certify_family(family("F5", 1), 0.1, 10.0, name="F5^1")
+    assert verdict.classification == "ECT"
+    assert verdict.fallbacks == (0,) * 8
+
+
 def test_staged_witness_generalizes_to_k3():
     from melnlab.certify import prop5_witness
 
@@ -257,3 +325,6 @@ def test_verdict_json_round(tmp_path):
     verdict = certify_family(family("F1", 1), 0.5, 2.0, name="F1^1")
     text = verdict.to_json()
     assert '"classification"' in text
+    assert len(verdict.fallbacks) == 3
+    assert json.loads(text)["fallbacks"] == list(verdict.fallbacks)
+    assert certify_family(family("F1", 1), 0.5, 2.0).fallbacks == verdict.fallbacks

@@ -77,7 +77,19 @@ def test_cheb_command(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["classification"] == "ET-accuracy-1"
     assert verdict["nu"] == [0, 0, 1]
+    assert len(verdict["fallbacks"]) == 3
     assert (out / "wronskian_2.csv").exists()
+
+
+def test_cheb_singular_family_is_inconclusive(tmp_path):
+    # u4 = u6 = x^2 at k=1, so every Wronskian from W_2 on vanishes identically
+    out = tmp_path / "singular"
+    code = main(["cheb", "--family", "F4", "--k", "1", "--interval", "0.5:2",
+                 "--out", str(out)])
+    assert code == 2
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["classification"] == "inconclusive"
+    assert verdict["zero_bound"] is None
 
 
 def test_configuration_error_exit_code(tmp_path):
