@@ -3,8 +3,8 @@ piecewise-linear systems switching across y = x^n.
 
 Three independent computation routes cross-validate each other: the
 crossing-time recursion (jet arithmetic plus Chebyshev sector integrals),
-first-order closed forms with their ordered-family structure, and direct
-event-driven integration of the Poincare return map.
+first-order closed forms with their ordered-family structure, and the
+Poincare return map from the closed-form flow of each affine zone.
 """
 
 __version__ = "0.1.0"

@@ -91,7 +91,7 @@ def _melnikov_row(payload):
     row = (x, val, est.value, gap, est.error_estimate)
     if i == 1:
         row += (m1_closed(config, x),)
-    return row
+    return row + (int(est.flagged),)
 
 
 def cmd_melnikov(args) -> int:
@@ -123,6 +123,7 @@ def cmd_melnikov(args) -> int:
         header = ["x", f"M{i}", "oracle_simulation", "relative_gap", "oracle_error_estimate"]
         if i == 1:
             header.append("closed_form")
+        header.append("oracle_flagged")
         write_csv(out / name, header, rows)
         curves.append((name, 1, 2, f"M{i}"))
         worst_gap = max(worst_gap, max(r[3] for r in rows))

@@ -33,4 +33,4 @@ class EventDegeneracyError(MelnlabError):
 
 
 class EscapeError(MelnlabError):
-    """Trajectory left the admissible radial annulus during integration."""
+    """Trajectory left the admissible radial annulus."""

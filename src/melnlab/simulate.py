@@ -1,34 +1,46 @@
-"""Direct integration of the planar system and the Poincare return map.
+"""Closed-form flow of the planar system and the Poincare return map.
 
-Integration runs in Cartesian coordinates (the fields are polynomial there)
-along the orientation in which the polar angle increases, so the computed
-return map's Taylor coefficients in eps are exactly the Melnikov functions
-of the polar-time formulation.  Switching events at y = x^n are localized on
-the dense output and polished with one Newton step; the section is
-S = {y = 0, x > 0}.
+Both zones are affine, so each leg of the return map is the exact flow
+``s(t) = exp(A t)(s0 - s*) + s*`` of ``s' = A s + b`` with equilibrium
+``s* = -A^{-1} b``; the 2x2 exponential is evaluated in closed form for a
+focus, a node or saddle, and a repeated eigenvalue alike.  The flow runs in
+Cartesian coordinates along the orientation in which the polar angle
+increases, so the computed return map's Taylor coefficients in eps are
+exactly the Melnikov functions of the polar-time formulation.  Only the
+switching times at y = x^n and the return time to the section
+S = {y = 0, x > 0} are solved for: a vectorized scan brackets the first sign
+change of the event function in the right direction, and ``brentq`` refines
+it to about 1e-15.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .config import SystemConfig
 from .errors import DomainError, EscapeError, EventDegeneracyError, NumericalError
-from .geometry import switching_angles
 
 __all__ = ["TrajectorySegment", "PoincareResult", "LimitCycle",
            "integrate_return", "extract_melnikov", "find_limit_cycles"]
 
-RTOL = 1e-12
-ATOL = 1e-14
-MAX_STEP = 0.1
 R_ESCAPE = (1e-4, 1e4)
 EPS_MAX_DEFAULT = 1e-2
 TANGENCY_FLOOR = 1e-10
+# Each leg looks for its event within [t0, t0 + LEG_WINDOW], scanning the
+# event function at steps of at most SCAN_STEP: two crossings closer than one
+# step cancel and go unseen.
+LEG_WINDOW = 4.0 * math.pi
+SCAN_STEP = 0.1
+_SCAN = np.linspace(0.0, LEG_WINDOW, math.ceil(LEG_WINDOW / SCAN_STEP) + 1)
+EVENT_XTOL = 1e-15
+# The equilibrium form rounds to about 3 ulp of |s*|, absolutely.  A leg whose
+# equilibrium lies further than EQ_FAR * max(1, |start|) away would lose more
+# than 1e-12 relative to its orbit, so it raises instead (as does det A = 0).
+EQ_FAR = 1e3
 
 
 @dataclass(frozen=True)
@@ -41,7 +53,7 @@ class TrajectorySegment:
     end: tuple[float, float]
     exit_event: str                # 'switch' or 'section'
     exit_transversality: float     # d/dt of the event function at exit
-    solution: object = field(repr=False, default=None)   # scipy dense output
+    solution: object = field(repr=False, default=None)   # t -> (2, ...) closed-form flow
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,6 @@ class PoincareResult:
     crossing_angles: tuple[float, ...]
     crossing_points: tuple[tuple[float, float], ...]
     segments: tuple[TrajectorySegment, ...] = field(repr=False, default=())
-    error_estimate: float = 0.0
 
     @property
     def displacement(self) -> float:
@@ -84,85 +95,135 @@ class LimitCycle:
         }
 
 
-def _rhs(config: SystemConfig, region: int, eps: float):
-    """Time-reversed field of the chosen region (polar angle increases)."""
-    terms = []
-    for i in range(1, config.k + 1):
-        oc = config.order(i)
-        (p0, p1, p2), (q0, q1, q2) = (oc.a, oc.b) if region > 0 else (oc.alpha, oc.beta)
-        w = eps ** i
-        terms.append((w * p0, w * p1, w * p2, w * q0, w * q1, w * q2))
+class _Zone:
+    """Time-reversed affine field s' = A s + b of one region (polar angle increases).
 
-    def rhs(t, s):
-        x, y = s
-        dx = y
-        dy = -x
-        for (c0, c1, c2, d0, d1, d2) in terms:
-            dx += c0 + c1 * x + c2 * y
-            dy += d0 + d1 * x + d2 * y
-        return (-dx, -dy)
+    ``A = -(J + sum eps^i L_i)`` and ``b = -sum eps^i c_i``, with J the
+    linear center.  ``exp(A tau) = e^{mu tau} (C(tau) I + S(tau) N)`` where
+    ``mu = tr A / 2``, ``N = A - mu I`` and ``N^2 = q I``: C, S are
+    cos, sin/w for q < 0 (focus), cosh, sinh/w for q > 0 (node or saddle)
+    and 1, tau for q = 0, with ``w = sqrt(|q|)``.  ``eq`` is the equilibrium
+    s* (infinite when det A = 0).
+    """
 
-    return rhs
+    def __init__(self, config: SystemConfig, region: int, eps: float):
+        eps = float(eps)
+        a11, a12, a21, a22, b1, b2 = 0.0, 1.0, -1.0, 0.0, 0.0, 0.0
+        for i in range(1, config.k + 1):
+            oc = config.order(i)
+            (p0, p1, p2), (q0, q1, q2) = (oc.a, oc.b) if region > 0 else (oc.alpha, oc.beta)
+            w = eps ** i
+            a11 += w * p1
+            a12 += w * p2
+            a21 += w * q1
+            a22 += w * q2
+            b1 += w * p0
+            b2 += w * q0
+        a11, a12, a21, a22, b1, b2 = -a11, -a12, -a21, -a22, -b1, -b2
+        self.region = region
+        self.A = (a11, a12, a21, a22)
+        self.b = (b1, b2)
+        self.mu = 0.5 * (a11 + a22)
+        self.n11 = 0.5 * (a11 - a22)
+        q = self.n11 * self.n11 + a12 * a21          # = -det N, free of mu^2 cancellation
+        self.kind = 1 if q > 0.0 else (-1 if q < 0.0 else 0)
+        self.w = math.sqrt(abs(q))
+        det = a11 * a22 - a12 * a21
+        self.eq = (math.inf, math.inf) if det == 0.0 else \
+            ((a12 * b2 - a22 * b1) / det, (a21 * b1 - a11 * b2) / det)
+
+    def velocity(self, x: float, y: float) -> tuple[float, float]:
+        a11, a12, a21, a22 = self.A
+        return (a11 * x + a12 * y + self.b[0], a21 * x + a22 * y + self.b[1])
 
 
-def _switch_event(n: int, direction: int):
-    def ev(t, s):
-        return s[1] - s[0] ** n
-    ev.terminal = True
-    ev.direction = direction
-    return ev
+class _Flow:
+    """Closed-form solution of one zone through ``start`` at time ``t0``.
+
+    Calling it on an array of absolute times gives the states as a (2, ...)
+    array.
+    """
+
+    def __init__(self, zone: _Zone, start, t0: float):
+        far = math.hypot(*zone.eq)
+        if not far <= EQ_FAR * max(1.0, math.hypot(*start)):
+            raise NumericalError(f"the field of region {zone.region:+d} has no equilibrium "
+                                 f"near the orbit (|s*| = {far:.3e})", equilibrium=zone.eq)
+        self.zone = zone
+        self.t0 = t0
+        d0, d1 = float(start[0]) - zone.eq[0], float(start[1]) - zone.eq[1]
+        _, a12, a21, _ = zone.A
+        self.d = (d0, d1)
+        self.nd = (zone.n11 * d0 + a12 * d1, a21 * d0 - zone.n11 * d1)
+
+    def at(self, tau, lib=math):
+        """State at ``tau`` after ``t0``: floats with ``math``, arrays with ``np``."""
+        z = self.zone
+        if z.kind < 0:
+            c, s = lib.cos(z.w * tau), lib.sin(z.w * tau) / z.w
+        elif z.kind > 0:
+            c, s = lib.cosh(z.w * tau), lib.sinh(z.w * tau) / z.w
+        else:
+            c, s = 1.0, tau
+        e = lib.exp(z.mu * tau)
+        ec, es = e * c, e * s
+        return (z.eq[0] + ec * self.d[0] + es * self.nd[0],
+                z.eq[1] + ec * self.d[1] + es * self.nd[1])
+
+    def __call__(self, t) -> np.ndarray:
+        return np.array(self.at(np.asarray(t, dtype=float) - self.t0, np))
 
 
-def _section_event():
-    def ev(t, s):
-        return s[1]
-    ev.terminal = True
-    ev.direction = 1
-    return ev
+def _leg(zone: _Zone, n: int, state, t0: float, direction: int, label: str) -> TrajectorySegment:
+    """Flow of ``zone`` from ``state`` to the first event crossing in ``direction``.
 
-
-def _leg(config, region, eps, state, t0, event, label) -> TrajectorySegment:
-    rhs = _rhs(config, region, eps)
-    sol = solve_ivp(rhs, (t0, t0 + 4.0 * math.pi), state, method="DOP853",
-                    rtol=RTOL, atol=ATOL, max_step=MAX_STEP, events=event,
-                    dense_output=True)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        r_end = math.hypot(*sol.y[:, -1])
+    The event function is y - x^n for a 'switch' leg and y for the 'section'
+    leg; its first sign change in the scan brackets the event time.
+    """
+    if label == "switch":
+        def g(x, y):
+            return y - x ** n
+    else:
+        def g(x, y):
+            return y
+    flow = _Flow(zone, state, t0)
+    xs, ys = flow.at(_SCAN, np)
+    gs = g(xs, ys)
+    if direction > 0:
+        hits = np.flatnonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0))
+    else:
+        hits = np.flatnonzero((gs[:-1] > 0.0) & (gs[1:] <= 0.0))
+    if hits.size == 0:
+        r_end = math.hypot(xs[-1], ys[-1])
         if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
             raise EscapeError(f"trajectory left the annulus during the {label} leg (r={r_end:.3e})")
         raise NumericalError(f"no terminating event on the {label} leg",
-                             status=sol.status, t_final=float(sol.t[-1]))
-    t_ev = float(sol.t_events[0][0])
-    y_ev = np.array(sol.sol(t_ev))
-    # one Newton polish on the event function along the flow
-    g = (lambda s: s[1] - s[0] ** config.n) if label == "switch" else (lambda s: s[1])
-    for _ in range(1):
-        f = np.array(rhs(t_ev, y_ev))
-        if label == "switch":
-            grad = np.array([-config.n * y_ev[0] ** (config.n - 1), 1.0])
-        else:
-            grad = np.array([0.0, 1.0])
-        gdot = float(grad @ f)
-        if gdot != 0.0:
-            t_ev -= g(y_ev) / gdot
-            y_ev = np.array(sol.sol(t_ev))
-    f = np.array(rhs(t_ev, y_ev))
-    if label == "switch":
-        grad = np.array([-config.n * y_ev[0] ** (config.n - 1), 1.0])
-    else:
-        grad = np.array([0.0, 1.0])
-    trans = float(grad @ f)
+                             t_final=t0 + LEG_WINDOW)
+    j = int(hits[0])
+
+    def g_tau(tau):
+        return g(*flow.at(tau))
+
+    lo, hi = float(_SCAN[j]), float(_SCAN[j + 1])
+    g_lo, g_hi = g_tau(lo), g_tau(hi)
+    if g_lo * g_hi <= 0.0:
+        tau = brentq(g_tau, lo, hi, xtol=EVENT_XTOL)
+    else:                          # scalar and array rounding disagree at an end
+        tau = lo if abs(g_lo) < abs(g_hi) else hi
+    x, y = flow.at(tau)
+    fx, fy = zone.velocity(x, y)
+    trans = fy - n * x ** (n - 1) * fx if label == "switch" else fy
     if abs(trans) < TANGENCY_FLOOR:
         raise EventDegeneracyError(
             f"event contact is tangential (|g'|={abs(trans):.2e} < {TANGENCY_FLOOR})")
-    r_end = math.hypot(*y_ev)
+    r_end = math.hypot(x, y)
     if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
         raise EscapeError(f"trajectory left the annulus (r={r_end:.3e})")
-    return TrajectorySegment(region=region, t_span=(t0, t_ev),
+    return TrajectorySegment(region=zone.region, t_span=(t0, t0 + tau),
                              start=(float(state[0]), float(state[1])),
-                             end=(float(y_ev[0]), float(y_ev[1])),
-                             exit_event=label, exit_transversality=trans,
-                             solution=sol.sol)
+                             end=(float(x), float(y)),
+                             exit_event=label, exit_transversality=float(trans),
+                             solution=flow)
 
 
 def integrate_return(x0: float, eps: float, config: SystemConfig, *,
@@ -179,11 +240,11 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
     if abs(eps) > eps_max:
         raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
 
-    state = (x0, 0.0)
-    seg1 = _leg(config, -1, eps, state, 0.0, _switch_event(config.n, +1), "switch")
-    seg2 = _leg(config, +1, eps, seg1.end, seg1.t_span[1],
-                _switch_event(config.n, -1), "switch")
-    seg3 = _leg(config, -1, eps, seg2.end, seg2.t_span[1], _section_event(), "section")
+    below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
+    n = config.n
+    seg1 = _leg(below, n, (x0, 0.0), 0.0, +1, "switch")
+    seg2 = _leg(above, n, seg1.end, seg1.t_span[1], -1, "switch")
+    seg3 = _leg(below, n, seg2.end, seg2.t_span[1], +1, "section")
     x_ret = seg3.end[0]
     if x_ret <= 0.0:
         raise NumericalError(f"return point has non-positive abscissa {x_ret}")
@@ -194,17 +255,13 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
         ang = math.atan2(seg.end[1], seg.end[0]) % (2.0 * math.pi)
         angles.append(ang)
     if not keep_solutions:
-        segs = tuple(TrajectorySegment(region=s.region, t_span=s.t_span, start=s.start,
-                                       end=s.end, exit_event=s.exit_event,
-                                       exit_transversality=s.exit_transversality,
-                                       solution=None) for s in segs)
+        segs = tuple(replace(s, solution=None) for s in segs)
     return PoincareResult(
         x0=x0, eps=eps, x_return=x_ret,
         crossing_times=(seg1.t_span[1], seg2.t_span[1]),
         crossing_angles=tuple(angles),
         crossing_points=tuple(s.end for s in segs[:2]),
         segments=segs,
-        error_estimate=RTOL * max(1.0, x0) * 50.0,
     )
 
 
@@ -351,18 +408,8 @@ class _CycleList(list):
     diagnostics: list[str]
 
 
-def crossing_angle_check(x0: float, config: SystemConfig) -> tuple[float, float]:
-    """Crossing angles of the eps = 0 orbit, for geometry cross-validation."""
-    res = integrate_return(x0, 0.0, config)
-    return res.crossing_angles
-
-
-def geometry_reference_angles(x0: float, n: int) -> tuple[float, float]:
-    return switching_angles(x0, n)
-
-
 def trajectory_rows(result: PoincareResult, samples_per_leg: int = 200):
-    """(t, x, y, region) rows sampled from the dense output of a return orbit.
+    """(t, x, y, region) rows sampled from the closed-form flow of a return orbit.
 
     Requires ``integrate_return(..., keep_solutions=True)``.
     """

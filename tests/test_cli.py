@@ -39,9 +39,11 @@ def test_melnikov_command(tmp_path, demo_config):
     assert code == 0
     table = (out / "melnikov_order1.csv").read_text().splitlines()
     assert table[0].startswith("x,M1,oracle_simulation,relative_gap")
+    assert table[0].endswith(",closed_form,oracle_flagged")
     assert len(table) == 6
     gaps = [float(line.split(",")[3]) for line in table[1:]]
     assert max(gaps) < 1e-3
+    assert [line.split(",")[-1] for line in table[1:]] == ["0"] * 5
     assert (out / "manifest.json").exists()
     assert (out / "plot.gp").exists()
 

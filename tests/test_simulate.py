@@ -6,18 +6,62 @@ import pytest
 from conftest import random_config
 from melnlab.closedforms import m1_closed
 from melnlab.config import OrderCoefficients, SystemConfig
-from melnlab.errors import DomainError
+from melnlab.errors import DomainError, EscapeError, NumericalError
 from melnlab.geometry import switching_angles
 from melnlab.recursion import melnikov
 from melnlab.simulate import (extract_melnikov, find_limit_cycles, integrate_return,
                               trajectory_rows, write_trajectory_csv)
+from scipy.integrate import solve_ivp
+
+
+def dop853_rhs(config, region, eps):
+    """Time-reversed field of one region, term by term (polar angle increases)."""
+    def rhs(t, s):
+        x, y = s
+        dx, dy = y, -x
+        for i, oc in enumerate(config.orders, start=1):
+            (p0, p1, p2), (q0, q1, q2) = (oc.a, oc.b) if region > 0 else (oc.alpha, oc.beta)
+            w = eps ** i
+            dx += w * (p0 + p1 * x + p2 * y)
+            dy += w * (q0 + q1 * x + q2 * y)
+        return (-dx, -dy)
+    return rhs
+
+
+def dop853_return(x0, eps, config):
+    """(x_return, crossing times) by DOP853 with terminal events, rtol 1e-12.
+
+    An independent reference for the closed-form flow of the package: the
+    same legs and event directions, integrated numerically.
+    """
+    n = config.n
+    state, t0, times = (x0, 0.0), 0.0, []
+    for region, label, direction in ((-1, "switch", +1), (+1, "switch", -1),
+                                     (-1, "section", +1)):
+        def event(t, s, label=label):
+            return s[1] - s[0] ** n if label == "switch" else s[1]
+        event.terminal, event.direction = True, direction
+        sol = solve_ivp(dop853_rhs(config, region, eps), (t0, t0 + 4.0 * math.pi), state,
+                        method="DOP853", rtol=1e-12, atol=1e-14, max_step=0.1, events=event)
+        t0, state = float(sol.t_events[0][0]), sol.y_events[0][0]
+        times.append(t0)
+    return float(state[0]), tuple(times[:2])
+
+
+def zone_discriminant(config, region, eps):
+    """q = ((a11 - a22)/2)^2 + a12 a21 of the zone matrix: q >= 0 iff real eigenvalues."""
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for i, oc in enumerate(config.orders, start=1):
+        (_, p1, p2), (_, q1, q2) = (oc.a, oc.b) if region > 0 else (oc.alpha, oc.beta)
+        A += eps ** i * np.array([[p1, p2], [q1, q2]])
+    return ((A[0, 0] - A[1, 1]) / 2.0) ** 2 + A[0, 1] * A[1, 0]
 
 
 def test_unperturbed_identity(rng):
     cfg = random_config(rng, 3, 1)
     for x0 in (0.5, 1.0, 2.0):
         res = integrate_return(x0, 0.0, cfg)
-        assert abs(res.displacement) <= 1e-12 * max(1.0, x0)
+        assert abs(res.displacement) <= 1e-14 * max(1.0, x0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -44,15 +88,12 @@ def test_time_reversal_consistency(rng):
     cfg = random_config(rng, 2, 1)
     x0, eps = 1.2, 3e-3
     res = integrate_return(x0, eps, cfg)
-    import melnlab.simulate as sim
-
-    rhs_fwd = sim._rhs(cfg, -1, eps)
+    rhs_fwd = dop853_rhs(cfg, -1, eps)
 
     def rhs_back(t, s):
         dx, dy = rhs_fwd(t, s)
         return (-dx, -dy)
 
-    from scipy.integrate import solve_ivp
     t_end = res.segments[-1].t_span[1]
     t_mid = res.segments[-1].t_span[0]
     sol = solve_ivp(rhs_back, (0.0, t_end - t_mid), [res.x_return, 0.0],
@@ -61,6 +102,72 @@ def test_time_reversal_consistency(rng):
     start = res.segments[-1].start
     assert end[0] == pytest.approx(start[0], abs=1e-9)
     assert end[1] == pytest.approx(start[1], abs=1e-9)
+
+
+def test_exact_flow_matches_dop853(rng):
+    worst = 0.0
+    for n in (1, 2, 3, 4, 5):
+        for k in (1, 2, 6):
+            cfg = random_config(rng, n, k)
+            for x0 in (0.3, 0.8, 1.5, 3.0):
+                for eps in (0.0, 1e-4, -1e-4, -1e-3, 5e-3, -1e-2):
+                    res = integrate_return(x0, eps, cfg)
+                    x_ref, t_ref = dop853_return(x0, eps, cfg)
+                    gaps = [abs(res.x_return - x_ref)]
+                    gaps += [abs(a - b) for a, b in zip(res.crossing_times, t_ref)]
+                    worst = max(worst, max(gaps) / max(1.0, x0))
+    assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("block, eps, kind", [
+    (OrderCoefficients(a=(0.1, 2.0, 0.0), b=(0.0, 0.0, -2.0)), 0.6, "saddle"),
+    (OrderCoefficients(a=(0.1, -1.5, 0.0), b=(0.0, 0.0, 2.5)), 0.5, "repeated"),
+])
+def test_exact_flow_real_eigenvalues_match_dop853(block, eps, kind):
+    # above the curve the field has real eigenvalues, at large eps
+    cfg = SystemConfig(n=2, k=1, orders=(block,))
+    q = zone_discriminant(cfg, +1, eps)
+    assert q > 0.0 if kind == "saddle" else q == 0.0
+    for x0 in (0.5, 1.0, 2.0):
+        res = integrate_return(x0, eps, cfg, eps_max=1.0, keep_solutions=True)
+        x_ref, t_ref = dop853_return(x0, eps, cfg)
+        assert abs(res.x_return - x_ref) <= 1e-12 * max(1.0, x0)
+        for a, b in zip(res.crossing_times, t_ref):
+            assert abs(a - b) <= 1e-12 * max(1.0, x0)
+        # the stored flow continues each leg from its start to its end
+        for seg in res.segments:
+            ends = seg.solution(np.array(seg.t_span))
+            assert np.allclose(ends.T, [seg.start, seg.end], rtol=0.0, atol=1e-13)
+
+
+def test_escape_is_a_typed_error():
+    # an expanding focus below the curve carries x0 = 9990 past r = 1e4
+    # before the first crossing
+    cfg = SystemConfig(n=1, k=1, orders=(
+        OrderCoefficients(alpha=(0.0, -0.5, 0.0), beta=(0.0, 0.0, -0.5)),))
+    with pytest.raises(EscapeError):
+        integrate_return(9990.0, 1e-2, cfg)
+    assert integrate_return(9000.0, 1e-2, cfg).x_return > 9000.0
+
+
+def test_leg_without_event_is_a_typed_error():
+    # below the curve a saddle with equilibrium (1, 0): the orbit of (2, 0)
+    # runs along its stable axis y = 0 and never meets y = x
+    cfg = SystemConfig(n=1, k=1, orders=(
+        OrderCoefficients(alpha=(-2.0, 2.0, -1.0), beta=(0.0, 1.0, -2.0)),))
+    assert zone_discriminant(cfg, -1, 1.0) > 0.0
+    with pytest.raises(NumericalError, match="no terminating event"):
+        integrate_return(2.0, 1.0, cfg, eps_max=2.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-6])
+def test_far_equilibrium_is_a_typed_error(delta):
+    # above the curve det A = delta: at delta = 0 there is no equilibrium, at
+    # 1e-6 it lies 5e4 away, where the equilibrium form would lose ~1e-11
+    cfg = SystemConfig(n=2, k=1, orders=(
+        OrderCoefficients(a=(0.1, 2.0, 0.0), b=(0.0, 0.0, -2.0 * (1.0 - delta))),))
+    with pytest.raises(NumericalError, match="no equilibrium near the orbit"):
+        integrate_return(1.0, 0.5, cfg, eps_max=1.0)
 
 
 def test_displacement_smooth_in_eps(rng):
@@ -85,12 +192,12 @@ def test_extraction_matches_closed_form(rng):
 
 
 def test_extraction_zero_config():
-    # zero up to the ladder's noise floor (integrator roundoff over eps^i),
+    # zero up to the ladder's noise floor (flow roundoff over eps^i),
     # which the error estimate must cover
     cfg = SystemConfig(n=2, k=2, orders=(OrderCoefficients(), OrderCoefficients()))
     for i in (1, 2):
         est = extract_melnikov(1.0, i, cfg)
-        assert abs(est.value) < 2e-6
+        assert abs(est.value) < 1e-12
         assert abs(est.value) <= max(3.0 * est.error_estimate, 1e-10)
 
 
