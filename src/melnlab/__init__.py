@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DomainError, EscapeError,
                      SequencingError)
 from .geometry import SwitchingGeometry, crossing_abscissa, switching_angles, theta1_jet
 from .polar import PolarField, build_polar_field, cartesian_field
-from .recursion import ZTable, melnikov, melnikov_all, z1, z_recursive, ztable
+from .recursion import ZTable, melnikov, melnikov_all, ztable
 from .series import Jet
 from .simulate import (LimitCycle, PoincareResult, TrajectorySegment,
                        extract_melnikov, find_limit_cycles, integrate_return)

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .series import Jet, jet_atan
 
 __all__ = ["BasisFunction", "u", "family", "family_G", "family_H_pencil",
-           "family_J0", "family_H8", "jet_derivative"]
+           "family_J0", "family_H8"]
 
 
 def _pow(x, e):

@@ -32,6 +32,10 @@ __all__ = [
 
 SIMPLICITY_FLOOR = 1e-9
 BISECT_RTOL = 1e-12
+REFINE_ROUNDS = 3
+# evaluation budgets of one family's zero isolation and of each witness
+CERTIFY_BUDGET = 120_000
+WITNESS_BUDGET = 400_000
 PRECISE_DPS = 50
 # Certificate for the double-precision determinant of an equilibrated
 # Wronskian matrix A: rho = CERT_C * (s+1) * u * kappa bounds its relative
@@ -236,15 +240,8 @@ def _grid(a: float, b: float, m: int) -> np.ndarray:
     return np.linspace(a, b, m)
 
 
-def _local_scale(ys: np.ndarray, window: int = 33) -> np.ndarray:
-    """Sliding-window maximum of |ys| (functions here span many decades)."""
-    from scipy.ndimage import maximum_filter1d
-
-    return maximum_filter1d(np.abs(ys), size=window, mode="nearest")
-
-
 def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
-                  initial: int = 4096, refine_rounds: int = 3) -> ZeroReport:
+                  initial: int = 4096) -> ZeroReport:
     """Sign-change scan with local refinement, bisection, and simplicity check.
 
     ``f`` maps float -> float (vectorized input is used when possible).  The
@@ -289,7 +286,7 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
 
     refine_budget = budget // 3
     unresolved = np.array([], dtype=int)
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         if used >= refine_budget:
             flags.append("refinement-budget-exhausted")
             break
@@ -402,7 +399,7 @@ class AccuracyVerdict:
 
 
 def certify_family(fams: list[BasisFunction], a: float, b: float, *,
-                   name: str = "family", budget: int = 120_000) -> AccuracyVerdict:
+                   name: str = "family") -> AccuracyVerdict:
     """Count zeros of every prefix Wronskian on [a, b] and classify.
 
     Verdicts are never guessed: if any zero report fails its exhaustiveness
@@ -421,7 +418,7 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
             fallbacks[_s] += recomputed
             return vals
 
-        rep = isolate_zeros(ws, a, b, budget=budget, initial=2048)
+        rep = isolate_zeros(ws, a, b, budget=CERTIFY_BUDGET, initial=2048)
         reports.append(rep)
         nu.append(rep.count)
         exhaustive = exhaustive and rep.exhaustive
@@ -454,6 +451,7 @@ PROP4_COEFFS = (
     0.5926213398946085,
     3.18899089714221e-08,
 )
+PROP4_WINDOW = (1e-6, 50.0)
 
 
 @dataclass(frozen=True)
@@ -481,8 +479,7 @@ def _prop4_function(coeffs):
     return g
 
 
-def prop4_witness(window: tuple[float, float] = (1e-6, 50.0), *,
-                  budget: int = 400_000) -> Prop4Result:
+def prop4_witness() -> Prop4Result:
     """Certify the printed 8-zero element of the k=1, lam=2 family.
 
     If the printed coefficients fail to deliver eight simple zeros at double
@@ -490,15 +487,15 @@ def prop4_witness(window: tuple[float, float] = (1e-6, 50.0), *,
     sensitivity is reported instead of silently retuned.
     """
     g = _prop4_function(PROP4_COEFFS)
-    rep = isolate_zeros(g, window[0], window[1], budget=budget, initial=8192)
+    rep = isolate_zeros(g, *PROP4_WINDOW, budget=WITNESS_BUDGET, initial=8192)
     if rep.simple_count == 8:
         return Prop4Result(PROP4_COEFFS, rep, None, None)
     base = list(PROP4_COEFFS)
     for delta in np.linspace(-1e-6, 1e-6, 41):
         trial = base.copy()
         trial[1] += float(delta)
-        rep2 = isolate_zeros(_prop4_function(trial), window[0], window[1],
-                             budget=budget, initial=8192)
+        rep2 = isolate_zeros(_prop4_function(trial), *PROP4_WINDOW,
+                             budget=WITNESS_BUDGET, initial=8192)
         if rep2.simple_count == 8:
             note = (f"printed coefficients yielded {rep.simple_count} zeros; "
                     f"a1 adjusted by {delta:+.3e} to recover 8")
@@ -587,8 +584,11 @@ def _poly_u_structural(ident: int, k: int) -> np.ndarray:
     raise DomainError(f"no structural polynomial for generator {ident}")
 
 
-def prop5_witness(k: int = 2, *, budget: int = 400_000,
-                  scales=(0.3, 0.25, 0.2, 0.15, 0.12, 0.1, 0.08)) -> Prop5Result:
+# ladder scales tried by stage two of the Prop. 5 witness, largest first
+PROP5_SCALES = (0.3, 0.25, 0.2, 0.15, 0.12, 0.1, 0.08)
+
+
+def prop5_witness(k: int = 2) -> Prop5Result:
     """Two-stage witness: 4 zeros of g_k(x;0) in (0,2) plus 5 near infinity.
 
     Stage two solves the affine system h_k(y_m; a) = 0 at a geometric ladder
@@ -610,7 +610,7 @@ def prop5_witness(k: int = 2, *, budget: int = 400_000,
         "gprime(1)": float(P.polyval(1.0, dg0)),
         "g(2)": float(P.polyval(2.0, g0)),
     }
-    stage1 = isolate_zeros(gfun0, 1e-9, 2.0, budget=budget, initial=8192)
+    stage1 = isolate_zeros(gfun0, 1e-9, 2.0, budget=WITNESS_BUDGET, initial=8192)
 
     # affine pieces h(y; a) = h0(y) + sum a_i * h_i(y), via reversed coefficients
     def h_coeffs(a):
@@ -620,7 +620,7 @@ def prop5_witness(k: int = 2, *, budget: int = 400_000,
     hparts = [h_coeffs(tuple(1.0 if i == j else 0.0 for i in range(5))) - h0
               for j in range(5)]
 
-    for scale in scales:
+    for scale in PROP5_SCALES:
         ys = scale * (0.33 ** np.arange(5))[::-1]  # ascending small targets
         A = np.array([[P.polyval(ym, hp) for hp in hparts] for ym in ys])
         rhs = -np.array([P.polyval(ym, h0) for ym in ys])
@@ -631,7 +631,7 @@ def prop5_witness(k: int = 2, *, budget: int = 400_000,
         gc = _g_poly_coeffs(k, tuple(avec))
         gfun = lambda x: P.polyval(np.asarray(x, dtype=float), gc)
         hi = 2.0 / float(ys[0])
-        rep = isolate_zeros(gfun, 1e-9, hi, budget=budget, initial=16384)
+        rep = isolate_zeros(gfun, 1e-9, hi, budget=WITNESS_BUDGET, initial=16384)
         if rep.simple_count >= 9:
             return Prop5Result(k=k, coefficients=tuple(float(v) for v in avec),
                                sign_ladder=ladder, stage1_report=stage1, report=rep,

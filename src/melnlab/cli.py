@@ -28,12 +28,15 @@ from .closedforms import (VCoefficients, config_from_v, cov_r_of_x, fit_to_span,
                           m1_closed, sign_pattern_search)
 from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
-from .recursion import melnikov
+from .recursion import melnikov, melnikov_all
 from .reports import format_float, write_csv, write_gnuplot, write_json
 from .simulate import extract_melnikov, find_limit_cycles
 
 CASES = ("m1_n1", "m1_n2", "m1_odd", "m1_even", "m2_n3_structure",
          "prop4", "prop5_k2", "cycles_n2_l1")
+FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "G", "H8", "J0", "H")
+# random reduced coefficients drawn by each zero-count ceiling scan
+CEILING_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -83,15 +86,21 @@ def _workers(args) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _melnikov_row(payload):
-    config, i, x = payload
-    val = melnikov(config, i, x)
-    est = extract_melnikov(x, i, config)
-    gap = abs(val - est.value) / max(1.0, abs(val))
-    row = (x, val, est.value, gap, est.error_estimate)
-    if i == 1:
-        row += (m1_closed(config, x),)
-    return row + (int(est.flagged),)
+def _melnikov_point(payload):
+    """([M_1(x), ..., M_max(x)], {order: CSV row}) at one grid point, from one
+    recursion table and the oracle returns that ``displacement`` remembers."""
+    config, orders, x = payload
+    values = melnikov_all(config, x, max(orders))
+    rows = {}
+    for i in orders:
+        val = values[i - 1]
+        est = extract_melnikov(x, i, config)
+        gap = abs(val - est.value) / max(1.0, abs(val))
+        row = (x, val, est.value, gap, est.error_estimate)
+        if i == 1:
+            row += (m1_closed(config, x),)
+        rows[i] = row + (int(est.flagged),)
+    return values, rows
 
 
 def cmd_melnikov(args) -> int:
@@ -106,19 +115,17 @@ def cmd_melnikov(args) -> int:
     workers = _workers(args)
     _write_manifest(out, args, "melnikov", interval=interval, orders=orders)
 
-    xs = _grid_points(interval, grid)
+    xs = [float(x) for x in _grid_points(interval, grid)]
+    payloads = [(config, orders, x) for x in xs]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_melnikov_point, payloads))
+    else:
+        points = [_melnikov_point(p) for p in payloads]
     worst_gap = 0.0
     curves = []
-    tables = {}
     for i in orders:
-        payloads = [(config, i, float(x)) for x in xs]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_melnikov_row, payloads))
-        else:
-            rows = [_melnikov_row(p) for p in payloads]
-        rows.sort(key=lambda r: r[0])
-        tables[i] = rows
+        rows = [pt_rows[i] for _, pt_rows in points]
         name = f"melnikov_order{i}.csv"
         header = ["x", f"M{i}", "oracle_simulation", "relative_gap", "oracle_error_estimate"]
         if i == 1:
@@ -128,33 +135,31 @@ def cmd_melnikov(args) -> int:
         curves.append((name, 1, 2, f"M{i}"))
         worst_gap = max(worst_gap, max(r[3] for r in rows))
     write_gnuplot(out / "plot.gp", "Melnikov orders", curves)
-    _append_span_fits(out, config, tables)
+    _append_span_fits(out, config, orders, xs, [values for values, _ in points])
     print(f"wrote {len(orders)} order tables to {out} (worst oracle gap {format_float(worst_gap)})")
     if worst_gap > 1e-3 and not config.is_zero():
         raise NumericalError("simulation oracle disagrees beyond 1e-3", worst_gap=worst_gap)
     return 0
 
 
-def _append_span_fits(out: Path, config, tables) -> None:
-    """Sidecar span fit for a leading order whose lower orders all vanish.
+def _append_span_fits(out: Path, config, orders, xs, values) -> None:
+    """Sidecar span fit for a requested order whose lower orders all vanish.
 
-    Emits spanfit_order{i}.json plus a CSV of (x, M_i, fitted, residual) rows;
-    skipped silently when lower orders are nonzero (no structure claim then)
-    or when the fit machinery rejects the sample set.
+    ``values[p]`` holds M_1..M_max at ``xs[p]``, so every lower order is
+    checked, requested or not.  Emits spanfit_order{i}.json plus a CSV of
+    (x, M_i, fitted, residual) rows; skipped silently when a lower order is
+    nonzero (no structure claim then) or when the sample set is too small.
     """
     from .closedforms import cov_x_of_r, structural_span
 
-    for i, rows in sorted(tables.items()):
+    for i in sorted(set(orders)):
         if i < 2:
             continue
-        lower_ok = all(
-            max(abs(r[1]) for r in tables[m]) < 1e-10 for m in range(1, i) if m in tables)
-        if not lower_ok or len(rows) < 1:
+        if any(max(abs(v[m - 1]) for v in values) >= 1e-10 for m in range(1, i)):
             continue
-        scale = max(abs(r[1]) for r in rows)
-        if scale < 1e-12:
+        if max(abs(v[i - 1]) for v in values) < 1e-12:
             continue
-        samples = [(cov_x_of_r(r[0], config.n), r[1]) for r in rows]
+        samples = [(cov_x_of_r(x, config.n), v[i - 1]) for x, v in zip(xs, values)]
         name, fam, _den = structural_span(config.n, i)
         if len(samples) < 3 * len(fam):
             continue
@@ -174,21 +179,10 @@ def _append_span_fits(out: Path, config, tables) -> None:
               f"residual {format_float(fit.residual)}")
 
 
-_FAMILY_BUILDERS = {
-    "F1": lambda k, lam: family("F1", k), "F2": lambda k, lam: family("F2", k),
-    "F3": lambda k, lam: family("F3", k), "F4": lambda k, lam: family("F4", k),
-    "F5": lambda k, lam: family("F5", k), "F6": lambda k, lam: family("F6", k),
-    "F7": lambda k, lam: family("F7", k, lam=lam),
-    "G": lambda k, lam: family_G(k),
-    "J0": lambda k, lam: family_J0(),
-    "H8": lambda k, lam: family_H8(k),
-}
-
-
 def cmd_cheb(args) -> int:
-    if args.family not in _FAMILY_BUILDERS and args.family != "H":
+    if args.family not in FAMILIES:
         raise ConfigurationError(
-            f"unknown family {args.family!r}; choose from {sorted(_FAMILY_BUILDERS) + ['H']}")
+            f"unknown family {args.family!r}; choose from {list(FAMILIES)}")
     interval = _parse_interval(args.interval)
     out = Path(args.out)
     _write_manifest(out, args, "cheb", interval=interval)
@@ -199,7 +193,14 @@ def cmd_cheb(args) -> int:
         fams = family_H_pencil(args.k, args.alpha or 0.0, args.beta or 0.0)
         name = f"H^{args.k}_{args.alpha},{args.beta}"
     else:
-        fams = _FAMILY_BUILDERS[args.family](args.k, lam)
+        if args.family == "G":
+            fams = family_G(args.k)
+        elif args.family == "J0":
+            fams = family_J0()
+        elif args.family == "H8":
+            fams = family_H8(args.k)
+        else:
+            fams = family(args.family, args.k, lam=lam)
         name = f"{args.family}^{args.k}" + (f",{lam}" if lam is not None else "")
 
     verdict = certify_family(fams, interval[0], interval[1], name=name)
@@ -243,15 +244,14 @@ def _q_fn(v: VCoefficients, n: int):
     return fn
 
 
-def _ceiling_scan(n: int, ceiling: int, rng, trials: int = 1000,
-                  a=1e-3, b=1e3, m=2048):
+def _ceiling_scan(n: int, ceiling: int, rng):
     """Zero-count ceiling over random reduced coefficients, batched."""
     from .closedforms import q_basis
 
-    xs = np.geomspace(a, b, m)
+    xs = np.geomspace(1e-3, 1e3, 2048)
     design = np.column_stack([g(xs) for g in q_basis(n)])
     dim = design.shape[1]
-    vs = rng.uniform(-1.0, 1.0, size=(trials, dim))
+    vs = rng.uniform(-1.0, 1.0, size=(CEILING_TRIALS, dim))
     counts = _sign_changes(vs @ design.T)
     worst = int(np.max(counts))
     return worst, worst <= ceiling
@@ -286,7 +286,7 @@ def _case_m1_counts(out, seed, n_list, targets):
             lines.append(f"n={n}: {realized} zero realized (degree-one reduced polynomial)")
             ok = ok and realized == 1
         worst, inside = _ceiling_scan(n, target, rng)
-        lines.append(f"n={n}: ceiling {target} respected over 1000 random configs"
+        lines.append(f"n={n}: ceiling {target} respected over {CEILING_TRIALS} random configs"
                      f" (max seen {worst})" if inside else
                      f"n={n}: CEILING {target} EXCEEDED (saw {worst})")
         ok = ok and inside

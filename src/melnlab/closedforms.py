@@ -43,9 +43,9 @@ class VCoefficients:
             raise ConfigurationError(f"{self.case} case needs {expected} values")
 
 
-def v_coefficients(config: SystemConfig, order: int = 1) -> VCoefficients:
-    """Reduced coefficients of the given perturbation order."""
-    oc = config.order(order)
+def v_coefficients(config: SystemConfig) -> VCoefficients:
+    """Reduced coefficients of the first perturbation order."""
+    oc = config.order(1)
     a0, a1, _ = oc.a
     b0, _, b2 = oc.b
     al0, al1, _ = oc.alpha
@@ -150,19 +150,15 @@ class SpanFit:
     denominator: str
     samples: int = field(default=0)
 
-    @property
-    def rank_deficient(self) -> bool:
-        return self.rank < len(self.basis_ids)
 
-
-def structural_span(n: int, ell: int, lam: float | None = None):
+def structural_span(n: int, ell: int):
     """Declared basis family and denominator for M_ell with degree n.
 
     Returns (family_name, [BasisFunction...], denominator  callable).
     Order 1 uses the square-root denominators from the closed forms; orders
     two and up use the rational denominators of the structure table.  For odd
     n at order 6 the divided form (lam-family over x^2*(...)^2) is selected
-    with ``lam`` defaulting to 2 for k = 1 and 1 for k > 1.
+    with ``lam`` = 2 for k = 1 and 1 for k > 1.
     """
     if n % 2 == 0:
         k = n // 2
@@ -186,8 +182,7 @@ def structural_span(n: int, ell: int, lam: float | None = None):
         name = f"F5^{k}"
         fam = family("F5", k)
     else:
-        if lam is None:
-            lam = 2.0 if k == 1 else 1.0
+        lam = 2.0 if k == 1 else 1.0
         name = f"F7^{k},{lam}"
         base = family("F7", k, lam=lam)
         fam = [bf.substituted_power(2 * k) for bf in base]
@@ -198,7 +193,7 @@ def structural_span(n: int, ell: int, lam: float | None = None):
     return name, fam, den
 
 
-def fit_to_span(samples, n: int, ell: int, lam: float | None = None) -> SpanFit:
+def fit_to_span(samples, n: int, ell: int) -> SpanFit:
     """Fit numerator values M_ell(x)*denominator(x) onto the declared span.
 
     ``samples`` is a sequence of (x, M_ell(x)) pairs with x the transformed
@@ -207,7 +202,7 @@ def fit_to_span(samples, n: int, ell: int, lam: float | None = None) -> SpanFit:
     """
     xs = np.asarray([s[0] for s in samples], dtype=float)
     ys = np.asarray([s[1] for s in samples], dtype=float)
-    name, fam, den = structural_span(n, ell, lam=lam)
+    name, fam, den = structural_span(n, ell)
     if len(xs) < 3 * len(fam):
         raise ConfigurationError(
             f"need at least {3 * len(fam)} samples for {len(fam)} basis functions, got {len(xs)}")
@@ -244,8 +239,12 @@ def q_basis(n: int) -> list:
     return [u(13, k), u(5, k), u(15, k), u(2, k)]
 
 
-def sign_pattern_search(n: int, zero_count: int, interval=(0.05, 3.0), *,
-                        seed: int = 0, trials: int = 600):
+# sign_pattern_search draws its targets from SEARCH_INTERVAL, SEARCH_TRIALS times
+SEARCH_INTERVAL = (0.05, 3.0)
+SEARCH_TRIALS = 600
+
+
+def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
     """Search reduced coefficients whose q-polynomial has ``zero_count`` zeros.
 
     Targets alternating signs at zero_count+1 log-uniform interlaced points
@@ -258,7 +257,7 @@ def sign_pattern_search(n: int, zero_count: int, interval=(0.05, 3.0), *,
     rng = np.random.default_rng(seed)
     funcs = q_basis(n)
     case = "odd" if n % 2 == 1 else "even"
-    a, b = interval
+    a, b = SEARCH_INTERVAL
     npts = zero_count + 1
     signs = np.array([(-1.0) ** m for m in range(npts)])
 
@@ -269,7 +268,7 @@ def sign_pattern_search(n: int, zero_count: int, interval=(0.05, 3.0), *,
             return val if np.ndim(x) else float(val[0])
         return f
 
-    for _ in range(trials):
+    for _ in range(SEARCH_TRIALS):
         pts = np.sort(np.exp(rng.uniform(math.log(a), math.log(b), size=npts)))
         if np.min(np.diff(np.log(pts))) < 0.05:
             continue
@@ -398,9 +397,13 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, rs: np.ndarray,
     return None
 
 
-def vanishing_order_config(n: int, ell: int, *, seed: int = 0, k: int | None = None,
-                           starts: int = 60, grid=None) -> SystemConfig:
-    """Config whose first non-vanishing Melnikov order is ``ell``.
+# random starts of the nullspace searches (vanishing order 3, structure table)
+ORDER3_STARTS = 60
+STRUCTURE_STARTS = 80
+
+
+def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
+    """Config of order k = ell whose first non-vanishing Melnikov order is ``ell``.
 
     ell = 2 zeroes the reduced order-1 coefficients; ell = 3 additionally
     solves the minimal second-order conditions by a randomized nullspace
@@ -414,14 +417,11 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0, k: int | None = N
     from .recursion import melnikov
 
     rng = np.random.default_rng(seed)
-    k = ell if k is None else k
-    if k < ell:
-        raise ConfigurationError(f"config order k={k} below requested ell={ell}")
     zero = OrderCoefficients()
 
     def pad(blocks: dict[int, OrderCoefficients]) -> SystemConfig:
-        return SystemConfig(n=n, k=k, orders=tuple(blocks.get(i, zero)
-                                                   for i in range(1, k + 1)))
+        return SystemConfig(n=n, k=ell, orders=tuple(blocks.get(i, zero)
+                                                     for i in range(1, ell + 1)))
 
     if ell == 1:
         return pad({1: _oc_from_vec(rng.uniform(-1.0, 1.0, 12))})
@@ -433,7 +433,7 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0, k: int | None = N
     if ell != 3:
         raise ConfigurationError(f"no construction for ell={ell}; supported: 1..4")
 
-    rs = np.geomspace(0.45, 2.1, 14) if grid is None else np.asarray(grid, dtype=float)
+    rs = np.geomspace(0.45, 2.1, 14)
     B = first_order_image(n, rs)
     Q, _ = np.linalg.qr(B)
     proj = np.eye(len(rs)) - Q @ Q.T
@@ -455,15 +455,14 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0, k: int | None = N
             return cfg
         return None
 
-    cfg = _kernel_quadratic_search(n, proj, rs, rng, starts, accept)
+    cfg = _kernel_quadratic_search(n, proj, rs, rng, ORDER3_STARTS, accept)
     if cfg is None:
         raise NumericalError("nullspace search for an order-3 configuration failed",
-                             n=n, starts=starts, seed=seed)
+                             n=n, starts=ORDER3_STARTS, seed=seed)
     return cfg
 
 
-def table3_structure_config(n: int, *, seed: int = 0, starts: int = 80,
-                            grid=None) -> SystemConfig:
+def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     """Config with M_1 = 0 whose M_2 numerator lies in the declared span.
 
     Plain kernel configs leave arctan- and square-root-shaped components in
@@ -477,7 +476,7 @@ def table3_structure_config(n: int, *, seed: int = 0, starts: int = 80,
     from .recursion import melnikov
 
     rng = np.random.default_rng(seed)
-    rs_x = np.geomspace(0.4, 1.8, 18) if grid is None else np.asarray(grid, dtype=float)
+    rs_x = np.geomspace(0.4, 1.8, 18)
     rs = np.array([cov_r_of_x(float(x), n) for x in rs_x])
     name, fam, den = structural_span(n, 2)
     denv = den(rs_x)
@@ -506,9 +505,9 @@ def table3_structure_config(n: int, *, seed: int = 0, starts: int = 80,
             return None
         return cfg
 
-    cfg = _kernel_quadratic_search(n, proj, rs, rng, starts, accept,
+    cfg = _kernel_quadratic_search(n, proj, rs, rng, STRUCTURE_STARTS, accept,
                                    tol=1e-7, scale_rows=np.diag(denv))
     if cfg is None:
-        raise NumericalError("structural-span search failed", n=n, starts=starts,
+        raise NumericalError("structural-span search failed", n=n, starts=STRUCTURE_STARTS,
                              seed=seed, span=name)
     return cfg

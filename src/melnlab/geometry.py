@@ -147,7 +147,3 @@ class SwitchingGeometry:
         if t < theta2:
             return 1
         return 2
-
-    def region_sign(self, r: float, theta: float) -> int:
-        """Sign of y - x^n at the polar point (r, theta)."""
-        return int(np.sign(switching_function(r, theta, self.n)))

@@ -84,19 +84,10 @@ class PolarField:
             raise DomainError(f"order {i} outside 1..{self.k}")
         return self.f_all(sign, r, theta)[i - 1]
 
-    def f_sector(self, i: int, j: int, r, theta):
-        """F_i^j: order-i field on sector j of the switching geometry."""
-        return self.f(i, self.geometry.sector_sign(j), r, theta)
-
     def f_r_jets(self, sign: int, r: float, theta, order: int) -> list[Jet]:
         """[F_1, ..., F_k] as jets in r (coefficients follow theta's type)."""
         rj = Jet.variable(float(r), order, var="r")
         return self.f_all(sign, rj, theta)
-
-    def f_t_jets(self, sign: int, r: float, t0: float, t_order: int) -> list[Jet]:
-        """[F_1, ..., F_k] as jets in t at t0 for fixed radius."""
-        tj = Jet.variable(float(t0), t_order, var="t")
-        return self.f_all(sign, float(r), tj)
 
     def f_nested_jets(self, sign: int, r: float, t0: float, t_order: int,
                       r_order: int) -> list[Jet]:

@@ -32,23 +32,22 @@ from .geometry import TWO_PI
 from .polar import PolarField, build_polar_field
 from .series import Jet
 
-__all__ = ["ZTable", "melnikov", "melnikov_all", "z1", "alpha_q", "w_ij", "z_recursive"]
+__all__ = ["ZTable", "melnikov", "melnikov_all"]
 
 CHEB_START_DEGREE = 64
 CHEB_MAX_DEGREE = 1024
 CHEB_REL_TOL = 5e-14
 
 
-def _cheb_fit(fun, a: float, b: float, start_degree: int = CHEB_START_DEGREE,
-              max_degree: int = CHEB_MAX_DEGREE, rel_tol: float = CHEB_REL_TOL) -> Chebyshev:
+def _cheb_fit(fun, a: float, b: float) -> Chebyshev:
     """Adaptive Chebyshev interpolation of ``fun`` on [a, b].
 
-    Doubles the degree until the last two coefficients drop below
-    ``rel_tol`` times the coefficient scale; raises NumericalError with
-    interval diagnostics if the cap is reached without decay.
+    Doubles the degree from CHEB_START_DEGREE until the last two coefficients
+    drop below CHEB_REL_TOL times the coefficient scale; raises NumericalError
+    with interval diagnostics if CHEB_MAX_DEGREE is reached without decay.
     """
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
-    n = start_degree
+    n = CHEB_START_DEGREE
     while True:
         theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
         nodes = mid + half * np.cos(theta)
@@ -59,10 +58,10 @@ def _cheb_fit(fun, a: float, b: float, start_degree: int = CHEB_START_DEGREE,
         if scale == 0.0:
             return Chebyshev(np.zeros(2), domain=(a, b))
         tail = np.max(np.abs(coef[-2:]))
-        if tail <= rel_tol * scale:
+        if tail <= CHEB_REL_TOL * scale:
             keep = max(2, int(np.max(np.nonzero(np.abs(coef) > 1e-16 * scale)[0])) + 1)
             return Chebyshev(coef[:keep], domain=(a, b))
-        if n >= max_degree:
+        if n >= CHEB_MAX_DEGREE:
             raise NumericalError(
                 "sector integrand did not converge under Chebyshev refinement",
                 interval=(a, b), degree=n, tail=float(tail), scale=float(scale))
@@ -97,7 +96,7 @@ class ZTable:
     """
 
     def __init__(self, field: PolarField, x: float, order: int | None = None, *,
-                 include_jumps: bool = True, start_degree: int = CHEB_START_DEGREE):
+                 include_jumps: bool = True):
         self.field = field
         self.geometry = field.geometry
         self.x = float(x)
@@ -105,7 +104,6 @@ class ZTable:
         if not 1 <= self.order <= field.k:
             raise DomainError(f"order must be in 1..{field.k}, got {self.order}")
         self.include_jumps = include_jumps
-        self.start_degree = start_degree
 
         self.bounds = self.geometry.boundaries(self.x)
         self.T = TWO_PI
@@ -189,8 +187,7 @@ class ZTable:
                     left = self._z_end[(i, j - 1)] + jump
                 self._z_start[(i, j)] = left
                 integrand = self._integrand(i, j)
-                cheb = _cheb_fit(integrand, self.bounds[j], self.bounds[j + 1],
-                                 start_degree=self.start_degree)
+                cheb = _cheb_fit(integrand, self.bounds[j], self.bounds[j + 1])
                 prim = _cheb_antiderivative(cheb, self.bounds[j])
                 self._cheb[(i, j)] = math.factorial(i) * prim + left
                 self._z_end[(i, j)] = float(self._cheb[(i, j)](self.bounds[j + 1]))
@@ -348,28 +345,3 @@ def melnikov_all(config: SystemConfig, x: float, upto: int | None = None) -> lis
     table = ztable(config, x, upto)
     return [table.melnikov(i) for i in range(1, upto + 1)]
 
-
-def z1(config: SystemConfig, j: int, t: float, x: float) -> float:
-    """First-order z on sector j (thin wrapper over the table)."""
-    return ztable(config, x, 1).z(1, j, t)
-
-
-def alpha_q(j: int, q: int, x: float, table: ZTable) -> float:
-    """Crossing-time coefficient alpha_j^q from a built table."""
-    if abs(table.x - x) > 1e-12:
-        raise SequencingError("table was built at a different base point")
-    return table.alpha(q, j)
-
-
-def w_ij(i: int, j: int, x: float, table: ZTable) -> float:
-    """Coefficient w_i^j from a built table."""
-    if abs(table.x - x) > 1e-12:
-        raise SequencingError("table was built at a different base point")
-    return table.w(i, j)
-
-
-def z_recursive(config: SystemConfig, i: int, j: int, t: float, x: float) -> float:
-    """z_i^j(t, x) for i >= 2 (builds the table up to order i)."""
-    if i < 2:
-        raise DomainError("z_recursive serves orders >= 2; use z1 for order 1")
-    return ztable(config, x, i).z(i, j, t)

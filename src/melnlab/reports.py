@@ -12,6 +12,8 @@ from pathlib import Path
 
 __all__ = ["format_float", "dumps_json", "write_json", "write_csv", "write_gnuplot"]
 
+JSON_INDENT = 2
+
 
 def format_float(x: float) -> str:
     if isinstance(x, float):
@@ -23,13 +25,13 @@ def format_float(x: float) -> str:
     return str(x)
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _render(obj, level: int) -> str:
+    pad = " " * (JSON_INDENT * level)
+    pad_in = " " * (JSON_INDENT * (level + 1))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}"{key}": {_render(val, indent, level + 1)}'
+        items = [f'{pad_in}"{key}": {_render(val, level + 1)}'
                  for key, val in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -38,8 +40,8 @@ def _render(obj, indent: int, level: int) -> str:
             return "[]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
         if flat and len(seq) <= 8:
-            return "[" + ", ".join(_render(v, indent, level + 1) for v in seq) + "]"
-        items = [f"{pad_in}{_render(v, indent, level + 1)}" for v in seq]
+            return "[" + ", ".join(_render(v, level + 1) for v in seq) + "]"
+        items = [f"{pad_in}{_render(v, level + 1)}" for v in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -54,9 +56,9 @@ def _render(obj, indent: int, level: int) -> str:
     return f'"{text}"'
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+def dumps_json(obj) -> str:
     """JSON text with floats pinned to 17 significant digits."""
-    return _render(obj, indent, 0) + "\n"
+    return _render(obj, 0) + "\n"
 
 
 def write_json(path: str | Path, obj) -> Path:

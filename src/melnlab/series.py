@@ -96,17 +96,6 @@ def _log(c):
     return math.log(c)
 
 
-def _sqrt(c):
-    if isinstance(c, Jet):
-        return jet_sqrt(c)
-    if isinstance(c, np.ndarray):
-        return np.sqrt(c)
-    if _is_mp(c):
-        import mpmath
-        return mpmath.sqrt(c)
-    return math.sqrt(c)
-
-
 class Jet:
     """Truncated Taylor expansion ``sum_m c[m] * (v - v0)^m``.
 
@@ -278,19 +267,6 @@ class Jet:
         return acc
 
     # -- elementary functions (u = self) --------------------------------------
-
-    def _lift(self, f0, dfda):
-        """Solve f' = dfda(f) * u' coefficientwise given f(u0) = f0."""
-        n = self.order
-        out = [f0]
-        for m in range(1, n + 1):
-            # m*f_m = sum_{j=1..m} j*u_j * g_{m-j}, g = dfda evaluated lazily
-            s = None
-            for j in range(1, m + 1):
-                term = (j * self.c[j]) * dfda[m - j]
-                s = term if s is None else s + term
-            out.append(s / m)
-        return out
 
     def power(self, alpha: float) -> "Jet":
         """Real power u**alpha (positive leading coefficient required)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -41,6 +42,15 @@ EVENT_XTOL = 1e-15
 # equilibrium lies further than EQ_FAR * max(1, |start|) away would lose more
 # than 1e-12 relative to its orbit, so it raises instead (as does det A = 0).
 EQ_FAR = 1e3
+LADDER_RATIO = 2.0
+REJECT_REL = 1e-4
+# damped Newton of find_limit_cycles; cycles closer than CYCLE_DEDUPE are one
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 30
+CYCLE_DEDUPE = 1e-6
+# Distinct (x0, eps, config) returns remembered by displacement: the ladders
+# of orders 1 and 2 at one point share 8 of their 20 returns.
+RETURN_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -226,6 +236,13 @@ def _leg(zone: _Zone, n: int, state, t0: float, direction: int, label: str) -> T
                              solution=flow)
 
 
+def _check_return(x0: float, eps: float, eps_max: float) -> None:
+    if x0 <= 0.0:
+        raise DomainError(f"section coordinate must be positive, got {x0}")
+    if abs(eps) > eps_max:
+        raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
+
+
 def integrate_return(x0: float, eps: float, config: SystemConfig, *,
                      eps_max: float = EPS_MAX_DEFAULT,
                      keep_solutions: bool = False) -> PoincareResult:
@@ -235,11 +252,7 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
     then '-' back to the section, matching the sector pattern of y - x^n
     along circles around the origin.
     """
-    if x0 <= 0.0:
-        raise DomainError(f"section coordinate must be positive, got {x0}")
-    if abs(eps) > eps_max:
-        raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
-
+    _check_return(x0, eps, eps_max)
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
     n = config.n
     seg1 = _leg(below, n, (x0, 0.0), 0.0, +1, "switch")
@@ -266,7 +279,15 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
 
 
 def displacement(x0: float, eps: float, config: SystemConfig, *, eps_max=EPS_MAX_DEFAULT) -> float:
-    return integrate_return(x0, eps, config, eps_max=eps_max).displacement
+    """x_return - x0 of one return, each distinct (x0, eps, config) run once."""
+    _check_return(x0, eps, eps_max)
+    return _displacement(float(x0), float(eps), config)
+
+
+@lru_cache(maxsize=RETURN_MEMO)
+def _displacement(x0: float, eps: float, config: SystemConfig) -> float:
+    # displacement has checked |eps| against the caller's eps_max
+    return integrate_return(x0, eps, config, eps_max=abs(eps)).displacement
 
 
 _DEFAULT_BASE = {1: 1e-3, 2: 2e-3, 3: 6e-3, 4: 1.5e-2, 5: 2.5e-2, 6: 3.5e-2}
@@ -287,25 +308,20 @@ class MelnikovEstimate:
         return self.value
 
 
-def extract_melnikov(x0: float, i: int, config: SystemConfig, *,
-                     base_eps: float | None = None, rungs: int | None = None,
-                     ratio: float = 2.0, reject_rel: float = 1e-4) -> MelnikovEstimate:
+def extract_melnikov(x0: float, i: int, config: SystemConfig) -> MelnikovEstimate:
     """i-th eps-Taylor coefficient of the displacement by ladder extrapolation.
 
-    The displacement is sampled at +-base_eps/ratio^j; parity splitting
+    The displacement is sampled at +-base/LADDER_RATIO^j; parity splitting
     isolates the even or odd part (halving the coefficients to determine) and
     a small Vandermonde solve in eps^2 yields the requested coefficient with
     a consistency error estimate (difference against the ladder with one rung
-    dropped).  The estimate is flagged when it exceeds ``reject_rel`` times
+    dropped).  The estimate is flagged when it exceeds ``REJECT_REL`` times
     the coefficient scale.
     """
     if i < 1 or i > config.k:
         raise DomainError(f"order must be in 1..{config.k}, got {i}")
-    base = _DEFAULT_BASE.get(i, 1e-3) if base_eps is None else float(base_eps)
-    m = _DEFAULT_RUNGS.get(i, 4) if rungs is None else int(rungs)
-    if m < 2:
-        raise DomainError("need at least two ladder rungs")
-    eps_ladder = base / ratio ** np.arange(m)
+    base, m = _DEFAULT_BASE[i], _DEFAULT_RUNGS[i]
+    eps_ladder = base / LADDER_RATIO ** np.arange(m)
     dp = np.array([displacement(x0, +e, config, eps_max=base * 1.0001) for e in eps_ladder])
     dm = np.array([displacement(x0, -e, config, eps_max=base * 1.0001) for e in eps_ladder])
     parity = 1.0 if i % 2 == 0 else -1.0
@@ -325,21 +341,18 @@ def extract_melnikov(x0: float, i: int, config: SystemConfig, *,
     scale = max(1.0, abs(full))
     return MelnikovEstimate(value=float(full), error_estimate=float(err), order=i,
                             x0=x0, base_eps=base, rungs=m,
-                            flagged=bool(err > reject_rel * scale))
+                            flagged=bool(err > REJECT_REL * scale))
 
 
-def return_derivative(x0: float, eps: float, config: SystemConfig, *,
-                      h: float | None = None, eps_max=EPS_MAX_DEFAULT) -> float:
+def return_derivative(x0: float, eps: float, config: SystemConfig) -> float:
     """Central-difference derivative of the return map at x0."""
-    h = h if h is not None else max(1e-5 * max(1.0, x0), 10.0 * abs(eps) * 1e-2)
-    fp = integrate_return(x0 + h, eps, config, eps_max=eps_max).x_return
-    fm = integrate_return(x0 - h, eps, config, eps_max=eps_max).x_return
+    h = max(1e-5 * max(1.0, x0), 10.0 * abs(eps) * 1e-2)
+    fp = integrate_return(x0 + h, eps, config).x_return
+    fm = integrate_return(x0 - h, eps, config).x_return
     return (fp - fm) / (2.0 * h)
 
 
 def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
-                      eps_max: float = EPS_MAX_DEFAULT, tol: float = 1e-10,
-                      max_iter: int = 30, dedupe: float = 1e-6,
                       melnikov_zeros=None, order: int | None = None) -> list[LimitCycle]:
     """Damped Newton on the displacement from each seed; deduplicated.
 
@@ -361,11 +374,11 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
         converged = False
         it = 0
         try:
-            d = displacement(x, eps, config, eps_max=eps_max)
-            for it in range(1, max_iter + 1):
+            d = displacement(x, eps, config)
+            for it in range(1, NEWTON_MAX_ITER + 1):
                 h = max(1e-6, 0.02 * max(1.0, x))
-                dp = displacement(x + h, eps, config, eps_max=eps_max)
-                dmn = displacement(x - h, eps, config, eps_max=eps_max)
+                dp = displacement(x + h, eps, config)
+                dmn = displacement(x - h, eps, config)
                 slope = (dp - dmn) / (2.0 * h)
                 if slope == 0.0:
                     break
@@ -374,27 +387,26 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
                 while lam > 1.0 / 64.0:
                     x_new = x + lam * step
                     if x_new > 0.0:
-                        d_new = displacement(x_new, eps, config, eps_max=eps_max)
+                        d_new = displacement(x_new, eps, config)
                         if abs(d_new) < abs(d):
                             break
                     lam *= 0.5
                 else:
                     break
                 x, d = x_new, d_new
-                if abs(d) <= tol:
+                if abs(d) <= NEWTON_TOL:
                     converged = True
                     break
         except (EscapeError, NumericalError, EventDegeneracyError, DomainError) as exc:
             diagnostics.append(f"seed {seed}: {exc}")
             continue
         if not converged:
-            diagnostics.append(f"seed {seed}: Newton did not reach |displacement| <= {tol}")
+            diagnostics.append(f"seed {seed}: Newton did not reach |displacement| <= {NEWTON_TOL}")
             continue
-        deriv = return_derivative(x, eps, config, eps_max=eps_max)
-        if any(abs(x - c.x_star) < dedupe for c in results):
+        if any(abs(x - c.x_star) < CYCLE_DEDUPE for c in results):
             continue
-        results.append(LimitCycle(x_star=x, eps=eps, derivative=deriv,
-                                  residual=abs(d), iterations=it, seed=float(seed),
+        deriv = return_derivative(x, eps, config)
+        results.append(LimitCycle(x_star=x, eps=eps, derivative=deriv, residual=abs(d), iterations=it, seed=float(seed),
                                   melnikov_zero=mzero, order=order))
     results.sort(key=lambda c: c.x_star)
     lst = _CycleList(results)

@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import pytest
 
+from conftest import random_block
 from melnlab.cli import main
+from melnlab.closedforms import v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
+from melnlab.recursion import melnikov
 from melnlab.reports import dumps_json, format_float
 
 
@@ -61,14 +65,14 @@ def test_melnikov_command_deterministic(tmp_path, demo_config):
 
 def test_melnikov_workers_agree(tmp_path, demo_config):
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["melnikov", "--config", str(demo_config), "--orders", "1",
+    assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
                  "--interval", "0.8:1.2", "--grid", "4log", "--out", str(out1),
                  "--seed", "3", "--workers", "1"]) == 0
-    assert main(["melnikov", "--config", str(demo_config), "--orders", "1",
+    assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
                  "--interval", "0.8:1.2", "--grid", "4log", "--out", str(out2),
                  "--seed", "3", "--workers", "2"]) == 0
-    assert ((out1 / "melnikov_order1.csv").read_bytes()
-            == (out2 / "melnikov_order1.csv").read_bytes())
+    for name in ("melnikov_order1.csv", "melnikov_order2.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_cheb_command(tmp_path):
@@ -123,3 +127,33 @@ def test_workers_env_fallback(tmp_path, demo_config, monkeypatch):
                  "--seed", "3"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == 2
+
+
+
+def test_melnikov_one_table_and_shared_returns_per_point(tmp_path, demo_config, monkeypatch):
+    # orders 1 and 2 share one recursion table per point, and their ladders
+    # (5 rungs from 1e-3 and from 2e-3, halving) need 6 magnitudes x 2 signs
+    from melnlab import recursion, simulate
+
+    recursion._ztable_cached.cache_clear()
+    simulate._displacement.cache_clear()
+    builds = mock.Mock(wraps=recursion.ZTable)
+    returns = mock.Mock(wraps=simulate.integrate_return)
+    monkeypatch.setattr(recursion, "ZTable", builds)
+    monkeypatch.setattr(simulate, "integrate_return", returns)
+    assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
+                 "--interval", "0.7:1.3", "--grid", "3log", "--out", str(tmp_path / "o"),
+                 "--workers", "1"]) == 0
+    assert (builds.call_count, returns.call_count) == (3, 3 * 12)
+
+
+@pytest.mark.parametrize("lower_vanishes", [False, True])
+def test_span_fit_only_when_every_lower_order_vanishes(tmp_path, rng, lower_vanishes):
+    # M_1 is checked even though only order 2 is requested
+    first = v_zero_coefficients(3, rng) if lower_vanishes else random_block(rng)
+    cfg = SystemConfig(n=3, k=2, orders=(first, random_block(rng)))
+    assert (abs(melnikov(cfg, 1, 1.0)) < 1e-10) == lower_vanishes
+    dump_config(cfg, tmp_path / "cfg.json")
+    assert main(["melnikov", "--config", str(tmp_path / "cfg.json"), "--orders", "2",
+                 "--interval", "0.5:2", "--grid", "24log", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "spanfit_order2.json").exists() == lower_vanishes

@@ -10,7 +10,7 @@ from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError, SequencingError
 from melnlab.geometry import switching_angles
 from melnlab.polar import build_polar_field
-from melnlab.recursion import ZTable, melnikov, melnikov_all, z1, ztable
+from melnlab.recursion import ZTable, melnikov, melnikov_all, ztable
 
 
 def melfun_quadrature(config, r):
@@ -93,7 +93,7 @@ def test_z1_equals_closed_antiderivative(rng):
                  + be2 * x * (t - math.sin(t) * math.cos(t)) / 2)
 
     for t in (0.3 * t1, 0.8 * t1, t1):
-        assert z1(cfg, 0, t, x) == pytest.approx(antiderivative(t), abs=1e-12)
+        assert ztable(cfg, x, 1).z(1, 0, t) == pytest.approx(antiderivative(t), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -160,22 +160,6 @@ def test_w2_formula(rng):
     dz1 = field.f(1, -1, x, t1)   # dz_1^0/dt = F_1^0
     expected = 0.5 * z2_end + dz1 * table.alpha(1, 1)
     assert table.w(2, 1) == pytest.approx(expected, rel=1e-10)
-
-
-def test_module_level_wrappers(rng):
-    from melnlab.recursion import alpha_q, w_ij, z_recursive
-
-    cfg = random_config(rng, 3, 2)
-    x = 1.05
-    table = ztable(cfg, x, 2)
-    assert alpha_q(1, 1, x, table) == table.alpha(1, 1)
-    assert w_ij(2, 1, x, table) == table.w(2, 1)
-    t_mid = 0.5 * (table.theta(1) + table.theta(2))
-    assert z_recursive(cfg, 2, 1, t_mid, x) == pytest.approx(table.z(2, 1, t_mid), rel=1e-12)
-    with pytest.raises(SequencingError):
-        alpha_q(1, 1, x + 0.5, table)
-    with pytest.raises(DomainError):
-        z_recursive(cfg, 1, 0, 0.1, x)
 
 
 def test_sequencing_and_domain_errors(rng):
