@@ -37,6 +37,7 @@ CASES = ("m1_n1", "m1_n2", "m1_odd", "m1_even", "m2_n3_structure",
 FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "G", "H8", "J0", "H")
 # random reduced coefficients drawn by each zero-count ceiling scan
 CEILING_TRIALS = 1000
+CEILING_BLOCK = 125
 
 
 @dataclass(frozen=True)
@@ -252,8 +253,9 @@ def _ceiling_scan(n: int, ceiling: int, rng):
     design = np.column_stack([g(xs) for g in q_basis(n)])
     dim = design.shape[1]
     vs = rng.uniform(-1.0, 1.0, size=(CEILING_TRIALS, dim))
-    counts = _sign_changes(vs @ design.T)
-    worst = int(np.max(counts))
+    # a block of trials at a time bounds the (trials, grid) temporaries
+    worst = max(int(np.max(_sign_changes(vs[lo:lo + CEILING_BLOCK] @ design.T)))
+                for lo in range(0, CEILING_TRIALS, CEILING_BLOCK))
     return worst, worst <= ceiling
 
 

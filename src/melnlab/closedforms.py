@@ -400,6 +400,12 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, rs: np.ndarray,
 # random starts of the nullspace searches (vanishing order 3, structure table)
 ORDER3_STARTS = 60
 STRUCTURE_STARTS = 80
+# The structure search kills the off-span residual on its own 18-point grid
+# only.  A candidate must also fit the span on this third grid (geomspace
+# arguments), distinct from both that one and the 40-point grid that verifies
+# the result.
+STRUCTURE_SCREEN = (0.32, 2.1, 31)
+STRUCTURE_SCREEN_TOL = 1e-6
 
 
 def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
@@ -502,6 +508,10 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
         cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1), c2))
         m2_total = np.array([melnikov(cfg, 2, r) for r in rs])
         if np.linalg.norm(m2_total) < 1e-3:
+            return None
+        screen = [(float(x), melnikov(cfg, 2, cov_r_of_x(float(x), n)))
+                  for x in np.geomspace(*STRUCTURE_SCREEN)]
+        if fit_to_span(screen, n, 2).residual > STRUCTURE_SCREEN_TOL:
             return None
         return cfg
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError
-from .series import Jet, jet_cos, jet_sin
+from .series import Jet, jet_sincos
 
 __all__ = ["R_MIN", "SwitchingGeometry", "crossing_abscissa", "switching_angles",
            "switching_function", "theta1_jet"]
@@ -85,9 +85,9 @@ def _theta1_jet_cached(r: float, n: int, order: int) -> Jet:
     rpow = rj ** (n - 1)
     # jet-Newton on g(theta, r) = sin(theta) - r^(n-1) cos(theta)^n
     for _ in range(max(1, order)):
-        c = jet_cos(th)
-        g = jet_sin(th) - rpow * c ** n
-        gt = c + n * rpow * c ** (n - 1) * jet_sin(th)
+        s, c = jet_sincos(th)
+        g = s - rpow * c ** n
+        gt = c + n * rpow * c ** (n - 1) * s
         th = th - g / gt
     return th
 

@@ -23,17 +23,24 @@ import numpy as np
 from .config import SystemConfig
 from .errors import DomainError
 from .geometry import SwitchingGeometry
-from .series import Jet, jet_cos, jet_sin
+from .series import Jet, jet_sincos
 
 __all__ = ["PolarField", "build_polar_field", "cartesian_field"]
 
 
-def _sin(t):
-    return jet_sin(t) if isinstance(t, Jet) else np.sin(t)
+def _sincos(t):
+    return jet_sincos(t) if isinstance(t, Jet) else (np.sin(t), np.cos(t))
 
 
-def _cos(t):
-    return jet_cos(t) if isinstance(t, Jet) else np.cos(t)
+def _radial(coeffs, r, s, c):
+    (p0, p1, p2), (q0, q1, q2) = coeffs
+    return c * (p0 + r * (p2 + q1) * s) + p1 * r * c * c + s * (q0 + q2 * r * s)
+
+
+def _angular(coeffs, r, s, c):
+    (p0, p1, p2), (q0, q1, q2) = coeffs
+    num = -s * (p0 + p2 * r * s) + c * (r * (q2 - p1) * s + q0) + q1 * r * c * c
+    return num / r
 
 
 @dataclass(frozen=True)
@@ -55,23 +62,24 @@ class PolarField:
 
     def radial_component(self, i: int, sign: int, r, theta):
         """A_i(r, theta) on the given side (+1 above the curve, -1 below)."""
-        (p0, p1, p2), (q0, q1, q2) = self._side(sign, i)
-        s, c = _sin(theta), _cos(theta)
-        return c * (p0 + r * (p2 + q1) * s) + p1 * r * c * c + s * (q0 + q2 * r * s)
+        return _radial(self._side(sign, i), r, *_sincos(theta))
 
     def angular_component(self, i: int, sign: int, r, theta):
         """B_i(r, theta) on the given side; carries the 1/r factor."""
-        (p0, p1, p2), (q0, q1, q2) = self._side(sign, i)
-        s, c = _sin(theta), _cos(theta)
-        num = -s * (p0 + p2 * r * s) + c * (r * (q2 - p1) * s + q0) + q1 * r * c * c
-        return num / r
+        return _angular(self._side(sign, i), r, *_sincos(theta))
 
-    def f_all(self, sign: int, r, theta) -> list:
-        """[F_1, ..., F_k] at (r, theta) by truncated series division."""
-        A = [self.radial_component(i, sign, r, theta) for i in range(1, self.k + 1)]
-        B = [self.angular_component(i, sign, r, theta) for i in range(1, self.k + 1)]
+    def f_all(self, sign: int, r, theta, upto: int | None = None) -> list:
+        """[F_1, ..., F_upto] at (r, theta) by truncated series division.
+
+        ``upto`` defaults to k; F_i reads A_i and B_1..B_{i-1} only, so no
+        component of a higher order is evaluated.
+        """
+        upto = self.k if upto is None else upto
+        s, c = _sincos(theta)
+        A = [_radial(self._side(sign, i), r, s, c) for i in range(1, upto + 1)]
+        B = [_angular(self._side(sign, i), r, s, c) for i in range(1, upto)]
         F: list = []
-        for i in range(1, self.k + 1):
+        for i in range(1, upto + 1):
             acc = -A[i - 1]
             for m in range(1, i):
                 acc = acc + F[m - 1] * B[i - m - 1]
@@ -82,25 +90,30 @@ class PolarField:
         """F_i(r, theta) on the given side."""
         if not 1 <= i <= self.k:
             raise DomainError(f"order {i} outside 1..{self.k}")
-        return self.f_all(sign, r, theta)[i - 1]
+        return self.f_all(sign, r, theta, upto=i)[i - 1]
 
-    def f_r_jets(self, sign: int, r: float, theta, order: int) -> list[Jet]:
-        """[F_1, ..., F_k] as jets in r (coefficients follow theta's type)."""
+    def f_r_jets(self, sign: int, r: float, theta, order: int,
+                 upto: int | None = None) -> list[Jet]:
+        """[F_1, ..., F_upto] as jets in r (coefficients follow theta's type)."""
         rj = Jet.variable(float(r), order, var="r")
-        return self.f_all(sign, rj, theta)
+        return self.f_all(sign, rj, theta, upto)
 
-    def f_nested_jets(self, sign: int, r: float, t0: float, t_order: int,
-                      r_order: int) -> list[Jet]:
-        """[F_1, ..., F_k] as r-jets whose coefficients are t-jets.
+    def f_nested_jets(self, sign: int, r: float, t0: float, degree: int,
+                      upto: int) -> list[Jet]:
+        """[F_1, ..., F_upto] as r-jets whose coefficients are t-jets.
 
         Coefficient L of entry i, times L!, is the t-jet of the L-th state
-        derivative of F_i at (r, t0).
+        derivative of F_i at (r, t0), truncated at t-order ``degree - L``:
+        every mixed Taylor coefficient of total degree <= ``degree`` is kept,
+        each bit for bit as in an untruncated expansion.
         """
-        tj = Jet.variable(float(t0), t_order, var="t")
-        rj = Jet([Jet.constant(float(r), t_order, var="t"),
-                  Jet.constant(1.0, t_order, var="t")], order=r_order, var="r")
-        th = Jet.constant(tj, r_order, var="r")
-        return self.f_all(sign, rj, th)
+        def triangle(lead, first):
+            return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L, var="t")
+                                 for L in range(1, degree + 1)], var="r")
+
+        rj = triangle(Jet.constant(float(r), degree, var="t"), 1.0)
+        th = triangle(Jet.variable(float(t0), degree, var="t"), 0.0)
+        return self.f_all(sign, rj, th, upto)
 
 
 def build_polar_field(config: SystemConfig) -> PolarField:

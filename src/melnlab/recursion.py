@@ -197,7 +197,8 @@ class ZTable:
         sign = self.geometry.sector_sign(j)
 
         def K(tarr):
-            rjets = self.field.f_r_jets(sign, self.x, tarr, i - 1)
+            rjets = self.field.f_r_jets(sign, self.x, tarr, i - 1, upto=i)
+            zs = [self._cheb[(m, j)](tarr) for m in range(1, i)]
             acc = np.asarray(rjets[i - 1].c[0], dtype=float).copy()
             for l in range(1, i):
                 fm = rjets[i - l - 1]
@@ -206,7 +207,7 @@ class ZTable:
                     for m_idx, bm in enumerate(b, start=1):
                         if bm == 0:
                             continue
-                        zm = self._cheb[(m_idx, j)](tarr) ** bm
+                        zm = zs[m_idx - 1] ** bm
                         prod = zm if prod is None else prod * zm
                     dF = fm.coefficient(lb) * math.factorial(lb)
                     acc += wgt * dF * prod
@@ -220,12 +221,17 @@ class ZTable:
         return self.bounds[j] if side == "L" else self.bounds[j + 1]
 
     def _nested_jets(self, j: int, side: str) -> list[Jet]:
+        """F_1..F_{order-1} at a sector endpoint, mixed jets of total degree order-2.
+
+        Only the jump corrections read these (orders >= 2): ``_tjet_K`` reads
+        F_q's r-coefficient L at t-order p with q + L + p <= order - 1.
+        """
         key = (j, side)
         if key not in self._nested:
             sign = self.geometry.sector_sign(j)
             t0 = self._endpoint(j, side)
             self._nested[key] = self.field.f_nested_jets(
-                sign, self.x, t0, t_order=self.order, r_order=max(self.order - 1, 0))
+                sign, self.x, t0, degree=self.order - 2, upto=self.order - 1)
         return self._nested[key]
 
     def _tjet_K(self, i: int, j: int, side: str, order: int) -> Jet:
@@ -322,7 +328,10 @@ class ZTable:
         return math.factorial(i) * total
 
 
-@lru_cache(maxsize=512)
+# A request that repeats a (config, x, order) key comes within a few calls of
+# the first one, and no workload repeats one at all; every cached table keeps
+# its Chebyshev series and t-jets alive, so the cache stays small.
+@lru_cache(maxsize=16)
 def _ztable_cached(config: SystemConfig, x: float, order: int) -> ZTable:
     return ZTable(build_polar_field(config), x, order)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 __all__ = [
     "Jet",
-    "jet_sin", "jet_cos", "jet_atan", "jet_exp", "jet_log", "jet_sqrt",
+    "jet_sin", "jet_cos", "jet_sincos", "jet_atan", "jet_exp", "jet_log", "jet_sqrt",
 ]
 
 
@@ -170,22 +170,30 @@ class Jet:
         return f"Jet({self.c!r}, var={self.var!r})"
 
     # -- ring operations -----------------------------------------------------
+    #
+    # Coefficient m of a sum, product or quotient reads only coefficients
+    # <= m of the operands, by the same float operations at any truncation
+    # order; the result keeps the lower of the two orders.
 
-    def _coerce_order(self, other: "Jet") -> int:
-        return min(self.order, other.order)
+    @staticmethod
+    def _of(c: list, var: str | None) -> "Jet":
+        """Jet over the list ``c`` itself: no copy, no padding."""
+        jet = object.__new__(Jet)
+        jet.c = c
+        jet.var = var
+        return jet
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            n = self._coerce_order(other)
-            return Jet([self.c[m] + other.c[m] for m in range(n + 1)], var=self.var)
+            return Jet._of([a + b for a, b in zip(self.c, other.c)], self.var)
         c = list(self.c)
         c[0] = c[0] + other
-        return Jet(c, var=self.var)
+        return Jet._of(c, self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-cm for cm in self.c], var=self.var)
+        return Jet._of([-cm for cm in self.c], self.var)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -1.0 * other)
@@ -194,31 +202,32 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        a = self.c
         if isinstance(other, Jet):
-            n = self._coerce_order(other)
+            b = other.c
             out = []
-            for m in range(n + 1):
-                s = self.c[0] * other.c[m]
+            for m in range(min(len(a), len(b))):
+                s = a[0] * b[m]
                 for j in range(1, m + 1):
-                    s = s + self.c[j] * other.c[m - j]
+                    s = s + a[j] * b[m - j]
                 out.append(s)
-            return Jet(out, var=self.var)
-        return Jet([cm * other for cm in self.c], var=self.var)
+            return Jet._of(out, self.var)
+        return Jet._of([cm * other for cm in a], self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet([cm / other for cm in self.c], var=self.var)
-        n = self._coerce_order(other)
-        g0 = other.c[0]
+            return Jet._of([cm / other for cm in self.c], self.var)
+        a, b = self.c, other.c
+        g0 = b[0]
         out = []
-        for m in range(n + 1):
-            s = self.c[m]
+        for m in range(min(len(a), len(b))):
+            s = a[m]
             for j in range(1, m + 1):
-                s = s - other.c[j] * out[m - j]
+                s = s - b[j] * out[m - j]
             out.append(s / g0)
-        return Jet(out, var=self.var)
+        return Jet._of(out, self.var)
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order, var=self.var) / self
@@ -284,19 +293,20 @@ class Jet:
 
 
 def jet_sin(u: Jet) -> Jet:
-    s, c = _sincos(u)
-    return s
+    return jet_sincos(u)[0]
 
 
 def jet_cos(u: Jet) -> Jet:
-    s, c = _sincos(u)
-    return c
+    return jet_sincos(u)[1]
 
 
-def _sincos(u: Jet):
+def jet_sincos(u: Jet) -> tuple[Jet, Jet]:
+    """(sin u, cos u) from one shared recurrence."""
     n = u.order
-    s = [_sin(u.c[0])]
-    c = [_cos(u.c[0])]
+    u0 = u.c[0]
+    s0, c0 = jet_sincos(u0) if isinstance(u0, Jet) else (_sin(u0), _cos(u0))
+    s = [s0]
+    c = [c0]
     for m in range(1, n + 1):
         ss = None
         cc = None
@@ -308,7 +318,7 @@ def _sincos(u: Jet):
             cc = tc if cc is None else cc + tc
         s.append(ss / m)
         c.append(-cc / m)
-    return Jet(s, var=u.var), Jet(c, var=u.var)
+    return Jet._of(s, u.var), Jet._of(c, u.var)
 
 
 def jet_atan(u: Jet) -> Jet:

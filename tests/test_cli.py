@@ -1,11 +1,12 @@
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import random_block
-from melnlab.cli import main
-from melnlab.closedforms import v_zero_coefficients
+from melnlab.cli import CEILING_TRIALS, _ceiling_scan, _sign_changes, main
+from melnlab.closedforms import q_basis, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
 from melnlab.recursion import melnikov
 from melnlab.reports import dumps_json, format_float
@@ -117,6 +118,25 @@ def test_reproduce_m1_n1(tmp_path):
     assert code == 0
     report = json.loads((out / "m1_n1.json").read_text())
     assert report["status"] == "PASS"
+
+
+def test_reproduce_m2_n3_structure_seed10(tmp_path):
+    # the search's first candidate at seed 10 kills the off-span residual on its
+    # own grid only (1.05e-5 on the verification grid); the screen rejects it
+    out = tmp_path / "rep"
+    code = main(["reproduce", "--case", "m2_n3_structure", "--out", str(out), "--seed", "10"])
+    assert code == 0
+    report = json.loads((out / "m2_n3_structure.json").read_text())
+    assert report["status"] == "PASS"
+    assert report["artifacts"]["fit"]["residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ceiling_scan_blocks_match_one_batch(n):
+    design = np.column_stack([g(np.geomspace(1e-3, 1e3, 2048)) for g in q_basis(n)])
+    vs = np.random.default_rng(n).uniform(-1.0, 1.0, size=(CEILING_TRIALS, design.shape[1]))
+    worst = int(np.max(_sign_changes(vs @ design.T)))
+    assert _ceiling_scan(n, 4, np.random.default_rng(n)) == (worst, worst <= 4)
 
 
 def test_workers_env_fallback(tmp_path, demo_config, monkeypatch):

@@ -7,6 +7,7 @@ from conftest import random_config
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError
 from melnlab.polar import build_polar_field, cartesian_field
+from melnlab.series import Jet
 
 
 def series_quotient_oracle(field, i, sign, r, theta, rho=0.15, m=128):
@@ -121,3 +122,43 @@ def test_f_r_jets_match_finite_differences(rng):
         # second differences carry ~1e-16/h^2 rounding noise
         assert jets[i - 1].derivative(2) == pytest.approx(
             (up - 2 * mid + dn) / h**2, rel=1e-4, abs=2e-5)
+
+
+def _same(a, b) -> bool:
+    """Coefficient lists equal bit for bit (floats, arrays or nested jets)."""
+    if isinstance(a, Jet):
+        return isinstance(b, Jet) and len(a.c) == len(b.c) and all(
+            _same(x, y) for x, y in zip(a.c, b.c))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_f_r_jets_upto_is_a_prefix_of_the_full_list(rng, sign):
+    cfg = random_config(rng, 3, 5)
+    field = build_polar_field(cfg)
+    for theta in (0.9, np.linspace(0.1, 6.0, 9)):
+        full = field.f_all(sign, Jet.variable(1.3, 4, var="r"), theta)
+        for i in range(1, cfg.k + 1):
+            part = field.f_r_jets(sign, 1.3, theta, 4, upto=i)
+            assert len(part) == i
+            assert all(_same(a, b) for a, b in zip(part, full))
+            assert _same(field.f(i, sign, 1.3, theta), field.f_all(sign, 1.3, theta)[i - 1])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 4])
+def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
+    cfg = random_config(rng, 2, 6)
+    field = build_polar_field(cfg)
+    r, t0 = 0.8, 2.3
+    # rectangular reference: every r-coefficient carries the full t-order
+    tj = Jet.variable(t0, degree, var="t")
+    rj = Jet([Jet.constant(r, degree, var="t"), Jet.constant(1.0, degree, var="t")],
+             order=degree, var="r")
+    rect = field.f_all(-1, rj, Jet.constant(tj, degree, var="r"))
+    for upto in (cfg.k - 1, cfg.k):
+        tri = field.f_nested_jets(-1, r, t0, degree=degree, upto=upto)
+        assert len(tri) == upto
+        for got, want in zip(tri, rect):
+            assert len(got.c) == degree + 1
+            for L in range(degree + 1):
+                assert got.c[L].c == want.c[L].c[:degree - L + 1]

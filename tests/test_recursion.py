@@ -195,3 +195,29 @@ def test_m2_zero_count_bounded_for_vzero_config(rng):
     signs = np.sign(vals)
     changes = int(np.sum(signs[:-1] * signs[1:] < 0))
     assert changes <= 7
+
+
+# melnikov_all at order 6 for random_config(rng, 3, 6) and then
+# random_config(rng, 5, 6), as recorded before the field jets were truncated
+# to what the recursion reads; the gate is the one for recursion refactors.
+PINNED_ORDER6 = (
+    (3, 0.6, (-1.9859878422230695, -1.018557482646333, -9.775712418413775,
+              -3.246919641871218, -52.435925529271465, -75.76799678469222)),
+    (3, 1.1, (-3.1792803156551566, 0.5836556841565701, -9.56080769068585,
+              -2.5471293829201667, -25.696309453474456, -40.51628617834944)),
+    (3, 1.9, (-4.598329201162987, 1.839758888685509, -9.767648747878566,
+              -3.111711283278541, -14.670888643075, -23.248427834971476)),
+    (5, 0.6, (2.218008297153161, 2.3871016159151495, 0.6729462511403378,
+              -5.25414379955659, -13.484420313475857, 1.7660003483325921)),
+    (5, 1.1, (0.12754394293095905, 5.961692594687743, -2.786078057165772,
+              -3.244998675360646, -22.451315515386547, 31.4868624519466)),
+    (5, 1.9, (-2.547598416752595, 7.43718131778852, -1.3824991920845902,
+              5.948263262016066, -38.52990656502514, 15.933817287641185)),
+)
+
+
+def test_order6_values_are_pinned(rng):
+    configs = {n: random_config(rng, n, 6) for n in (3, 5)}
+    for n, x, want in PINNED_ORDER6:
+        got = melnikov_all(configs[n], x, 6)
+        assert got == pytest.approx(list(want), rel=1e-14, abs=0.0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from melnlab.series import Jet, jet_atan, jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt
+from melnlab.series import (Jet, jet_atan, jet_cos, jet_exp, jet_log, jet_sin, jet_sincos,
+                            jet_sqrt)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 positive = st.floats(min_value=0.2, max_value=3.0, allow_nan=False)
@@ -117,3 +118,54 @@ def test_nested_jets_cross_derivative():
     f = jet_cos(Jet([r_jet, Jet.constant(1.0, r_order)], order=t_order))
     d_dt_dr = f.coefficient(1).derivative(1)
     assert d_dt_dr == pytest.approx(-math.cos(0.2), rel=1e-12)
+
+
+# Coefficient m of a product, quotient or sine/cosine reads only coefficients
+# <= m of the operands, by the same float operations at any truncation order.
+# The recursion computes its field jets truncated on that promise, so it is
+# checked bit for bit (==), not to a tolerance.
+
+
+def _away_from_zero(g: Jet) -> Jet:
+    return g + 1.0 if abs(g.coefficient(0)) < 0.1 else g
+
+
+def _triangle(jet: Jet, degree: int) -> Jet:
+    """Nested t-in-r jet cut to total degree: r-coefficient L keeps t-order degree - L."""
+    return Jet([jet.c[L].truncate(degree - L) for L in range(degree + 1)], var=jet.var)
+
+
+def _nested(values, r_order, t_order):
+    return Jet([Jet(values[L * (t_order + 1):(L + 1) * (t_order + 1)], order=t_order)
+                for L in range(r_order + 1)])
+
+
+def _coeffs(jet: Jet) -> list:
+    return [c.c for c in jet.c]
+
+
+@given(coeff_lists, coeff_lists, st.integers(min_value=0, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_truncated_inputs_give_the_truncated_result(fc, gc, cut):
+    f, g = Jet(fc), _away_from_zero(Jet(gc))
+    cut = min(cut, f.order, g.order)
+    ft, gt = f.truncate(cut), g.truncate(cut)
+    assert (ft * gt).c == (f * g).truncate(cut).c
+    assert (ft / gt).c == (f / g).truncate(cut).c
+    for whole, part in zip(jet_sincos(f), jet_sincos(ft)):
+        assert part.c == whole.truncate(cut).c
+
+
+@given(st.lists(finite, min_size=16, max_size=16), st.lists(finite, min_size=16, max_size=16),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_nested_jets_truncated_to_total_degree_are_exact(fv, gv, degree):
+    r_order = t_order = 3
+    f = _nested(fv, r_order, t_order)
+    g = _nested(gv, r_order, t_order)
+    g.c[0] = _away_from_zero(g.c[0])
+    ft, gt = _triangle(f, degree), _triangle(g, degree)
+    assert _coeffs(ft * gt) == _coeffs(_triangle(f * g, degree))
+    assert _coeffs(ft / gt) == _coeffs(_triangle(f / g, degree))
+    for whole, part in zip(jet_sincos(f), jet_sincos(ft)):
+        assert _coeffs(part) == _coeffs(_triangle(whole, degree))
