@@ -403,9 +403,10 @@ STRUCTURE_STARTS = 80
 # The structure search kills the off-span residual on its own 18-point grid
 # only.  A candidate must also fit the span on this third grid (geomspace
 # arguments), distinct from both that one and the 40-point grid that verifies
-# the result.
+# the result, at half the verification's 1e-6 limit.  The wider verification
+# grid reads about twice the screen's residual, so it still checks the result.
 STRUCTURE_SCREEN = (0.32, 2.1, 31)
-STRUCTURE_SCREEN_TOL = 1e-6
+STRUCTURE_SCREEN_TOL = 5e-7
 
 
 def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:

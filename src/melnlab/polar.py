@@ -92,15 +92,17 @@ class PolarField:
             raise DomainError(f"order {i} outside 1..{self.k}")
         return self.f_all(sign, r, theta, upto=i)[i - 1]
 
-    def f_r_jets(self, sign: int, r: float, theta, order: int,
-                 upto: int | None = None) -> list[Jet]:
-        """[F_1, ..., F_upto] as jets in r (coefficients follow theta's type)."""
-        rj = Jet.variable(float(r), order, var="r")
-        return self.f_all(sign, rj, theta, upto)
+    def f_r_jets(self, sign: int, r: float, theta, order: int) -> list[Jet]:
+        """[F_1, ..., F_{order+1}] (at most k) as jets in r of the given order.
 
-    def f_nested_jets(self, sign: int, r: float, t0: float, degree: int,
-                      upto: int) -> list[Jet]:
-        """[F_1, ..., F_upto] as r-jets whose coefficients are t-jets.
+        Coefficients follow theta's type.  An r-jet of order ``order`` feeds
+        the order-(order+1) sector integrand, which reads no higher F_i.
+        """
+        rj = Jet.variable(float(r), order, var="r")
+        return self.f_all(sign, rj, theta, min(order + 1, self.k))
+
+    def f_nested_jets(self, sign: int, r: float, t0: float, degree: int) -> list[Jet]:
+        """[F_1, ..., F_{degree+1}] (at most k) as r-jets whose coefficients are t-jets.
 
         Coefficient L of entry i, times L!, is the t-jet of the L-th state
         derivative of F_i at (r, t0), truncated at t-order ``degree - L``:
@@ -113,7 +115,7 @@ class PolarField:
 
         rj = triangle(Jet.constant(float(r), degree, var="t"), 1.0)
         th = triangle(Jet.variable(float(t0), degree, var="t"), 0.0)
-        return self.f_all(sign, rj, th, upto)
+        return self.f_all(sign, rj, th, min(degree + 1, self.k))
 
 
 def build_polar_field(config: SystemConfig) -> PolarField:

@@ -197,7 +197,7 @@ class ZTable:
         sign = self.geometry.sector_sign(j)
 
         def K(tarr):
-            rjets = self.field.f_r_jets(sign, self.x, tarr, i - 1, upto=i)
+            rjets = self.field.f_r_jets(sign, self.x, tarr, i - 1)
             zs = [self._cheb[(m, j)](tarr) for m in range(1, i)]
             acc = np.asarray(rjets[i - 1].c[0], dtype=float).copy()
             for l in range(1, i):
@@ -230,12 +230,16 @@ class ZTable:
         if key not in self._nested:
             sign = self.geometry.sector_sign(j)
             t0 = self._endpoint(j, side)
-            self._nested[key] = self.field.f_nested_jets(
-                sign, self.x, t0, degree=self.order - 2, upto=self.order - 1)
+            self._nested[key] = self.field.f_nested_jets(sign, self.x, t0, self.order - 2)
         return self._nested[key]
 
     def _tjet_K(self, i: int, j: int, side: str, order: int) -> Jet:
-        """t-jet of the integrand K_i^j at a sector endpoint."""
+        """t-jet of the integrand K_i^j at a sector endpoint.
+
+        The endpoint jets hold total degree ``self.order - 2`` only, so a
+        longer t-jet would be padded with zeros instead of computed.
+        """
+        assert i + order <= self.order - 1, (i, order, self.order)
         nested = self._nested_jets(j, side)
         acc = nested[i - 1].coefficient(0).truncate(order)
         for l in range(1, i):

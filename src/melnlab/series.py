@@ -41,26 +41,15 @@ def _is_mp(c) -> bool:
     return type(c).__module__.startswith("mpmath")
 
 
-def _sin(c):
+def _sincos(c):
     if isinstance(c, Jet):
-        return jet_sin(c)
+        return jet_sincos(c)
     if isinstance(c, np.ndarray):
-        return np.sin(c)
+        return np.sin(c), np.cos(c)
     if _is_mp(c):
         import mpmath
-        return mpmath.sin(c)
-    return math.sin(c)
-
-
-def _cos(c):
-    if isinstance(c, Jet):
-        return jet_cos(c)
-    if isinstance(c, np.ndarray):
-        return np.cos(c)
-    if _is_mp(c):
-        import mpmath
-        return mpmath.cos(c)
-    return math.cos(c)
+        return mpmath.sin(c), mpmath.cos(c)
+    return math.sin(c), math.cos(c)
 
 
 def _atan(c):
@@ -304,7 +293,7 @@ def jet_sincos(u: Jet) -> tuple[Jet, Jet]:
     """(sin u, cos u) from one shared recurrence."""
     n = u.order
     u0 = u.c[0]
-    s0, c0 = jet_sincos(u0) if isinstance(u0, Jet) else (_sin(u0), _cos(u0))
+    s0, c0 = _sincos(u0)
     s = [s0]
     c = [c0]
     for m in range(1, n + 1):

@@ -133,15 +133,16 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
-def test_f_r_jets_upto_is_a_prefix_of_the_full_list(rng, sign):
+def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
     cfg = random_config(rng, 3, 5)
     field = build_polar_field(cfg)
     for theta in (0.9, np.linspace(0.1, 6.0, 9)):
-        full = field.f_all(sign, Jet.variable(1.3, 4, var="r"), theta)
-        for i in range(1, cfg.k + 1):
-            part = field.f_r_jets(sign, 1.3, theta, 4, upto=i)
-            assert len(part) == i
+        for order in range(cfg.k):
+            full = field.f_all(sign, Jet.variable(1.3, order, var="r"), theta)
+            part = field.f_r_jets(sign, 1.3, theta, order)
+            assert len(part) == order + 1
             assert all(_same(a, b) for a, b in zip(part, full))
+        for i in range(1, cfg.k + 1):
             assert _same(field.f(i, sign, 1.3, theta), field.f_all(sign, 1.3, theta)[i - 1])
 
 
@@ -155,10 +156,9 @@ def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     rj = Jet([Jet.constant(r, degree, var="t"), Jet.constant(1.0, degree, var="t")],
              order=degree, var="r")
     rect = field.f_all(-1, rj, Jet.constant(tj, degree, var="r"))
-    for upto in (cfg.k - 1, cfg.k):
-        tri = field.f_nested_jets(-1, r, t0, degree=degree, upto=upto)
-        assert len(tri) == upto
-        for got, want in zip(tri, rect):
-            assert len(got.c) == degree + 1
-            for L in range(degree + 1):
-                assert got.c[L].c == want.c[L].c[:degree - L + 1]
+    tri = field.f_nested_jets(-1, r, t0, degree)
+    assert len(tri) == degree + 1
+    for got, want in zip(tri, rect):
+        assert len(got.c) == degree + 1
+        for L in range(degree + 1):
+            assert got.c[L].c == want.c[L].c[:degree - L + 1]

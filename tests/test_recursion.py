@@ -216,6 +216,14 @@ PINNED_ORDER6 = (
 )
 
 
+def test_endpoint_tjets_stop_at_the_computed_degree(rng):
+    # an order-3 table keeps endpoint jets of total degree 1: i + t-order <= 2
+    table = ztable(random_config(rng, 2, 3), 1.0, 3)
+    assert table._tjet_K(2, 1, "L", 0).order == 0
+    with pytest.raises(AssertionError):
+        table._tjet_K(2, 1, "L", 1)
+
+
 def test_order6_values_are_pinned(rng):
     configs = {n: random_config(rng, n, 6) for n in (3, 5)}
     for n, x, want in PINNED_ORDER6:
