@@ -30,7 +30,7 @@ from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
 from .recursion import melnikov, melnikov_all
 from .reports import format_float, write_csv, write_gnuplot, write_json
-from .simulate import extract_melnikov, find_limit_cycles
+from .simulate import ORACLE_TOL, extract_melnikov, find_limit_cycles
 
 CASES = ("m1_n1", "m1_n2", "m1_odd", "m1_even", "m2_n3_structure",
          "prop4", "prop5_k2", "cycles_n2_l1")
@@ -89,7 +89,7 @@ def _workers(args) -> int:
 
 def _melnikov_point(payload):
     """([M_1(x), ..., M_max(x)], {order: CSV row}) at one grid point, from one
-    recursion table and the oracle returns that ``displacement`` remembers."""
+    recursion table and one oracle jet pass per order."""
     config, orders, x = payload
     values = melnikov_all(config, x, max(orders))
     rows = {}
@@ -138,8 +138,8 @@ def cmd_melnikov(args) -> int:
     write_gnuplot(out / "plot.gp", "Melnikov orders", curves)
     _append_span_fits(out, config, orders, xs, [values for values, _ in points])
     print(f"wrote {len(orders)} order tables to {out} (worst oracle gap {format_float(worst_gap)})")
-    if worst_gap > 1e-3 and not config.is_zero():
-        raise NumericalError("simulation oracle disagrees beyond 1e-3", worst_gap=worst_gap)
+    if worst_gap > ORACLE_TOL and not config.is_zero():
+        raise NumericalError(f"simulation oracle disagrees beyond {ORACLE_TOL}", worst_gap=worst_gap)
     return 0
 
 
@@ -371,17 +371,17 @@ def _case_cycles(out, seed):
         scale = 1.0 / worst
         v = VCoefficients(v.case, tuple(scale * c for c in v.values))
         cfg = config_from_v(v, 2, k=2)
-    cycles = find_limit_cycles(eps, cfg, r_zeros, melnikov_zeros=r_zeros, order=1)
-    ok = len(cycles) == 3 and all(
-        abs(c.x_star - c.melnikov_zero) <= 5.0 * eps for c in cycles)
-    lines = [f"{len(cycles)} limit cycles at eps={eps}; expected 3: {'PASS' if ok else 'FAIL'}"]
-    for c in cycles:
+    search = find_limit_cycles(eps, cfg, r_zeros, melnikov_zeros=r_zeros, order=1)
+    ok = len(search.cycles) == 3 and all(
+        abs(c.x_star - c.melnikov_zero) <= 5.0 * eps for c in search.cycles)
+    lines = [f"{len(search.cycles)} limit cycles at eps={eps}; expected 3: {'PASS' if ok else 'FAIL'}"]
+    for c in search.cycles:
         lines.append(
             f"  x*={c.x_star:.8f} zero={c.melnikov_zero:.8f} "
             f"|x*-zero|={abs(c.x_star - c.melnikov_zero):.2e} (<=5eps={5 * eps:.0e}) "
             f"deriv={c.derivative:.6f} {'stable' if c.stable else 'unstable'}")
-    lines.extend(cycles.diagnostics)
-    artifacts = {"cycles": [c.to_dict() for c in cycles], "v": list(v.values),
+    lines.extend(search.diagnostics)
+    artifacts = {"cycles": [c.to_dict() for c in search.cycles], "v": list(v.values),
                  "zeros_x": list(zeros), "zeros_r": r_zeros}
     return ok, lines, artifacts
 

@@ -76,6 +76,29 @@ def _cheb_antiderivative(cheb: Chebyshev, lower: float) -> Chebyshev:
     return prim - prim(lower)
 
 
+def _chain_sum(i: int, fs, zs, dF):
+    """Integrand K_i = F_i + sum over l < i and partitions b of l of
+    wgt * dF(F_{i-l}, |b|) * prod_m z_m^{b_m}.
+
+    ``fs[q-1]`` is F_q as an r-jet, ``zs[m-1]`` is z_m, and ``dF(f, lb)`` is
+    the lb-th r-derivative of f.  Each z_m is raised to each power once.
+    """
+    powers = {}
+    acc = dF(fs[i - 1], 0)
+    for l in range(1, i):
+        fm = fs[i - l - 1]
+        for b, lb, wgt in partitions(l):
+            prod = None
+            for m, bm in enumerate(b, start=1):
+                if bm == 0:
+                    continue
+                if (m, bm) not in powers:
+                    powers[(m, bm)] = zs[m - 1] ** bm
+                prod = powers[(m, bm)] if prod is None else prod * powers[(m, bm)]
+            acc = acc + wgt * dF(fm, lb) * prod
+    return acc
+
+
 class ZTable:
     """Per-base-point state of the Melnikov recursion.
 
@@ -90,20 +113,15 @@ class ZTable:
         Section coordinate (radius of the unperturbed circle), x > 0.
     order : int
         Highest Melnikov order to build (<= field.k).
-    include_jumps : bool
-        Debug switch; ``False`` drops the delta-composition corrections
-        (used only by guard tests, never in production).
     """
 
-    def __init__(self, field: PolarField, x: float, order: int | None = None, *,
-                 include_jumps: bool = True):
+    def __init__(self, field: PolarField, x: float, order: int | None = None):
         self.field = field
         self.geometry = field.geometry
         self.x = float(x)
         self.order = field.k if order is None else int(order)
         if not 1 <= self.order <= field.k:
             raise DomainError(f"order must be in 1..{field.k}, got {self.order}")
-        self.include_jumps = include_jumps
 
         self.bounds = self.geometry.boundaries(self.x)
         self.T = TWO_PI
@@ -182,7 +200,7 @@ class ZTable:
                 if j == 0:
                     left = 0.0
                 else:
-                    jump = self._jump_value(i, j) if (i >= 2 and self.include_jumps) else 0.0
+                    jump = self._jump_value(i, j) if i >= 2 else 0.0
                     self._jump[(i, j)] = jump
                     left = self._z_end[(i, j - 1)] + jump
                 self._z_start[(i, j)] = left
@@ -199,19 +217,7 @@ class ZTable:
         def K(tarr):
             rjets = self.field.f_r_jets(sign, self.x, tarr, i - 1)
             zs = [self._cheb[(m, j)](tarr) for m in range(1, i)]
-            acc = np.asarray(rjets[i - 1].c[0], dtype=float).copy()
-            for l in range(1, i):
-                fm = rjets[i - l - 1]
-                for b, lb, wgt in partitions(l):
-                    prod = None
-                    for m_idx, bm in enumerate(b, start=1):
-                        if bm == 0:
-                            continue
-                        zm = zs[m_idx - 1] ** bm
-                        prod = zm if prod is None else prod * zm
-                    dF = fm.coefficient(lb) * math.factorial(lb)
-                    acc += wgt * dF * prod
-            return acc
+            return _chain_sum(i, rjets, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb))
 
         return K
 
@@ -240,20 +246,9 @@ class ZTable:
         longer t-jet would be padded with zeros instead of computed.
         """
         assert i + order <= self.order - 1, (i, order, self.order)
-        nested = self._nested_jets(j, side)
-        acc = nested[i - 1].coefficient(0).truncate(order)
-        for l in range(1, i):
-            fm = nested[i - l - 1]
-            for b, lb, wgt in partitions(l):
-                prod = None
-                for m_idx, bm in enumerate(b, start=1):
-                    if bm == 0:
-                        continue
-                    zj = self._tjet_z(m_idx, j, side, order) ** bm
-                    prod = zj if prod is None else prod * zj
-                dF = fm.coefficient(lb) * math.factorial(lb)
-                acc = acc + wgt * dF.truncate(order) * prod
-        return acc
+        zs = [self._tjet_z(m, j, side, order) for m in range(1, i)]
+        return _chain_sum(i, self._nested_jets(j, side), zs,
+                          lambda f, lb: (f.coefficient(lb) * math.factorial(lb)).truncate(order))
 
     def _tjet_z(self, i: int, j: int, side: str, order: int) -> Jet:
         """t-jet of z_i^j at a sector endpoint, order >= 0."""

@@ -52,6 +52,14 @@ def _sincos(c):
     return math.sin(c), math.cos(c)
 
 
+def _sinhcosh(c):
+    if isinstance(c, Jet):
+        up, down = jet_exp(c), jet_exp(-c)
+        return 0.5 * (up - down), 0.5 * (up + down)
+    lib = np if isinstance(c, np.ndarray) else math
+    return lib.sinh(c), lib.cosh(c)
+
+
 def _atan(c):
     if isinstance(c, Jet):
         return jet_atan(c)

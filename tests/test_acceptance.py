@@ -57,7 +57,7 @@ def test_ac02_recursion_orders_1_2(rng):
 
 
 def test_ac03_simulation_cross_check(rng):
-    """extract_melnikov vs melnikov at every order i = 1..6, within 1e-4."""
+    """extract_melnikov vs melnikov at every order i = 1..6, within 1e-12."""
     zero = OrderCoefficients()
     grid = np.geomspace(0.7, 1.5, 5)
     cases = {
@@ -74,7 +74,7 @@ def test_ac03_simulation_cross_check(rng):
             want = melnikov(cfg, i, float(x))
             est = extract_melnikov(float(x), i, cfg)
             worst = max(worst, abs(est.value - want) / max(1.0, abs(want)))
-        ok = ok and worst <= 1e-4
+        ok = ok and worst <= 1e-12
         lines.append(f"i={i}: {worst:.2e}")
 
     rng5 = np.random.default_rng(5)
@@ -92,10 +92,10 @@ def test_ac03_simulation_cross_check(rng):
             want = melnikov(cfg, i, float(x))
             est = extract_melnikov(float(x), i, cfg)
             worst = max(worst, abs(est.value - want) / max(1.0, abs(want)))
-        ok = ok and worst <= 1e-4
+        ok = ok and worst <= 1e-12
         lines.append(f"i={i}: {worst:.2e}")
     report(3, ok, "relative gaps at 5 grid points, lower orders vanishing - "
-           + "; ".join(lines) + " (tol 1e-4)")
+           + "; ".join(lines) + " (tol 1e-12)")
 
 
 def test_ac04_theorem_a_realizations():

@@ -10,6 +10,7 @@ from melnlab.closedforms import q_basis, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
 from melnlab.recursion import melnikov
 from melnlab.reports import dumps_json, format_float
+from melnlab.simulate import ORACLE_TOL
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ def test_melnikov_command(tmp_path, demo_config):
     assert table[0].endswith(",closed_form,oracle_flagged")
     assert len(table) == 6
     gaps = [float(line.split(",")[3]) for line in table[1:]]
-    assert max(gaps) < 1e-3
+    assert max(gaps) <= ORACLE_TOL
     assert [line.split(",")[-1] for line in table[1:]] == ["0"] * 5
     assert (out / "manifest.json").exists()
     assert (out / "plot.gp").exists()
@@ -150,13 +151,12 @@ def test_workers_env_fallback(tmp_path, demo_config, monkeypatch):
 
 
 
-def test_melnikov_one_table_and_shared_returns_per_point(tmp_path, demo_config, monkeypatch):
-    # orders 1 and 2 share one recursion table per point, and their ladders
-    # (5 rungs from 1e-3 and from 2e-3, halving) need 6 magnitudes x 2 signs
+def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, monkeypatch):
+    # orders 1 and 2 share one recursion table per point, and each oracle
+    # estimate is one eps-jet pass seeded by one eps = 0 return
     from melnlab import recursion, simulate
 
     recursion._ztable_cached.cache_clear()
-    simulate._displacement.cache_clear()
     builds = mock.Mock(wraps=recursion.ZTable)
     returns = mock.Mock(wraps=simulate.integrate_return)
     monkeypatch.setattr(recursion, "ZTable", builds)
@@ -164,7 +164,8 @@ def test_melnikov_one_table_and_shared_returns_per_point(tmp_path, demo_config, 
     assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
                  "--interval", "0.7:1.3", "--grid", "3log", "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == 0
-    assert (builds.call_count, returns.call_count) == (3, 3 * 12)
+    assert (builds.call_count, returns.call_count) == (3, 3 * 2)
+    assert all(call.args[1] == 0.0 for call in returns.call_args_list)
 
 
 @pytest.mark.parametrize("lower_vanishes", [False, True])
