@@ -89,18 +89,18 @@ def _workers(args) -> int:
 
 def _melnikov_point(payload):
     """([M_1(x), ..., M_max(x)], {order: CSV row}) at one grid point, from one
-    recursion table and one oracle jet pass per order."""
+    recursion table and one oracle jet pass, both of the highest order."""
     config, orders, x = payload
     values = melnikov_all(config, x, max(orders))
+    est = extract_melnikov(x, max(orders), config)
     rows = {}
     for i in orders:
-        val = values[i - 1]
-        est = extract_melnikov(x, i, config)
-        gap = abs(val - est.value) / max(1.0, abs(val))
-        row = (x, val, est.value, gap, est.error_estimate)
+        val, oracle = values[i - 1], est.values[i - 1]
+        gap = abs(val - oracle) / max(1.0, abs(val))
+        row = (x, val, oracle, gap, est.error_estimate)
         if i == 1:
             row += (m1_closed(config, x),)
-        rows[i] = row + (int(est.flagged),)
+        rows[i] = row + (int(est.flagged_at(i)),)
     return values, rows
 
 

@@ -330,65 +330,80 @@ def v_zero_coefficients(n: int, rng: np.random.Generator) -> OrderCoefficients:
     return _oc_from_vec(vec)
 
 
-def _polarized_second_order(n: int, rs: np.ndarray, null: np.ndarray) -> np.ndarray:
+def _m2_on_grid(n: int, rs: np.ndarray):
+    """``m2(c1vec, c2)``: M_2 on the grid ``rs`` of the degree-n config with
+    blocks ``c1vec`` (12 numbers) and ``c2``, by one eps-jet pass per call
+    from eps = 0 event times computed once."""
+    from .simulate import center_event_times, melnikov_grid
+
+    times = center_event_times(rs, n)
+
+    def m2(c1vec, c2: OrderCoefficients = OrderCoefficients()) -> np.ndarray:
+        cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1vec), c2))
+        return melnikov_grid(rs, 2, cfg, times)[1]
+
+    return m2
+
+
+def _polarized_second_order(m2, null: np.ndarray) -> np.ndarray:
     """Grid values of M_2 polarized over a basis of v-kernel directions.
 
-    M_2 is quadratic in the order-1 block, so sampling it at the basis
-    directions and their pairwise sums determines the full quadratic form;
-    ``G[i, j, g]`` reconstructs M_2 at grid point g for any kernel vector.
+    M_2 is quadratic in the order-1 block, so sampling it (``m2(c1vec)``
+    gives the grid values) at the basis directions and their pairwise sums
+    determines the full quadratic form; ``G[i, j, g]`` reconstructs M_2 at
+    grid point g for any kernel vector.
     """
-    from .recursion import melnikov
-
-    zero = OrderCoefficients()
-
-    def m2_grid(c1vec):
-        cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1vec), zero))
-        return np.array([melnikov(cfg, 2, r) for r in rs])
-
     d = null.shape[0]
-    G = np.zeros((d, d, len(rs)))
-    for i in range(d):
-        G[i, i] = m2_grid(null[i])
-    for i in range(d):
-        for j in range(i + 1, d):
-            mij = m2_grid(null[i] + null[j])
-            G[i, j] = G[j, i] = 0.5 * (mij - G[i, i] - G[j, j])
+    diag = [m2(v) for v in null]
+    G = np.zeros((d, d, len(diag[0])))
+    for j in range(d):
+        G[j, j] = diag[j]
+        for i in range(j):
+            G[i, j] = G[j, i] = 0.5 * (m2(null[i] + null[j]) - diag[i] - diag[j])
     return G
 
 
-def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, rs: np.ndarray,
+def _kernel_residual(G: np.ndarray, proj_rows: np.ndarray):
+    """Residual ``c -> (proj_rows @ M_2(c), c.c - 1)`` of the kernel search and
+    its exact Jacobian ``(2 proj_rows (G c)^T, 2 c)``, with ``M_2(c) = c G c``."""
+
+    def fun(c):
+        return np.concatenate([proj_rows @ np.einsum("i,j,ijg->g", c, c, G), [c @ c - 1.0]])
+
+    def jac(c):
+        return np.vstack([2.0 * proj_rows @ np.einsum("j,ijg->gi", c, G), 2.0 * c])
+
+    return fun, jac
+
+
+def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
                              rng: np.random.Generator, starts: int, accept, *,
                              tol: float = 1e-11,
                              scale_rows: np.ndarray | None = None) -> SystemConfig | None:
     """Drive the order-1 kernel vector into the kernel of a projected quadratic.
 
-    ``proj_rows @ M2_grid(c1)`` is the residual to kill; ``accept(c1vec)``
+    ``proj_rows @ m2(c1)`` is the residual to kill; ``accept(c1vec)``
     performs the final nondegeneracy screen and builds the config.  When
     ``scale_rows`` is given, acceptance compares the residual against
-    ``scale_rows @ M2_grid`` instead of taking it absolutely.
+    ``scale_rows @ m2(c1)`` instead of taking it absolutely.
     """
     from scipy.optimize import least_squares
 
     V = v_map_matrix(n)
     _, _, vt = np.linalg.svd(V)
     null = vt[V.shape[0]:]
-    G = _polarized_second_order(n, rs, null)
-
-    def m2_of(c):
-        return np.einsum("i,j,ijg->g", c, c, G)
-
-    def resid(c):
-        return proj_rows @ m2_of(c)
+    G = _polarized_second_order(m2, null)
+    fun, jac = _kernel_residual(G, proj_rows)
 
     for _ in range(starts):
         c0 = rng.standard_normal(null.shape[0])
         c0 /= np.linalg.norm(c0)
-        sol = least_squares(
-            lambda c: np.concatenate([resid(c), [c @ c - 1.0]]),
-            c0, xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=1200)
-        norm = np.linalg.norm(resid(sol.x))
+        sol = least_squares(fun, c0, jac=jac, xtol=3e-16, ftol=3e-16, gtol=3e-16,
+                            max_nfev=1200)
+        norm = np.linalg.norm(sol.fun[:-1])
         if scale_rows is not None:
-            norm /= max(np.linalg.norm(scale_rows @ m2_of(sol.x)), 1e-300)
+            norm /= max(np.linalg.norm(scale_rows @ np.einsum("i,j,ijg->g", sol.x, sol.x, G)),
+                        1e-300)
         if norm > tol:
             continue
         cfg = accept(null.T @ sol.x)
@@ -417,11 +432,13 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
     search (the second-order function is quadratic in the order-1 block, so
     it is polarized once on a grid and the search runs on the closed-form
     quadratic); ell = 4 places the perturbation at order 2 with zero reduced
-    part, which makes orders 1-3 vanish identically.  Raises NumericalError
-    if the ell = 3 search exhausts its budget.
+    part, which makes orders 1-3 vanish identically.  The ell = 3 search
+    evaluates M_2 by eps-jet passes of the return map; the recursion checks
+    the candidate it accepts.  Raises NumericalError if the ell = 3 search
+    exhausts its budget.
     """
     from .errors import NumericalError
-    from .recursion import melnikov
+    from .recursion import melnikov_all
 
     rng = np.random.default_rng(seed)
     zero = OrderCoefficients()
@@ -445,24 +462,24 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
     Q, _ = np.linalg.qr(B)
     proj = np.eye(len(rs)) - Q @ Q.T
     case = "odd" if n % 2 == 1 else "even"
+    m2 = _m2_on_grid(n, rs)
 
     def accept(c1):
-        cfg2 = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1), zero))
-        m2 = np.array([melnikov(cfg2, 2, r) for r in rs])
-        coef, *_ = np.linalg.lstsq(B, m2, rcond=None)
+        coef, *_ = np.linalg.lstsq(B, m2(c1), rcond=None)
         if case == "odd":
             cancel = VCoefficients(case, tuple(-2.0 * c for c in coef))
         else:
             cancel = VCoefficients(case, tuple(-c for c in coef))
         c2 = config_from_v(cancel, n).order(1)
         cfg = pad({1: _oc_from_vec(c1), 2: c2})
-        lower = max(abs(melnikov(cfg, i, r)) for i in (1, 2) for r in (0.8, 1.3))
-        m3 = min(abs(melnikov(cfg, 3, r)) for r in (0.8, 1.3))
+        checks = [melnikov_all(cfg, r, 3) for r in (0.8, 1.3)]
+        lower = max(abs(m) for ms in checks for m in ms[:2])
+        m3 = min(abs(ms[2]) for ms in checks)
         if lower < 1e-11 and m3 > 5e-3:
             return cfg
         return None
 
-    cfg = _kernel_quadratic_search(n, proj, rs, rng, ORDER3_STARTS, accept)
+    cfg = _kernel_quadratic_search(n, proj, m2, rng, ORDER3_STARTS, accept)
     if cfg is None:
         raise NumericalError("nullspace search for an order-3 configuration failed",
                              n=n, starts=ORDER3_STARTS, seed=seed)
@@ -477,10 +494,11 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     minimal condition sets that remove them.  This search recovers such
     parameters numerically: it zeroes the component of M_2 * denominator
     orthogonal to the declared basis on a grid, then screens against the
-    degenerate (identically vanishing) branch.
+    degenerate (identically vanishing) branch.  Every M_2 value of the search
+    comes from eps-jet passes of the return map, so the recursion stays an
+    independent check of the result.
     """
     from .errors import NumericalError
-    from .recursion import melnikov
 
     rng = np.random.default_rng(seed)
     rs_x = np.geomspace(0.4, 1.8, 18)
@@ -493,30 +511,29 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     Q, _ = np.linalg.qr(combined)
     proj = (np.eye(len(rs_x)) - Q @ Q.T) @ np.diag(denv)
     case = "odd" if n % 2 == 1 else "even"
+    m2 = _m2_on_grid(n, rs)
+    screen_xs = np.geomspace(*STRUCTURE_SCREEN)
+    screen_m2 = _m2_on_grid(n, np.array([cov_r_of_x(float(x), n) for x in screen_xs]))
 
     def accept(c1):
-        cfg1 = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1), OrderCoefficients()))
-        m2 = np.array([melnikov(cfg1, 2, r) for r in rs])
-        if np.linalg.norm(m2) < 1e-3:
+        m2_first = m2(c1)
+        if np.linalg.norm(m2_first) < 1e-3:
             return None
-        coef, *_ = np.linalg.lstsq(combined, denv * m2, rcond=None)
+        coef, *_ = np.linalg.lstsq(combined, denv * m2_first, rcond=None)
         img = coef[len(fam):]
         if case == "odd":
             cancel = VCoefficients(case, tuple(-2.0 * c for c in img))
         else:
             cancel = VCoefficients(case, tuple(-c for c in img))
         c2 = config_from_v(cancel, n).order(1)
-        cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1), c2))
-        m2_total = np.array([melnikov(cfg, 2, r) for r in rs])
-        if np.linalg.norm(m2_total) < 1e-3:
+        if np.linalg.norm(m2(c1, c2)) < 1e-3:
             return None
-        screen = [(float(x), melnikov(cfg, 2, cov_r_of_x(float(x), n)))
-                  for x in np.geomspace(*STRUCTURE_SCREEN)]
+        screen = list(zip(screen_xs, screen_m2(c1, c2)))
         if fit_to_span(screen, n, 2).residual > STRUCTURE_SCREEN_TOL:
             return None
-        return cfg
+        return SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1), c2))
 
-    cfg = _kernel_quadratic_search(n, proj, rs, rng, STRUCTURE_STARTS, accept,
+    cfg = _kernel_quadratic_search(n, proj, m2, rng, STRUCTURE_STARTS, accept,
                                    tol=1e-7, scale_rows=np.diag(denv))
     if cfg is None:
         raise NumericalError("structural-span search failed", n=n, starts=STRUCTURE_STARTS,

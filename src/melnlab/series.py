@@ -238,8 +238,9 @@ class Jet:
             while p:
                 if p & 1:
                     out = out * base
-                base = base * base
                 p >>= 1
+                if p:
+                    base = base * base
             return out
         return self.power(float(p))
 

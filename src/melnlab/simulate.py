@@ -12,7 +12,8 @@ S = {y = 0, x > 0} are solved for: a vectorized scan brackets the first sign
 change of the event function in the right direction, and ``brentq`` refines
 it to about 1e-15.  The same flow evaluated on jets, from those event
 times, gives the eps-Taylor coefficients of the return map (the Melnikov
-functions) and its exact derivative in x0.
+functions) and its exact derivative in x0.  With ndarray coefficients one
+such pass covers a whole grid of section points.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .config import SystemConfig
+from .config import OrderCoefficients, SystemConfig
 from .errors import DomainError, EscapeError, EventDegeneracyError, NumericalError
 from .series import Jet, _exp, _magnitude, _sincos, _sinhcosh, jet_sqrt
 
 __all__ = ["TrajectorySegment", "PoincareResult", "LimitCycle", "CycleSearch",
-           "integrate_return", "extract_melnikov", "find_limit_cycles"]
+           "integrate_return", "extract_melnikov", "center_event_times", "melnikov_grid",
+           "find_limit_cycles"]
 
 R_ESCAPE = (1e-4, 1e4)
 EPS_MAX_DEFAULT = 1e-2
@@ -160,13 +162,16 @@ class _Flow:
     """Closed-form solution of one zone through ``start`` at time ``t0``.
 
     The zone, the start and the elapsed time may be floats or jets, and the
-    elapsed time an array too.  Calling it on an array of absolute times gives
-    the states as a (2, ...) array.
+    start and the elapsed time arrays over a grid of orbits too (the
+    equilibrium check then reads the orbit that starts nearest the origin).
+    Calling it on an array of absolute times gives the states as a (2, ...)
+    array.
     """
 
     def __init__(self, zone: _Zone, start, t0: float):
         far = math.hypot(*map(_value, zone.eq))
-        if not far <= EQ_FAR * max(1.0, math.hypot(*map(_value, start))):
+        near = float(np.min(np.hypot(*map(_value, start))))
+        if not far <= EQ_FAR * max(1.0, near):
             raise NumericalError(f"the field of region {zone.region:+d} has no equilibrium "
                                  f"near the orbit (|s*| = {far:.3e})", equilibrium=zone.eq)
         self.zone = zone
@@ -287,65 +292,100 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
     )
 
 
-def _return_jet(res: PoincareResult, config: SystemConfig, x0, eps, order: int):
-    """x_return along the legs of ``res`` with ``x0`` or ``eps`` carried as a jet.
+def _event_times(res: PoincareResult) -> tuple[float, float, float]:
+    """Times of the two switching contacts and of the return to the section."""
+    return tuple(seg.t_span[1] for seg in res.segments)
 
-    Each leg refines its event time from the one ``res`` found by
-    ``ceil(log2(order + 1)) + 1`` Newton steps ``tau <- tau - g/g'`` in jet
+
+def _return_jet(times, config: SystemConfig, x0, eps, order: int):
+    """x_return along the legs ending at ``times`` with ``x0`` or ``eps`` carried as a jet.
+
+    ``times`` holds the three event times ``integrate_return`` found, as
+    floats or as arrays over a grid of ``x0``.  Each leg refines its event time
+    by ``ceil(log2(order + 1)) + 1`` Newton steps ``tau <- tau - g/g'`` in jet
     arithmetic: one step doubles the number of exact coefficients, and the
     last one polishes them.  Returns the x-jet of the return point and the
-    largest coefficient of the correction ``g/g'`` one more step would make.
+    largest coefficient (over the grid too) of the correction ``g/g'`` one
+    more step would make.
     """
     steps = math.ceil(math.log2(order + 1)) + 1
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
-    state, residual = (x0, 0.0), 0.0
-    for zone, seg in zip((below, above, below), res.segments):
-        label = seg.exit_event
-        flow = _Flow(zone, state, seg.t_span[0])
-        tau = seg.t_span[1] - seg.t_span[0]
+    state, residual, t0 = (x0, 0.0), 0.0, 0.0
+    for zone, label, t1 in zip((below, above, below), ("switch", "switch", "section"), times):
+        flow = _Flow(zone, state, t0)
+        tau = t1 - t0
         for _ in range(steps + 1):     # the last correction is measured, not applied
             state = flow.at(tau)
             step = _event(label, config.n, *state) / _event_rate(zone, label, config.n, *state)
             tau = tau - step
         residual = max(residual, _magnitude(step))
+        t0 = t1
     return state[0], residual
 
 
 @dataclass(frozen=True)
 class MelnikovEstimate:
-    value: float
-    error_estimate: float
-    order: int
-    x0: float
-    flagged: bool
+    """M_1..M_i at x0 from one eps-jet pass, with the pass's error estimate."""
 
-    def __float__(self):
-        return self.value
+    values: tuple[float, ...]
+    error_estimate: float
+    x0: float
+
+    @property
+    def value(self) -> float:
+        """M_i, the highest order of the pass."""
+        return self.values[-1]
+
+    def flagged_at(self, i: int) -> bool:
+        """Whether the error estimate exceeds ``ORACLE_TOL * max(1, |M_i|)``."""
+        return self.error_estimate > ORACLE_TOL * max(1.0, abs(self.values[i - 1]))
+
+    @property
+    def flagged(self) -> bool:
+        return self.flagged_at(len(self.values))
 
 
 def extract_melnikov(x0: float, i: int, config: SystemConfig) -> MelnikovEstimate:
-    """i-th eps-Taylor coefficient of the displacement, from one eps-jet pass.
+    """M_1..M_i, the eps-Taylor coefficients of the displacement, from one eps-jet pass.
 
     Every zone is affine with ``A(eps)``, ``b(eps)`` polynomial in eps, so
     the closed-form flow carries eps as a truncated Taylor series of order i
-    from the eps = 0 event times; coefficient i of the returned x is M_i.
+    from the eps = 0 event times; coefficient m of the returned x is M_m.
     ``error_estimate`` is the largest coefficient of the event-time change
-    one more Newton step would make, and the estimate is flagged when it
-    exceeds ``ORACLE_TOL`` times ``max(1, |M_i|)``.
+    one more Newton step would make, and the estimate of M_m is flagged when
+    it exceeds ``ORACLE_TOL`` times ``max(1, |M_m|)``.
     """
     if i < 1 or i > config.k:
         raise DomainError(f"order must be in 1..{config.k}, got {i}")
-    res = integrate_return(x0, 0.0, config)
-    x, residual = _return_jet(res, config, float(x0), Jet.variable(0.0, i, var="eps"), i)
-    value = float(x.c[i])
-    return MelnikovEstimate(value=value, error_estimate=float(residual), order=i, x0=x0,
-                            flagged=bool(residual > ORACLE_TOL * max(1.0, abs(value))))
+    times = _event_times(integrate_return(x0, 0.0, config))
+    x, residual = _return_jet(times, config, float(x0), Jet.variable(0.0, i, var="eps"), i)
+    return MelnikovEstimate(values=tuple(float(c) for c in x.c[1:]),
+                            error_estimate=float(residual), x0=x0)
+
+
+def center_event_times(xs, n: int) -> np.ndarray:
+    """(3, len(xs)) event times of the eps = 0 return from each point of ``xs``.
+
+    At eps = 0 both zones are the center, so they serve every config of degree n.
+    """
+    center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
+    return np.array([_event_times(integrate_return(float(x), 0.0, center)) for x in xs]).T
+
+
+def melnikov_grid(xs, i: int, config: SystemConfig, times: np.ndarray) -> np.ndarray:
+    """(i, len(xs)) values of M_1..M_i: the pass of ``extract_melnikov`` with
+    ndarray coefficients, from ``times = center_event_times(xs, config.n)``."""
+    if i < 1 or i > config.k:
+        raise DomainError(f"order must be in 1..{config.k}, got {i}")
+    xs = np.asarray(xs, dtype=float)
+    x, _ = _return_jet(times, config, xs, Jet.variable(0.0, i, var="eps"), i)
+    return np.array(x.c[1:])
 
 
 def return_derivative(x0: float, eps: float, config: SystemConfig) -> float:
     """Exact derivative of the return map at x0, from a first-order jet in x0."""
-    res = integrate_return(x0, eps, config)
-    x, _ = _return_jet(res, config, Jet.variable(float(x0), 1, var="x"), res.eps, 1)
+    times = _event_times(integrate_return(x0, eps, config))
+    x, _ = _return_jet(times, config, Jet.variable(float(x0), 1, var="x"), eps, 1)
     return float(x.c[1])
 
 

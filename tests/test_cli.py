@@ -152,8 +152,8 @@ def test_workers_env_fallback(tmp_path, demo_config, monkeypatch):
 
 
 def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, monkeypatch):
-    # orders 1 and 2 share one recursion table per point, and each oracle
-    # estimate is one eps-jet pass seeded by one eps = 0 return
+    # orders 1 and 2 share one recursion table per point, and one eps-jet
+    # pass of order 2, seeded by one eps = 0 return, gives both oracle values
     from melnlab import recursion, simulate
 
     recursion._ztable_cached.cache_clear()
@@ -164,7 +164,7 @@ def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, mo
     assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
                  "--interval", "0.7:1.3", "--grid", "3log", "--out", str(tmp_path / "o"),
                  "--workers", "1"]) == 0
-    assert (builds.call_count, returns.call_count) == (3, 3 * 2)
+    assert (builds.call_count, returns.call_count) == (3, 3)
     assert all(call.args[1] == 0.0 for call in returns.call_args_list)
 
 

@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import random_config
-from melnlab.closedforms import (VCoefficients, config_from_v, cov_r_of_x, cov_x_of_r,
-                                 fit_to_span, m1_closed, q_denominator, q_poly,
-                                 sign_pattern_search, structural_span, v_coefficients,
+from melnlab import recursion
+from melnlab.closedforms import (VCoefficients, _kernel_residual, _m2_on_grid, _oc_from_vec,
+                                 _polarized_second_order, config_from_v, cov_r_of_x,
+                                 cov_x_of_r, fit_to_span, m1_closed, q_denominator, q_poly,
+                                 sign_pattern_search, structural_span,
+                                 table3_structure_config, v_coefficients, v_map_matrix,
                                  vanishing_order_config)
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.recursion import melnikov
@@ -151,3 +155,49 @@ def test_vanishing_order_configs_lower_orders_zero(rng):
     for i in (1, 2, 3):
         assert abs(melnikov(cfg4, i, 1.1)) < 1e-11
     assert abs(melnikov(cfg4, 4, 1.1)) > 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_polarized_form_on_jets_matches_the_recursion(n):
+    # the quadratic form the searches run on, from eps-jet passes, against
+    # the same polarization of recursion values
+    V = v_map_matrix(n)
+    null = np.linalg.svd(V)[2][V.shape[0]:]
+    rs = np.geomspace(0.5, 1.9, 4)
+
+    def m2_recursion(c1vec):
+        cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1vec), OrderCoefficients()))
+        return np.array([melnikov(cfg, 2, float(r)) for r in rs])
+
+    jets = _polarized_second_order(_m2_on_grid(n, rs), null)
+    want = _polarized_second_order(m2_recursion, null)
+    assert np.max(np.abs(jets - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kernel_residual_jacobian_matches_central_difference(rng):
+    d, g, rows = 9, 18, 13
+    G = rng.standard_normal((d, d, g))
+    G = G + G.transpose(1, 0, 2)
+    proj = rng.standard_normal((rows, g))
+    fun, jac = _kernel_residual(G, proj)
+    h = 1e-6
+    for _ in range(3):
+        c = rng.standard_normal(d)
+        central = np.column_stack([(fun(c + h * e) - fun(c - h * e)) / (2.0 * h)
+                                   for e in np.eye(d)])
+        assert jac(c).shape == (rows + 1, d)
+        assert np.max(np.abs(jac(c) - central)) <= 1e-8 * np.max(np.abs(central))
+
+
+def test_searches_leave_the_recursion_to_verify(monkeypatch):
+    # the structure search builds no recursion table; the order-3 search
+    # checks its accepted candidate with one order-3 table per check point
+    builds = mock.Mock(wraps=recursion.ZTable)
+    monkeypatch.setattr(recursion, "ZTable", builds)
+    recursion._ztable_cached.cache_clear()
+    table3_structure_config(3, seed=1)
+    assert builds.call_count == 0
+    cfg = vanishing_order_config(3, 3, seed=2024)
+    assert builds.call_count == 2
+    assert [call.args[2] for call in builds.call_args_list] == [3, 3]
+    assert max(abs(melnikov(cfg, i, r)) for i in (1, 2) for r in (0.8, 1.3)) < 1e-11

@@ -69,6 +69,29 @@ def test_ndarray_coefficients_and_priority():
     np.testing.assert_allclose(left.coefficient(1), right.coefficient(1))
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_integer_power_skips_the_unused_square(monkeypatch, p):
+    # square-and-multiply: one product per bit of p and one square between
+    # bits, none after the top bit; the value is the repeated product's
+    z = Jet([0.7, -1.3, 0.4, 2.1], var="t")
+    want = z
+    for _ in range(p - 1):
+        want = want * z
+    muls = 0
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        nonlocal muls
+        muls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    got = z ** p
+    assert muls == bin(p).count("1") + p.bit_length() - 1
+    assert [float(c) for c in got.c] == pytest.approx([float(c) for c in want.c],
+                                                      rel=1e-14, abs=1e-14)
+
+
 def test_compose_requires_zero_constant_term():
     g = jet_sin(Jet.variable(0.4, 4))
     with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ from melnlab.closedforms import m1_closed
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError, EscapeError, NumericalError
 from melnlab.geometry import switching_angles
-from melnlab.recursion import melnikov
-from melnlab.simulate import (extract_melnikov, find_limit_cycles, integrate_return,
-                              return_derivative, trajectory_rows, write_trajectory_csv)
+from melnlab.recursion import melnikov, melnikov_all
+from melnlab.simulate import (center_event_times, extract_melnikov, find_limit_cycles,
+                              integrate_return, melnikov_grid, return_derivative,
+                              trajectory_rows, write_trajectory_csv)
 from scipy.integrate import solve_ivp
 
 
@@ -228,6 +229,35 @@ def test_extraction_order2_vs_recursion(rng):
         est = extract_melnikov(x0, 2, cfg)
         want = melnikov(cfg, 2, x0)
         assert abs(est.value - want) / max(1.0, abs(want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 6])
+def test_grid_pass_is_the_pointwise_pass(rng, n, k):
+    # one eps-jet pass over the grid gives, column by column, the very bits
+    # of the scalar pass, and agrees with the recursion
+    cfg = random_config(rng, n, k)
+    xs = np.geomspace(0.5, 1.8, 6)
+    grid = melnikov_grid(xs, k, cfg, center_event_times(xs, n))
+    assert grid.shape == (k, len(xs))
+    for g, x in enumerate(xs):
+        est = extract_melnikov(float(x), k, cfg)
+        assert grid[:, g].tolist() == list(est.values)
+        want = melnikov_all(cfg, float(x), k)
+        gaps = [abs(v - w) / max(1.0, abs(w)) for v, w in zip(est.values, want)]
+        assert max(gaps) <= 1e-13, gaps
+
+
+def test_lower_orders_of_one_pass(rng):
+    # a pass of order 6 carries every lower order, each flagged on its own
+    cfg = random_config(rng, 3, 6)
+    for x0 in (0.7, 1.4):
+        est = extract_melnikov(x0, 6, cfg)
+        assert len(est.values) == 6 and est.value == est.values[-1]
+        for i in (1, 2, 4):
+            low = extract_melnikov(x0, i, cfg).value
+            assert abs(est.values[i - 1] - low) <= 1e-13 * max(1.0, abs(low))
+            assert not est.flagged_at(i)
 
 
 @pytest.mark.parametrize("block, eps", [
