@@ -43,6 +43,17 @@ def _angular(coeffs, r, s, c):
     return num / r
 
 
+def _divide(A: list, B: list) -> list:
+    """F_1..F_len(A) from A_i and B_i: F_i = -A_i + sum_{m<i} F_m * B_{i-m}."""
+    F: list = []
+    for i in range(1, len(A) + 1):
+        acc = -A[i - 1]
+        for m in range(1, i):
+            acc = acc + F[m - 1] * B[i - m - 1]
+        F.append(acc)
+    return F
+
+
 @dataclass(frozen=True)
 class PolarField:
     """Evaluators of the standard-form right-hand sides F_i^(+/-)(r, theta)."""
@@ -78,13 +89,7 @@ class PolarField:
         s, c = _sincos(theta)
         A = [_radial(self._side(sign, i), r, s, c) for i in range(1, upto + 1)]
         B = [_angular(self._side(sign, i), r, s, c) for i in range(1, upto)]
-        F: list = []
-        for i in range(1, upto + 1):
-            acc = -A[i - 1]
-            for m in range(1, i):
-                acc = acc + F[m - 1] * B[i - m - 1]
-            F.append(acc)
-        return F
+        return _divide(A, B)
 
     def f(self, i: int, sign: int, r, theta):
         """F_i(r, theta) on the given side."""
@@ -96,7 +101,7 @@ class PolarField:
         """[F_1, ..., F_{order+1}] (at most k) as jets in r of the given order.
 
         Coefficients follow theta's type.  An r-jet of order ``order`` feeds
-        the order-(order+1) sector integrand, which reads no higher F_i.
+        the sector integrands of orders up to order+1, which read no higher F_i.
         """
         rj = Jet.variable(float(r), order, var="r")
         return self.f_all(sign, rj, theta, min(order + 1, self.k))
@@ -104,18 +109,28 @@ class PolarField:
     def f_nested_jets(self, sign: int, r: float, t0: float, degree: int) -> list[Jet]:
         """[F_1, ..., F_{degree+1}] (at most k) as r-jets whose coefficients are t-jets.
 
-        Coefficient L of entry i, times L!, is the t-jet of the L-th state
-        derivative of F_i at (r, t0), truncated at t-order ``degree - L``:
-        every mixed Taylor coefficient of total degree <= ``degree`` is kept,
-        each bit for bit as in an untruncated expansion.
+        Entry i keeps total degree ``degree + 1 - i``: its coefficient L, times
+        L!, is the t-jet of the L-th state derivative of F_i at (r, t0),
+        truncated at t-order ``degree + 1 - i - L``.  A_i is evaluated on
+        triangles cut to that degree and B_i on triangles one degree lower,
+        so the division yields each F_i exactly to its degree, every
+        coefficient bit for bit as in an untruncated expansion.
         """
         def triangle(lead, first):
             return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L, var="t")
                                  for L in range(1, degree + 1)], var="r")
 
-        rj = triangle(Jet.constant(float(r), degree, var="t"), 1.0)
-        th = triangle(Jet.variable(float(t0), degree, var="t"), 0.0)
-        return self.f_all(sign, rj, th, min(degree + 1, self.k))
+        rsc = (triangle(Jet.constant(float(r), degree, var="t"), 1.0),
+               *jet_sincos(triangle(Jet.variable(float(t0), degree, var="t"), 0.0)))
+
+        def cut(d):
+            return [Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])], var=v.var)
+                    for v in rsc]
+
+        upto = min(degree + 1, self.k)
+        A = [_radial(self._side(sign, i), *cut(degree + 1 - i)) for i in range(1, upto + 1)]
+        B = [_angular(self._side(sign, i), *cut(degree - i)) for i in range(1, upto)]
+        return _divide(A, B)
 
 
 def build_polar_field(config: SystemConfig) -> PolarField:

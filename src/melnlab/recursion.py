@@ -195,6 +195,10 @@ class ZTable:
             raise DomainError(f"switching index must be 1 or 2, got {j}")
 
     def _build(self) -> None:
+        # (sector, node count) -> field r-jets and z_m values on those nodes;
+        # a sector's Chebyshev nodes depend only on their count, so every
+        # order reads prefixes of one evaluation.  Freed on return.
+        nodesets: dict[tuple[int, int], tuple[list[Jet], list[np.ndarray]]] = {}
         for i in range(1, self.order + 1):
             for j in range(3):
                 if j == 0:
@@ -204,20 +208,23 @@ class ZTable:
                     self._jump[(i, j)] = jump
                     left = self._z_end[(i, j - 1)] + jump
                 self._z_start[(i, j)] = left
-                integrand = self._integrand(i, j)
+                integrand = self._integrand(i, j, nodesets)
                 cheb = _cheb_fit(integrand, self.bounds[j], self.bounds[j + 1])
                 prim = _cheb_antiderivative(cheb, self.bounds[j])
                 self._cheb[(i, j)] = math.factorial(i) * prim + left
                 self._z_end[(i, j)] = float(self._cheb[(i, j)](self.bounds[j + 1]))
             self._melnikov.append(self._z_end[(i, 2)] / math.factorial(i))
 
-    def _integrand(self, i: int, j: int):
+    def _integrand(self, i: int, j: int, nodesets: dict):
         sign = self.geometry.sector_sign(j)
 
         def K(tarr):
-            rjets = self.field.f_r_jets(sign, self.x, tarr, i - 1)
-            zs = [self._cheb[(m, j)](tarr) for m in range(1, i)]
-            return _chain_sum(i, rjets, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb))
+            key = (j, tarr.size)
+            if key not in nodesets:
+                nodesets[key] = (self.field.f_r_jets(sign, self.x, tarr, self.order - 1), [])
+            fs, zs = nodesets[key]
+            zs.extend(self._cheb[(m, j)](tarr) for m in range(len(zs) + 1, i))
+            return _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb))
 
         return K
 
@@ -227,7 +234,7 @@ class ZTable:
         return self.bounds[j] if side == "L" else self.bounds[j + 1]
 
     def _nested_jets(self, j: int, side: str) -> list[Jet]:
-        """F_1..F_{order-1} at a sector endpoint, mixed jets of total degree order-2.
+        """F_1..F_{order-1} at a sector endpoint, F_q a mixed jet of total degree order-1-q.
 
         Only the jump corrections read these (orders >= 2): ``_tjet_K`` reads
         F_q's r-coefficient L at t-order p with q + L + p <= order - 1.
@@ -242,8 +249,8 @@ class ZTable:
     def _tjet_K(self, i: int, j: int, side: str, order: int) -> Jet:
         """t-jet of the integrand K_i^j at a sector endpoint.
 
-        The endpoint jets hold total degree ``self.order - 2`` only, so a
-        longer t-jet would be padded with zeros instead of computed.
+        The endpoint jet F_q holds total degree ``self.order - 1 - q`` only,
+        so a longer t-jet would be padded with zeros instead of computed.
         """
         assert i + order <= self.order - 1, (i, order, self.order)
         zs = [self._tjet_z(m, j, side, order) for m in range(1, i)]
@@ -344,7 +351,7 @@ def melnikov(config: SystemConfig, i: int, x: float) -> float:
     """Melnikov function of order i at section coordinate x."""
     if x <= 0.0:
         raise DomainError(f"section coordinate must be positive, got {x}")
-    return ztable(config, x, max(i, 1)).melnikov(i)
+    return ztable(config, x, i).melnikov(i)
 
 
 def melnikov_all(config: SystemConfig, x: float, upto: int | None = None) -> list[float]:

@@ -158,7 +158,8 @@ def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     rect = field.f_all(-1, rj, Jet.constant(tj, degree, var="r"))
     tri = field.f_nested_jets(-1, r, t0, degree)
     assert len(tri) == degree + 1
-    for got, want in zip(tri, rect):
-        assert len(got.c) == degree + 1
-        for L in range(degree + 1):
-            assert got.c[L].c == want.c[L].c[:degree - L + 1]
+    # entry i keeps total degree degree + 1 - i, the most the recursion reads
+    for i, (got, want) in enumerate(zip(tri, rect), start=1):
+        assert len(got.c) == degree + 2 - i
+        for L in range(degree + 2 - i):
+            assert got.c[L].c == want.c[L].c[:degree + 2 - i - L]

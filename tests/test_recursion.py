@@ -9,8 +9,9 @@ from melnlab.closedforms import m1_closed, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError, SequencingError
 from melnlab.geometry import switching_angles
-from melnlab.polar import build_polar_field
-from melnlab.recursion import ZTable, melnikov, melnikov_all, ztable
+from melnlab.polar import PolarField, build_polar_field
+from melnlab.recursion import CHEB_START_DEGREE, ZTable, melnikov, melnikov_all, ztable
+from melnlab.series import Jet
 
 
 def melfun_quadrature(config, r):
@@ -161,7 +162,7 @@ def test_w2_formula(rng):
     assert table.w(2, 1) == pytest.approx(expected, rel=1e-10)
 
 
-def test_sequencing_and_domain_errors(rng):
+def test_sequencing_and_domain_errors(rng, monkeypatch):
     cfg = random_config(rng, 2, 3)
     table = ztable(cfg, 1.0, 2)
     with pytest.raises(SequencingError):
@@ -172,6 +173,12 @@ def test_sequencing_and_domain_errors(rng):
         table.z(1, 0, 6.0)  # outside sector 0
     with pytest.raises(DomainError):
         melnikov(cfg, 1, -0.5)
+    builds = []
+    monkeypatch.setattr(ZTable, "_build", lambda self: builds.append(self.order))
+    for order_zero in (lambda: melnikov(cfg, 0, 1.0), lambda: melnikov_all(cfg, 1.0, 0)):
+        with pytest.raises(DomainError):
+            order_zero()
+    assert builds == []
 
 
 def test_melnikov_first_order_identity_any_config(rng):
@@ -221,6 +228,41 @@ def test_endpoint_tjets_stop_at_the_computed_degree(rng):
     assert table._tjet_K(2, 1, "L", 0).order == 0
     with pytest.raises(AssertionError):
         table._tjet_K(2, 1, "L", 1)
+
+
+def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
+    # every order reads prefixes of one order-5 field evaluation per
+    # (sector, node count); none of that scratch outlives the build
+    field = build_polar_field(random_config(rng, 3, 6))
+    calls = []
+    f_r_jets = PolarField.f_r_jets
+
+    def counted(self, sign, r, theta, order):
+        calls.append((order, theta.min(), theta.size))
+        return f_r_jets(self, sign, r, theta, order)
+
+    monkeypatch.setattr(PolarField, "f_r_jets", counted)
+    table = ZTable(field, 1.1, 6)
+    assert {order for order, _, _ in calls} == {5}
+    sectors = [int(np.searchsorted(table.bounds, lo, side="right")) - 1 for _, lo, _ in calls]
+    assert sorted(set(sectors)) == [0, 1, 2]
+    keys = [(j, size) for j, (_, _, size) in zip(sectors, calls)]
+    assert len(keys) == len(set(keys))
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from arrays(v)
+        elif isinstance(value, Jet):
+            yield from arrays(value.c)
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                yield from arrays(v)
+
+    held = [a.size for v in vars(table).values() for a in arrays(v)]
+    assert all(size < CHEB_START_DEGREE for size in held), held
 
 
 def test_order6_values_are_pinned(rng):
