@@ -17,7 +17,7 @@ from .closedforms import (SpanFit, VCoefficients, config_from_v, cov_r_of_x,
                           cov_x_of_r, fit_to_span, m1_closed, q_denominator, q_poly,
                           sign_pattern_search, structural_span, v_coefficients,
                           v_zero_coefficients, vanishing_order_config)
-from .combinatorics import CompositionSet, PartitionSet, compositions, partitions
+from .combinatorics import compositions, partitions
 from .config import OrderCoefficients, SystemConfig, dump_config, load_config
 from .errors import (ConfigurationError, DomainError, EscapeError,
                      EventDegeneracyError, MelnlabError, NumericalError,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .series import Jet, jet_atan
+from .series import Jet, _atan
 
 __all__ = ["BasisFunction", "u", "family", "family_G", "family_H_pencil",
            "family_J0", "family_H8"]
@@ -34,15 +34,6 @@ def _pow(x, e):
     if isinstance(e, Fraction):
         e = float(e)
     return x ** e
-
-
-def _atan(x):
-    if isinstance(x, Jet):
-        return jet_atan(x)
-    if type(x).__module__.startswith("mpmath"):
-        import mpmath
-        return mpmath.atan(x)
-    return np.arctan(x)
 
 
 def _one(x):
@@ -61,7 +52,7 @@ def jet_derivative(jet: Jet, m: int) -> Jet:
         raise DomainError(f"jet order {jet.order} too small for derivative {m}")
     coeffs = [jet.c[p + m] * (math.factorial(p + m) / math.factorial(p))
               for p in range(jet.order - m + 1)]
-    return Jet(coeffs, var=jet.var)
+    return Jet(coeffs)
 
 
 def _u_expr(ident: int, k: int, lam: float | None, x):
@@ -146,7 +137,7 @@ class BasisFunction:
         numeric type is preserved."""
         if np.any(x <= 0.0):
             raise DomainError(f"family functions are defined for x > 0, got {x}")
-        base = self.fn(Jet.variable(x, order + self.deriv_order, var="x"))
+        base = self.fn(Jet.variable(x, order + self.deriv_order))
         return jet_derivative(base, self.deriv_order)
 
     def derivative(self, m: int) -> "BasisFunction":
@@ -184,6 +175,10 @@ def u(ident: int, k: int, lam: float | None = None) -> BasisFunction:
     """Generator u_ident^k (u_24 also takes the real parameter lam)."""
     if not 1 <= ident <= 24:
         raise DomainError(f"generator index must be in 1..24, got {ident}")
+    # n = 1 takes k = 0; u18..u23 carry the exponent 1/k
+    least = 1 if 18 <= ident <= 23 else 0
+    if k < least:
+        raise DomainError(f"u{ident} needs k >= {least}, got {k}")
     if ident == 24 and lam is None:
         raise DomainError("u_24 requires the lam parameter")
     label = f"u{ident}^{k}" if ident != 24 else f"u24^{{{k},{lam}}}"

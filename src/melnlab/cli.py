@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 numerical-quality failure, 3 configuration error.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -80,13 +79,6 @@ def _grid_points(interval, spec) -> np.ndarray:
     return np.geomspace(a, b, count) if kind == "log" else np.linspace(a, b, count)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("MELNLAB_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def _melnikov_point(payload):
     """([M_1(x), ..., M_max(x)], {order: CSV row}) at one grid point, from one
     recursion table and one oracle jet pass, both of the highest order."""
@@ -108,12 +100,15 @@ def cmd_melnikov(args) -> int:
     config = load_config(args.config)
     interval = _parse_interval(args.interval)
     grid = _parse_grid(args.grid)
-    orders = tuple(int(p) for p in args.orders.split(","))
+    try:
+        orders = tuple(int(p) for p in args.orders.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"orders must look like 1,2, got {args.orders!r}") from exc
     for i in orders:
         if not 1 <= i <= config.k:
             raise ConfigurationError(f"order {i} outside the config's 1..{config.k}")
     out = Path(args.out)
-    workers = _workers(args)
+    workers = max(1, args.workers)
     _write_manifest(out, args, "melnikov", interval=interval, orders=orders)
 
     xs = [float(x) for x in _grid_points(interval, grid)]
@@ -424,7 +419,7 @@ def _write_manifest(out: Path, args, command: str, interval=None, orders=None, c
         case=case,
         out_dir=str(out),
         seed=args.seed,
-        workers=_workers(args),
+        workers=max(1, args.workers),
     )
     write_json(out / "manifest.json", asdict(manifest))
 
@@ -439,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker pool size (fallback: MELNLAB_WORKERS)")
+    common.add_argument("--workers", type=int, default=1, help="worker pool size")
 
     p = sub.add_parser("melnikov", parents=[common],
                        help="tabulate Melnikov orders with a simulation oracle")

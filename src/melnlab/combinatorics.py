@@ -3,50 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError
 
-__all__ = ["PartitionSet", "CompositionSet", "partitions", "compositions"]
+__all__ = ["partitions", "compositions"]
 
 _MAX_PARTITION_ORDER = 12
-
-
-@dataclass(frozen=True)
-class PartitionSet:
-    """All l-tuples (b_1,...,b_l) of non-negative integers with sum m*b_m = l.
-
-    ``weights[t]`` is the chain-rule weight 1/(b_1! b_2! 2!^b_2 ... b_l! l!^b_l)
-    of tuple ``t`` and ``lengths[t]`` is L_b = b_1 + ... + b_l.
-    """
-
-    l: int
-    tuples: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(zip(self.tuples, self.lengths, self.weights))
-
-
-@dataclass(frozen=True)
-class CompositionSet:
-    """All l-tuples of positive integers summing to q (empty when q < l)."""
-
-    q: int
-    l: int
-    tuples: tuple[tuple[int, ...], ...]
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __iter__(self):
-        return iter(self.tuples)
 
 
 def _partition_weight(b: tuple[int, ...]) -> float:
@@ -57,8 +21,10 @@ def _partition_weight(b: tuple[int, ...]) -> float:
 
 
 @lru_cache(maxsize=None)
-def partitions(l: int) -> PartitionSet:
-    """Enumerate the multiplicity tuples of the integer partitions of ``l``."""
+def partitions(l: int) -> tuple[tuple[tuple[int, ...], int, float], ...]:
+    """Sorted triples (b, L_b, weight) over the l-tuples b = (b_1, ..., b_l) of
+    non-negative integers with sum m*b_m = l: L_b = b_1 + ... + b_l and weight
+    is the chain-rule weight 1/(b_1! 1!^b_1 b_2! 2!^b_2 ... b_l! l!^b_l)."""
     if not 1 <= l <= _MAX_PARTITION_ORDER:
         raise DomainError(f"partition order must be in [1, {_MAX_PARTITION_ORDER}], got {l}")
     tuples = []
@@ -72,22 +38,15 @@ def partitions(l: int) -> PartitionSet:
             rec(remaining - part * bm, part + 1, prefix + [bm])
 
     rec(l, 1, [])
-    tuples.sort()
-    lengths = tuple(sum(b) for b in tuples)
-    weights = tuple(_partition_weight(b) for b in tuples)
-    return PartitionSet(l=l, tuples=tuple(tuples), lengths=lengths, weights=weights)
+    return tuple((b, sum(b), _partition_weight(b)) for b in sorted(tuples))
 
 
 @lru_cache(maxsize=None)
-def compositions(q: int, l: int) -> CompositionSet:
-    """Enumerate S_{q,l}: ordered l-tuples of positive integers summing to q."""
+def compositions(q: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """S_{q,l}, sorted: ordered l-tuples of positive integers summing to q
+    (empty when q < l)."""
     if q < 1 or l < 1:
         raise DomainError(f"compositions need q, l >= 1, got q={q}, l={l}")
-    if q < l:
-        return CompositionSet(q=q, l=l, tuples=())
-    tuples = []
     # cut points of a length-q segment into l positive parts
-    for cuts in combinations(range(1, q), l - 1):
-        bounds = (0,) + cuts + (q,)
-        tuples.append(tuple(bounds[i + 1] - bounds[i] for i in range(l)))
-    return CompositionSet(q=q, l=l, tuples=tuple(sorted(tuples)))
+    bounds = ((0,) + cuts + (q,) for cuts in combinations(range(1, q), l - 1))
+    return tuple(sorted(tuple(b[i + 1] - b[i] for i in range(l)) for b in bounds))

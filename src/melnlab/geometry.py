@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -75,13 +74,15 @@ def switching_function(r, theta, n: int):
     return np.sin(theta) - r ** (n - 1) * np.cos(theta) ** n
 
 
-@lru_cache(maxsize=4096)
-def _theta1_jet_cached(r: float, n: int, order: int) -> Jet:
+def theta1_jet(r: float, n: int, order: int) -> Jet:
+    """Taylor jet of theta1 as a function of the radius, at base point r."""
+    if order < 0:
+        raise DomainError("jet order must be >= 0")
     theta1, _ = switching_angles(r, n)
     if n == 1:
-        return Jet.constant(theta1, order, var="r")
-    rj = Jet.variable(r, order, var="r")
-    th = Jet.constant(theta1, order, var="r")
+        return Jet.constant(theta1, order)
+    rj = Jet.variable(float(r), order)
+    th = Jet.constant(theta1, order)
     rpow = rj ** (n - 1)
     # jet-Newton on g(theta, r) = sin(theta) - r^(n-1) cos(theta)^n
     for _ in range(max(1, order)):
@@ -90,13 +91,6 @@ def _theta1_jet_cached(r: float, n: int, order: int) -> Jet:
         gt = c + n * rpow * c ** (n - 1) * s
         th = th - g / gt
     return th
-
-
-def theta1_jet(r: float, n: int, order: int) -> Jet:
-    """Taylor jet of theta1 as a function of the radius, at base point r."""
-    if order < 0:
-        raise DomainError("jet order must be >= 0")
-    return _theta1_jet_cached(float(r), int(n), int(order))
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,6 @@ class SwitchingGeometry:
 
     n: int
 
-    N_SWITCHES = 2
-    PERIOD = TWO_PI
     SECTOR_SIGNS = (-1, +1, -1)
 
     def __post_init__(self):
@@ -126,14 +118,10 @@ class SwitchingGeometry:
         theta1, theta2 = self.angles(r)
         return 0.0, theta1, theta2, TWO_PI
 
-    def theta_jet(self, j: int, r: float, order: int) -> Jet:
-        """r-jet of the j-th switching angle (j in {1, 2})."""
-        if j not in (1, 2):
-            raise DomainError(f"switching index must be 1 or 2, got {j}")
+    def theta_jets(self, r: float, order: int) -> tuple[Jet, Jet]:
+        """r-jets of both switching angles, from one Newton solve for theta1."""
         t1 = theta1_jet(r, self.n, order)
-        if j == 1:
-            return t1
-        return math.pi - (-1.0) ** self.n * t1
+        return t1, math.pi - (-1.0) ** self.n * t1
 
     def sector_sign(self, j: int) -> int:
         """Field label of sector j: -1 below the curve, +1 above."""

@@ -18,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import SystemConfig
 from .errors import DomainError
 from .geometry import SwitchingGeometry
-from .series import Jet, jet_sincos
+from .series import Jet, _sincos, jet_sincos
 
 __all__ = ["PolarField", "build_polar_field", "cartesian_field"]
-
-
-def _sincos(t):
-    return jet_sincos(t) if isinstance(t, Jet) else (np.sin(t), np.cos(t))
 
 
 def _radial(coeffs, r, s, c):
@@ -103,7 +97,7 @@ class PolarField:
         Coefficients follow theta's type.  An r-jet of order ``order`` feeds
         the sector integrands of orders up to order+1, which read no higher F_i.
         """
-        rj = Jet.variable(float(r), order, var="r")
+        rj = Jet.variable(float(r), order)
         return self.f_all(sign, rj, theta, min(order + 1, self.k))
 
     def f_nested_jets(self, sign: int, r: float, t0: float, degree: int) -> list[Jet]:
@@ -117,14 +111,14 @@ class PolarField:
         coefficient bit for bit as in an untruncated expansion.
         """
         def triangle(lead, first):
-            return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L, var="t")
-                                 for L in range(1, degree + 1)], var="r")
+            return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
+                                 for L in range(1, degree + 1)])
 
-        rsc = (triangle(Jet.constant(float(r), degree, var="t"), 1.0),
-               *jet_sincos(triangle(Jet.variable(float(t0), degree, var="t"), 0.0)))
+        rsc = (triangle(Jet.constant(float(r), degree), 1.0),
+               *jet_sincos(triangle(Jet.variable(float(t0), degree), 0.0)))
 
         def cut(d):
-            return [Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])], var=v.var)
+            return [Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])])
                     for v in rsc]
 
         upto = min(degree + 1, self.k)

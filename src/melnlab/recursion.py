@@ -19,16 +19,14 @@ differenced on the main path.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebint
 from scipy.fft import dct
 
-from .combinatorics import partitions
+from .combinatorics import compositions, partitions
 from .config import SystemConfig
 from .errors import DomainError, NumericalError, SequencingError
-from .geometry import TWO_PI
 from .polar import PolarField, build_polar_field
 from .series import Jet
 
@@ -124,10 +122,7 @@ class ZTable:
             raise DomainError(f"order must be in 1..{field.k}, got {self.order}")
 
         self.bounds = self.geometry.boundaries(self.x)
-        self.T = TWO_PI
-        self.N = self.geometry.N_SWITCHES
-        self._theta_jets = {j: self.geometry.theta_jet(j, self.x, self.order)
-                            for j in (1, 2)}
+        self._theta_jets = self.geometry.theta_jets(self.x, self.order)
 
         self._cheb: dict[tuple[int, int], Chebyshev] = {}
         self._z_start: dict[tuple[int, int], float] = {}
@@ -264,12 +259,12 @@ class ZTable:
             return self._tjets[key]
         value = self._z_start[(i, j)] if side == "L" else self._z_end[(i, j)]
         if order == 0:
-            jet = Jet([value], var="t")
+            jet = Jet([value])
         else:
             kjet = self._tjet_K(i, j, side, order - 1)
             fac = math.factorial(i)
             coeffs = [value] + [fac * kjet.coefficient(p - 1) / p for p in range(1, order + 1)]
-            jet = Jet(coeffs, var="t")
+            jet = Jet(coeffs)
         self._tjets[key] = jet
         return jet
 
@@ -304,9 +299,7 @@ class ZTable:
         key = (q, j)
         if key in self._alpha:
             return self._alpha[key]
-        from .combinatorics import compositions
-
-        theta_jet = self._theta_jets[j]
+        theta_jet = self._theta_jets[j - 1]
         val = 0.0
         for l in range(1, q + 1):
             dl = theta_jet.derivative(l)
@@ -328,23 +321,15 @@ class ZTable:
         for p in range(1, i):
             djet = self._tjet_delta(i - p, j, p)
             inner = Jet([0.0] + [self._alpha_q(q, j) / math.factorial(q)
-                                 for q in range(1, p + 1)], order=p, var="eps")
+                                 for q in range(1, p + 1)], order=p)
             comp = djet.compose(inner)
             total += comp.coefficient(p)
         return math.factorial(i) * total
 
 
-# A request that repeats a (config, x, order) key comes within a few calls of
-# the first one, and no workload repeats one at all; every cached table keeps
-# its Chebyshev series and t-jets alive, so the cache stays small.
-@lru_cache(maxsize=16)
-def _ztable_cached(config: SystemConfig, x: float, order: int) -> ZTable:
-    return ZTable(build_polar_field(config), x, order)
-
-
 def ztable(config: SystemConfig, x: float, order: int | None = None) -> ZTable:
-    """Build (or fetch from cache) the recursion table at base point x."""
-    return _ztable_cached(config, float(x), config.k if order is None else order)
+    """Build the recursion table at base point x."""
+    return ZTable(build_polar_field(config), x, config.k if order is None else order)
 
 
 def melnikov(config: SystemConfig, i: int, x: float) -> float:

@@ -37,60 +37,42 @@ def _magnitude(c) -> float:
     return abs(float(c))
 
 
-def _is_mp(c) -> bool:
-    return type(c).__module__.startswith("mpmath")
+def _lib(c):
+    """numpy, mpmath or math: the library whose functions fit a coefficient
+    that is not a jet."""
+    if isinstance(c, np.ndarray):
+        return np
+    if type(c).__module__.startswith("mpmath"):
+        import mpmath
+        return mpmath
+    return math
 
 
 def _sincos(c):
-    if isinstance(c, Jet):
-        return jet_sincos(c)
-    if isinstance(c, np.ndarray):
-        return np.sin(c), np.cos(c)
-    if _is_mp(c):
-        import mpmath
-        return mpmath.sin(c), mpmath.cos(c)
-    return math.sin(c), math.cos(c)
+    return jet_sincos(c) if isinstance(c, Jet) else (_lib(c).sin(c), _lib(c).cos(c))
 
 
 def _sinhcosh(c):
     if isinstance(c, Jet):
         up, down = jet_exp(c), jet_exp(-c)
         return 0.5 * (up - down), 0.5 * (up + down)
-    lib = np if isinstance(c, np.ndarray) else math
-    return lib.sinh(c), lib.cosh(c)
+    return _lib(c).sinh(c), _lib(c).cosh(c)
 
 
 def _atan(c):
-    if isinstance(c, Jet):
-        return jet_atan(c)
-    if isinstance(c, np.ndarray):
-        return np.arctan(c)
-    if _is_mp(c):
-        import mpmath
-        return mpmath.atan(c)
-    return math.atan(c)
+    return jet_atan(c) if isinstance(c, Jet) else _lib(c).atan(c)
 
 
 def _exp(c):
-    if isinstance(c, Jet):
-        return jet_exp(c)
-    if isinstance(c, np.ndarray):
-        return np.exp(c)
-    if _is_mp(c):
-        import mpmath
-        return mpmath.exp(c)
-    return math.exp(c)
+    return jet_exp(c) if isinstance(c, Jet) else _lib(c).exp(c)
 
 
 def _log(c):
-    if isinstance(c, Jet):
-        return jet_log(c)
-    if isinstance(c, np.ndarray):
-        return np.log(c)
-    if _is_mp(c):
-        import mpmath
-        return mpmath.log(c)
-    return math.log(c)
+    return jet_log(c) if isinstance(c, Jet) else _lib(c).log(c)
+
+
+def _sqrt(c):
+    return jet_sqrt(c) if isinstance(c, Jet) else _lib(c).sqrt(c)
 
 
 class Jet:
@@ -102,14 +84,12 @@ class Jet:
         Taylor coefficients (derivatives divided by factorials), lowest first.
     order : int, optional
         Truncation order; ``coeffs`` is padded with zeros or cut to fit.
-    var : str, optional
-        Variable tag ('t', 'x', 'r' or 'eps'); informational only.
     """
 
-    __slots__ = ("c", "var")
+    __slots__ = ("c",)
     __array_priority__ = 200.0  # keep ndarray * Jet from vectorizing
 
-    def __init__(self, coeffs: Sequence, order: int | None = None, var: str | None = None):
+    def __init__(self, coeffs: Sequence, order: int | None = None):
         c = list(coeffs)
         if not c:
             raise ValueError("jet needs at least one coefficient")
@@ -119,22 +99,21 @@ class Jet:
             pad = _zero_like(c[0])
             c = c[: order + 1] + [pad] * (order + 1 - len(c))
         self.c = c
-        self.var = var
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def variable(value, order: int, var: str | None = None) -> "Jet":
+    def variable(value, order: int) -> "Jet":
         """Jet of the identity map at ``value`` (value, 1, 0, ...)."""
         c = [value, value * 0.0 + 1.0 if isinstance(value, np.ndarray) else 1.0]
-        return Jet(c, order=order, var=var)
+        return Jet(c, order=order)
 
     @staticmethod
-    def constant(value, order: int, var: str | None = None) -> "Jet":
-        return Jet([value], order=order, var=var)
+    def constant(value, order: int) -> "Jet":
+        return Jet([value], order=order)
 
     def zero_like(self) -> "Jet":
-        return Jet([_zero_like(self.c[0])], order=self.order, var=self.var)
+        return Jet([_zero_like(self.c[0])], order=self.order)
 
     # -- basic queries -------------------------------------------------------
 
@@ -161,10 +140,10 @@ class Jet:
         return self.c[0]
 
     def truncate(self, order: int) -> "Jet":
-        return Jet(self.c, order=order, var=self.var)
+        return Jet(self.c, order=order)
 
     def __repr__(self):
-        return f"Jet({self.c!r}, var={self.var!r})"
+        return f"Jet({self.c!r})"
 
     # -- ring operations -----------------------------------------------------
     #
@@ -173,24 +152,23 @@ class Jet:
     # order; the result keeps the lower of the two orders.
 
     @staticmethod
-    def _of(c: list, var: str | None) -> "Jet":
+    def _of(c: list) -> "Jet":
         """Jet over the list ``c`` itself: no copy, no padding."""
         jet = object.__new__(Jet)
         jet.c = c
-        jet.var = var
         return jet
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet._of([a + b for a, b in zip(self.c, other.c)], self.var)
+            return Jet._of([a + b for a, b in zip(self.c, other.c)])
         c = list(self.c)
         c[0] = c[0] + other
-        return Jet._of(c, self.var)
+        return Jet._of(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._of([-cm for cm in self.c], self.var)
+        return Jet._of([-cm for cm in self.c])
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -1.0 * other)
@@ -208,14 +186,14 @@ class Jet:
                 for j in range(1, m + 1):
                     s = s + a[j] * b[m - j]
                 out.append(s)
-            return Jet._of(out, self.var)
-        return Jet._of([cm * other for cm in a], self.var)
+            return Jet._of(out)
+        return Jet._of([cm * other for cm in a])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet._of([cm / other for cm in self.c], self.var)
+            return Jet._of([cm / other for cm in self.c])
         a, b = self.c, other.c
         g0 = b[0]
         out = []
@@ -224,16 +202,16 @@ class Jet:
             for j in range(1, m + 1):
                 s = s - b[j] * out[m - j]
             out.append(s / g0)
-        return Jet._of(out, self.var)
+        return Jet._of(out)
 
     def __rtruediv__(self, other):
-        return Jet.constant(other, self.order, var=self.var) / self
+        return Jet.constant(other, self.order) / self
 
     def __pow__(self, p):
         if isinstance(p, int):
             if p < 0:
                 return 1.0 / (self ** (-p))
-            out = Jet.constant(_zero_like(self.c[0]) + 1.0, self.order, var=self.var)
+            out = Jet.constant(_zero_like(self.c[0]) + 1.0, self.order)
             base = self
             while p:
                 if p & 1:
@@ -249,12 +227,12 @@ class Jet:
     def deriv(self) -> "Jet":
         """Jet of the derivative (one order lower)."""
         if self.order == 0:
-            return Jet([_zero_like(self.c[0])], var=self.var)
-        return Jet([(m + 1) * self.c[m + 1] for m in range(self.order)], var=self.var)
+            return Jet([_zero_like(self.c[0])])
+        return Jet([(m + 1) * self.c[m + 1] for m in range(self.order)])
 
     def integ(self, const=0.0) -> "Jet":
         """Jet of the antiderivative (one order higher)."""
-        return Jet([const] + [self.c[m] / (m + 1) for m in range(len(self.c))], var=self.var)
+        return Jet([const] + [self.c[m] / (m + 1) for m in range(len(self.c))])
 
     def compose(self, inner: "Jet") -> "Jet":
         """Series composition self(inner); the inner jet must have zero value."""
@@ -287,7 +265,7 @@ class Jet:
                 term = ((alpha + 1) * j - m) * self.c[j] * out[m - j]
                 s = term if s is None else s + term
             out.append(s / (m * u0))
-        return Jet(out, var=self.var)
+        return Jet(out)
 
 
 def jet_sin(u: Jet) -> Jet:
@@ -316,13 +294,13 @@ def jet_sincos(u: Jet) -> tuple[Jet, Jet]:
             cc = tc if cc is None else cc + tc
         s.append(ss / m)
         c.append(-cc / m)
-    return Jet._of(s, u.var), Jet._of(c, u.var)
+    return Jet._of(s), Jet._of(c)
 
 
 def jet_atan(u: Jet) -> Jet:
     n = u.order
     if n == 0:
-        return Jet([_atan(u.c[0])], var=u.var)
+        return Jet([_atan(u.c[0])])
     w = u.deriv() / (1.0 + u * u).truncate(n - 1)
     return w.integ(const=_atan(u.c[0])).truncate(n)
 
@@ -336,13 +314,13 @@ def jet_exp(u: Jet) -> Jet:
             t = (j * u.c[j]) * out[m - j]
             s = t if s is None else s + t
         out.append(s / m)
-    return Jet(out, var=u.var)
+    return Jet(out)
 
 
 def jet_log(u: Jet) -> Jet:
     n = u.order
     if n == 0:
-        return Jet([_log(u.c[0])], var=u.var)
+        return Jet([_log(u.c[0])])
     w = u.deriv() / u.truncate(n - 1)
     return w.integ(const=_log(u.c[0])).truncate(n)
 

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .config import OrderCoefficients, SystemConfig
 from .errors import DomainError, EscapeError, EventDegeneracyError, NumericalError
-from .series import Jet, _exp, _magnitude, _sincos, _sinhcosh, jet_sqrt
+from .series import Jet, _exp, _magnitude, _sincos, _sinhcosh, _sqrt
 
 __all__ = ["TrajectorySegment", "PoincareResult", "LimitCycle", "CycleSearch",
            "integrate_return", "extract_melnikov", "center_event_times", "melnikov_grid",
@@ -148,7 +148,7 @@ class _Zone:
         q = self.n11 * self.n11 + a12 * a21          # = -det N, free of mu^2 cancellation
         q0 = _value(q)
         self.kind = 1 if q0 > 0.0 else (-1 if q0 < 0.0 else 0)
-        self.w = jet_sqrt(self.kind * q) if isinstance(q, Jet) else math.sqrt(abs(q))
+        self.w = _sqrt(self.kind * q)
         det = a11 * a22 - a12 * a21
         self.eq = (math.inf, math.inf) if _value(det) == 0.0 else \
             ((a12 * b2 - a22 * b1) / det, (a21 * b1 - a11 * b2) / det)
@@ -358,7 +358,7 @@ def extract_melnikov(x0: float, i: int, config: SystemConfig) -> MelnikovEstimat
     if i < 1 or i > config.k:
         raise DomainError(f"order must be in 1..{config.k}, got {i}")
     times = _event_times(integrate_return(x0, 0.0, config))
-    x, residual = _return_jet(times, config, float(x0), Jet.variable(0.0, i, var="eps"), i)
+    x, residual = _return_jet(times, config, float(x0), Jet.variable(0.0, i), i)
     return MelnikovEstimate(values=tuple(float(c) for c in x.c[1:]),
                             error_estimate=float(residual), x0=x0)
 
@@ -378,14 +378,14 @@ def melnikov_grid(xs, i: int, config: SystemConfig, times: np.ndarray) -> np.nda
     if i < 1 or i > config.k:
         raise DomainError(f"order must be in 1..{config.k}, got {i}")
     xs = np.asarray(xs, dtype=float)
-    x, _ = _return_jet(times, config, xs, Jet.variable(0.0, i, var="eps"), i)
+    x, _ = _return_jet(times, config, xs, Jet.variable(0.0, i), i)
     return np.array(x.c[1:])
 
 
 def return_derivative(x0: float, eps: float, config: SystemConfig) -> float:
     """Exact derivative of the return map at x0, from a first-order jet in x0."""
     times = _event_times(integrate_return(x0, eps, config))
-    x, _ = _return_jet(times, config, Jet.variable(float(x0), 1, var="x"), eps, 1)
+    x, _ = _return_jet(times, config, Jet.variable(float(x0), 1), eps, 1)
     return float(x.c[1])
 
 

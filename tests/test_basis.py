@@ -108,6 +108,12 @@ def test_domain_guard():
         u(13, 1).jet(-1.0, 2)
     with pytest.raises(DomainError):
         u(13, 1).jet(np.array([0.5, -1.0]), 2)
+    # k = 0 serves n = 1 except where an exponent is 1/k; k < 0 never
+    assert u(12, 0)(2.0) == 4.0
+    with pytest.raises(DomainError):
+        u(18, 0)
+    with pytest.raises(DomainError):
+        family("F2", -1)
 
 
 @pytest.mark.parametrize("bf", [u(15, 2), u(21, 1).derivative(5), family_H8(2)[3]],

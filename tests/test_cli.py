@@ -140,15 +140,15 @@ def test_ceiling_scan_blocks_match_one_batch(n):
     assert _ceiling_scan(n, 4, np.random.default_rng(n)) == (worst, worst <= 4)
 
 
-def test_workers_env_fallback(tmp_path, demo_config, monkeypatch):
-    out = tmp_path / "env"
-    monkeypatch.setenv("MELNLAB_WORKERS", "2")
-    assert main(["melnikov", "--config", str(demo_config), "--orders", "1",
-                 "--interval", "0.8:1.2", "--grid", "3log", "--out", str(out),
-                 "--seed", "3"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["workers"] == 2
-
+@pytest.mark.parametrize("argv", [
+    ["melnikov", "--orders", "1,,2"],
+    ["cheb", "--family", "F7", "--k", "0", "--lam", "1"],
+    ["cheb", "--family", "F2", "--k", "-1"],
+], ids=["empty-order", "F7-k0", "F2-negative-k"])
+def test_bad_input_is_a_configuration_error(tmp_path, demo_config, argv):
+    if argv[0] == "melnikov":
+        argv = argv + ["--config", str(demo_config)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
 
 
 def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, monkeypatch):
@@ -156,7 +156,6 @@ def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, mo
     # pass of order 2, seeded by one eps = 0 return, gives both oracle values
     from melnlab import recursion, simulate
 
-    recursion._ztable_cached.cache_clear()
     builds = mock.Mock(wraps=recursion.ZTable)
     returns = mock.Mock(wraps=simulate.integrate_return)
     monkeypatch.setattr(recursion, "ZTable", builds)

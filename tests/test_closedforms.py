@@ -194,7 +194,6 @@ def test_searches_leave_the_recursion_to_verify(monkeypatch):
     # checks its accepted candidate with one order-3 table per check point
     builds = mock.Mock(wraps=recursion.ZTable)
     monkeypatch.setattr(recursion, "ZTable", builds)
-    recursion._ztable_cached.cache_clear()
     table3_structure_config(3, seed=1)
     assert builds.call_count == 0
     cfg = vanishing_order_config(3, 3, seed=2024)

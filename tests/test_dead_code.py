@@ -1,7 +1,12 @@
-"""Every function, class and module-level constant of the package, dunders
-aside, must be read as a name, an attribute or an import (not in a string or
-comment, and not only assigned) somewhere in src, tests, scripts or
-perfbench."""
+"""Every function, class, module-level constant, class-body constant and
+attribute stored on ``self`` in the package, dunders aside, must be read as a
+name, an attribute or an import (not in a string or comment, and not only
+assigned) somewhere in src, tests, scripts or perfbench.
+
+Attributes are matched by name alone, whatever object they are read from.
+So an attribute that shares its name with one read elsewhere passes
+unchecked: a ``self.T`` would count as read wherever numpy's ``.T`` is.
+"""
 
 import ast
 from pathlib import Path
@@ -15,14 +20,24 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _module_constants(tree: ast.Module):
-    for node in tree.body:
+def _assigned_names(body, annotated: bool):
+    """Names bound in ``body`` by plain assignments, and by annotated ones too
+    if ``annotated`` (in a class body those are dataclass fields, which the
+    dataclass machinery reads)."""
+    for node in body:
         targets = node.targets if isinstance(node, ast.Assign) else \
-            [node.target] if isinstance(node, ast.AnnAssign) else []
+            [node.target] if annotated and isinstance(node, ast.AnnAssign) else []
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name):
                     yield name.id
+
+
+def _self_attributes(tree: ast.Module):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.attr
 
 
 def test_every_definition_is_referenced():
@@ -33,12 +48,15 @@ def test_every_definition_is_referenced():
         tree = ast.parse(path.read_text())
         where = path.relative_to(ROOT).as_posix()
         if in_package:
-            defined.update((where, name) for name in _module_constants(tree)
-                           if not _dunder(name))
+            names = [*_assigned_names(tree.body, True), *_self_attributes(tree)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    names += _assigned_names(node.body, False)
+            defined.update((where, name) for name in names if not _dunder(name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name.rpartition(".")[2])

@@ -74,11 +74,9 @@ def test_theta1_jet_matches_finite_differences(n):
 
 def test_theta_jet_of_second_angle():
     geo = SwitchingGeometry(n=2)
-    j1 = geo.theta_jet(1, 1.1, 2)
-    j2 = geo.theta_jet(2, 1.1, 2)
+    j1, j2 = geo.theta_jets(1.1, 2)
     assert j2.value == pytest.approx(math.pi - j1.value, abs=1e-14)
     assert j2.derivative(1) == pytest.approx(-j1.derivative(1), abs=1e-14)
     geo3 = SwitchingGeometry(n=3)
-    j23 = geo3.theta_jet(2, 1.1, 2)
-    j13 = geo3.theta_jet(1, 1.1, 2)
+    j13, j23 = geo3.theta_jets(1.1, 2)
     assert j23.derivative(1) == pytest.approx(j13.derivative(1), abs=1e-14)

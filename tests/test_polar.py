@@ -138,7 +138,7 @@ def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
     field = build_polar_field(cfg)
     for theta in (0.9, np.linspace(0.1, 6.0, 9)):
         for order in range(cfg.k):
-            full = field.f_all(sign, Jet.variable(1.3, order, var="r"), theta)
+            full = field.f_all(sign, Jet.variable(1.3, order), theta)
             part = field.f_r_jets(sign, 1.3, theta, order)
             assert len(part) == order + 1
             assert all(_same(a, b) for a, b in zip(part, full))
@@ -152,10 +152,9 @@ def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     field = build_polar_field(cfg)
     r, t0 = 0.8, 2.3
     # rectangular reference: every r-coefficient carries the full t-order
-    tj = Jet.variable(t0, degree, var="t")
-    rj = Jet([Jet.constant(r, degree, var="t"), Jet.constant(1.0, degree, var="t")],
-             order=degree, var="r")
-    rect = field.f_all(-1, rj, Jet.constant(tj, degree, var="r"))
+    tj = Jet.variable(t0, degree)
+    rj = Jet([Jet.constant(r, degree), Jet.constant(1.0, degree)], order=degree)
+    rect = field.f_all(-1, rj, Jet.constant(tj, degree))
     tri = field.f_nested_jets(-1, r, t0, degree)
     assert len(tri) == degree + 1
     # entry i keeps total degree degree + 1 - i, the most the recursion reads

@@ -1,16 +1,65 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melnlab import series
 from melnlab.series import (Jet, jet_atan, jet_cos, jet_exp, jet_log, jet_sin, jet_sincos,
                             jet_sqrt)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 positive = st.floats(min_value=0.2, max_value=3.0, allow_nan=False)
 coeff_lists = st.lists(finite, min_size=1, max_size=6)
+
+
+# each coefficient helper of the series module and the functions it must
+# match: the library's own for a float, an ndarray or an mpf, and the jet
+# function for a jet (sinh and cosh of a jet are half the difference and sum
+# of its exponentials)
+HELPERS = {
+    "_sincos": (("sin", "cos"), jet_sincos),
+    "_sinhcosh": (("sinh", "cosh"),
+                  lambda u: (0.5 * (jet_exp(u) - jet_exp(-u)), 0.5 * (jet_exp(u) + jet_exp(-u)))),
+    "_atan": (("atan",), jet_atan),
+    "_exp": (("exp",), jet_exp),
+    "_log": (("log",), jet_log),
+    "_sqrt": (("sqrt",), jet_sqrt),
+}
+ARGUMENTS = {
+    "float": (0.7, math),
+    "ndarray": (np.array([0.3, 0.7, 1.9]), np),
+    "mpf": (mpmath.mpf("0.7"), mpmath),
+    "jet": (Jet([0.7, 0.4, -1.1, 0.25]), None),
+}
+
+
+def _as_tuple(v):
+    return v if isinstance(v, tuple) else (v,)
+
+
+def _bits(v):
+    if isinstance(v, Jet):
+        return [_bits(c) for c in v.c]
+    if isinstance(v, np.ndarray):
+        return v.dtype, v.shape, v.tobytes()
+    if isinstance(v, mpmath.mpf):
+        return v._mpf_
+    return v.hex()
+
+
+@pytest.mark.parametrize("kind", ARGUMENTS)
+@pytest.mark.parametrize("helper", HELPERS)
+def test_coefficient_helpers_follow_the_argument(helper, kind):
+    names, jet_fn = HELPERS[helper]
+    arg, lib = ARGUMENTS[kind]
+    got = getattr(series, helper)(arg)
+    want = jet_fn(arg) if lib is None else tuple(getattr(lib, name)(arg) for name in names)
+    for g, w in zip(_as_tuple(got), _as_tuple(want), strict=True):
+        assert type(g) is type(arg)
+        assert _bits(g) == _bits(w)
 
 
 def test_exp_series_coefficients():
@@ -73,7 +122,7 @@ def test_ndarray_coefficients_and_priority():
 def test_integer_power_skips_the_unused_square(monkeypatch, p):
     # square-and-multiply: one product per bit of p and one square between
     # bits, none after the top bit; the value is the repeated product's
-    z = Jet([0.7, -1.3, 0.4, 2.1], var="t")
+    z = Jet([0.7, -1.3, 0.4, 2.1])
     want = z
     for _ in range(p - 1):
         want = want * z
@@ -155,7 +204,7 @@ def _away_from_zero(g: Jet) -> Jet:
 
 def _triangle(jet: Jet, degree: int) -> Jet:
     """Nested t-in-r jet cut to total degree: r-coefficient L keeps t-order degree - L."""
-    return Jet([jet.c[L].truncate(degree - L) for L in range(degree + 1)], var=jet.var)
+    return Jet([jet.c[L].truncate(degree - L) for L in range(degree + 1)])
 
 
 def _nested(values, r_order, t_order):
