@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import BasisFunction, family
 from .errors import DomainError
+from .roots import brentq
 
 __all__ = [
     "ZeroRecord", "ZeroReport", "AccuracyVerdict", "wronskian", "wronskian_scaled",
@@ -325,10 +325,13 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         lo, hi = float(xs[idx]), float(xs[idx + 1])
         root = brentq(fscalar, lo, hi, xtol=1e-15, rtol=BISECT_RTOL)
         used += 60
+        # central difference, cut at the bracket ends: f may be undefined beyond
         h = max(abs(root), 1.0) * 1e-6
-        f_plus, f_minus = fscalar(root + h), fscalar(root - h)
+        x_minus, x_plus = max(root - h, lo), min(root + h, hi)
+        width = 2.0 * h if (x_minus, x_plus) == (root - h, root + h) else x_plus - x_minus
+        f_plus, f_minus = fscalar(x_plus), fscalar(x_minus)
         used += 2
-        deriv = (f_plus - f_minus) / (2.0 * h)
+        deriv = (f_plus - f_minus) / width
         bracket_mag = max(abs(float(ys[idx])), abs(float(ys[idx + 1])))
         # absolute floor for order-one scales; the secant comparison rescues
         # honestly transversal zeros of tiny-magnitude (rescaled) functions,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -114,6 +113,8 @@ def cmd_melnikov(args) -> int:
     xs = [float(x) for x in _grid_points(interval, grid)]
     payloads = [(config, orders, x) for x in xs]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_melnikov_point, payloads))
     else:
@@ -463,6 +464,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ConfigurationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

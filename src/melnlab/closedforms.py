@@ -376,6 +376,57 @@ def _kernel_residual(G: np.ndarray, proj_rows: np.ndarray):
     return fun, jac
 
 
+# Levenberg-Marquardt steps per start.  Near an order-3 solution, where J has
+# two singular values near 1e-16, convergence is only linear and takes several
+# hundred steps.
+LM_MAX_STEPS = 1000
+# Stop when the last LM_STALL_WINDOW steps cut |f| by less than 1 - LM_STALL_RATIO:
+# the structure search levels off near 1e-7 and would otherwise spend the cap.
+LM_STALL_WINDOW = 100
+LM_STALL_RATIO = 0.9
+
+
+def _levenberg_marquardt(fun, jac, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares minimizer ``(x, fun(x))`` of ``|fun|`` from ``x``.
+
+    Each damped step solves ``lstsq([J; sqrt(mu) I], [-f; 0])`` as in Moré
+    (1978), never the normal equations, whose squared condition number loses
+    the small singular values of J near the kernel solutions.  The damping
+    ``mu`` follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff 2004).
+    """
+    f = fun(x)
+    cost = float(f @ f)
+    J = jac(x)
+    mu = 1e-3 * float(np.max(np.sum(J * J, axis=0)))
+    nu = 2.0
+    eye, zeros = np.eye(len(x)), np.zeros(len(x))
+    norms = [math.sqrt(cost)]
+    for _ in range(LM_MAX_STEPS):
+        step = np.linalg.lstsq(np.vstack([J, math.sqrt(mu) * eye]),
+                               np.concatenate([-f, zeros]), rcond=None)[0]
+        Jh = J @ step
+        predicted = -float(Jh @ (2.0 * f + Jh))
+        x_new = x + step
+        f_new = fun(x_new)
+        cost_new = float(f_new @ f_new)
+        rho = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
+        if rho > 0.0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        norms.append(math.sqrt(cost))
+        if cost == 0.0 or mu > 1e300:     # exact zero, or no step is accepted any more
+            break
+        if (len(norms) > LM_STALL_WINDOW
+                and norms[-1] > LM_STALL_RATIO * norms[-1 - LM_STALL_WINDOW]):
+            break
+    return x, f
+
+
 def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
                              rng: np.random.Generator, starts: int, accept, *,
                              tol: float = 1e-11,
@@ -387,8 +438,6 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
     ``scale_rows`` is given, acceptance compares the residual against
     ``scale_rows @ m2(c1)`` instead of taking it absolutely.
     """
-    from scipy.optimize import least_squares
-
     V = v_map_matrix(n)
     _, _, vt = np.linalg.svd(V)
     null = vt[V.shape[0]:]
@@ -398,15 +447,13 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
     for _ in range(starts):
         c0 = rng.standard_normal(null.shape[0])
         c0 /= np.linalg.norm(c0)
-        sol = least_squares(fun, c0, jac=jac, xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                            max_nfev=1200)
-        norm = np.linalg.norm(sol.fun[:-1])
+        c, f = _levenberg_marquardt(fun, jac, c0)
+        norm = np.linalg.norm(f[:-1])
         if scale_rows is not None:
-            norm /= max(np.linalg.norm(scale_rows @ np.einsum("i,j,ijg->g", sol.x, sol.x, G)),
-                        1e-300)
+            norm /= max(np.linalg.norm(scale_rows @ np.einsum("i,j,ijg->g", c, c, G)), 1e-300)
         if norm > tol:
             continue
-        cfg = accept(null.T @ sol.x)
+        cfg = accept(null.T @ c)
         if cfg is not None:
             return cfg
     return None

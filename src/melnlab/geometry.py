@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
+from .roots import brentq
 from .series import Jet, jet_sincos
 
 __all__ = ["R_MIN", "SwitchingGeometry", "crossing_abscissa", "switching_angles",

@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import OrderCoefficients, SystemConfig
 from .errors import DomainError, EscapeError, EventDegeneracyError, NumericalError
+from .roots import brentq
 from .series import Jet, _exp, _magnitude, _sincos, _sinhcosh, _sqrt
 
 __all__ = ["TrajectorySegment", "PoincareResult", "LimitCycle", "CycleSearch",

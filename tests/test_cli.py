@@ -144,11 +144,25 @@ def test_ceiling_scan_blocks_match_one_batch(n):
     ["melnikov", "--orders", "1,,2"],
     ["cheb", "--family", "F7", "--k", "0", "--lam", "1"],
     ["cheb", "--family", "F2", "--k", "-1"],
-], ids=["empty-order", "F7-k0", "F2-negative-k"])
+    ["melnikov", "--seed", "-1"],
+    ["cheb", "--family", "F5", "--seed", "-1"],
+    ["reproduce", "--case", "m1_n1", "--seed", "-1"],
+], ids=["empty-order", "F7-k0", "F2-negative-k", "melnikov-negative-seed",
+        "cheb-negative-seed", "reproduce-negative-seed"])
 def test_bad_input_is_a_configuration_error(tmp_path, demo_config, argv):
     if argv[0] == "melnikov":
         argv = argv + ["--config", str(demo_config)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+
+
+def test_cheb_simplicity_probe_stays_in_the_domain(tmp_path):
+    # W_3 of F5^1 has zeros near 1e-108, where root - 1e-6 is negative and
+    # outside the family's domain x > 0; the probe must stay in the bracket
+    out = tmp_path / "o"
+    code = main(["cheb", "--family", "F5", "--k", "1", "--interval", "1e-300:1",
+                 "--out", str(out)])
+    assert code in (0, 2)
+    assert (out / "verdict.json").exists()
 
 
 def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, monkeypatch):

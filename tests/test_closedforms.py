@@ -6,7 +6,8 @@ import pytest
 
 from conftest import random_config
 from melnlab import recursion
-from melnlab.closedforms import (VCoefficients, _kernel_residual, _m2_on_grid, _oc_from_vec,
+from melnlab.closedforms import (LM_MAX_STEPS, VCoefficients, _kernel_residual,
+                                 _levenberg_marquardt, _m2_on_grid, _oc_from_vec,
                                  _polarized_second_order, config_from_v, cov_r_of_x,
                                  cov_x_of_r, fit_to_span, m1_closed, q_denominator, q_poly,
                                  sign_pattern_search, structural_span,
@@ -187,6 +188,52 @@ def test_kernel_residual_jacobian_matches_central_difference(rng):
                                    for e in np.eye(d)])
         assert jac(c).shape == (rows + 1, d)
         assert np.max(np.abs(jac(c) - central)) <= 1e-8 * np.max(np.abs(central))
+
+
+def test_levenberg_marquardt_reaches_a_planted_kernel_zero(rng):
+    # proj_rows annihilate M_2(c_star) = c_star G c_star, so the residual has
+    # an isolated zero at the unit vector c_star; start near it
+    d, g = 9, 14
+    G = rng.standard_normal((d, d, g))
+    G = G + G.transpose(1, 0, 2)
+    c_star = rng.standard_normal(d)
+    c_star /= np.linalg.norm(c_star)
+    m = np.einsum("i,j,ijg->g", c_star, c_star, G)
+    proj = np.eye(g) - np.outer(m, m) / (m @ m)
+    fun, jac = _kernel_residual(G, proj)
+    c0 = c_star + 0.05 * rng.standard_normal(d)
+    c, f = _levenberg_marquardt(fun, jac, c0 / np.linalg.norm(c0))
+    assert np.array_equal(f, fun(c))
+    assert np.linalg.norm(f) <= 1e-11
+    assert min(np.linalg.norm(c - c_star), np.linalg.norm(c + c_star)) <= 1e-9
+
+
+def test_levenberg_marquardt_reaches_a_singular_zero():
+    # M_2(c) = (c_0 - c_1)^2 has a double zero on the unit circle at
+    # +-(1, 1)/sqrt(2), where J is rank-deficient and convergence only linear
+    G = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    fun, jac = _kernel_residual(G, np.eye(1))
+    c, f = _levenberg_marquardt(fun, jac, np.array([1.0, 0.0]))
+    assert np.linalg.norm(f) <= 1e-11
+
+
+def test_levenberg_marquardt_stops_on_a_residual_floor():
+    # the large-residual problem f = (x + 1, 0.99 x^2 + x - 1) has its
+    # least-squares minimum |f| = sqrt(2) at x = 0, which Gauss-Newton steps
+    # approach only linearly, at rate 0.99; without the stall stop the run
+    # spends the whole step cap
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return np.array([x[0] + 1.0, 0.99 * x[0] ** 2 + x[0] - 1.0])
+
+    def jac(x):
+        return np.array([[1.0], [1.98 * x[0] + 1.0]])
+
+    _, f = _levenberg_marquardt(fun, jac, np.array([1.0]))
+    assert np.linalg.norm(f) == pytest.approx(math.sqrt(2.0), rel=1e-6)
+    assert len(calls) < LM_MAX_STEPS // 2
 
 
 def test_searches_leave_the_recursion_to_verify(monkeypatch):
