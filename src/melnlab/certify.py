@@ -323,7 +323,10 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
             flags.append("budget-exhausted-during-bisection")
             break
         lo, hi = float(xs[idx]), float(xs[idx + 1])
-        root = brentq(fscalar, lo, hi, xtol=1e-15, rtol=BISECT_RTOL)
+        # absolute 1e-15 above 1e-3, relative below, so that brackets near
+        # tiny zeros are still refined; the floor keeps xtol positive
+        xtol = max(min(1e-15, BISECT_RTOL * max(abs(lo), abs(hi))), math.ulp(0.0))
+        root = brentq(fscalar, lo, hi, xtol=xtol, rtol=BISECT_RTOL)
         used += 60
         # central difference, cut at the bracket ends: f may be undefined beyond
         h = max(abs(root), 1.0) * 1e-6

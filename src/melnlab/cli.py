@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .basis import family, family_G, family_H_pencil, family_H8, family_J0
 from .certify import certify_family, prop4_witness, prop5_witness, wronskian_scaled
-from .closedforms import (VCoefficients, config_from_v, cov_r_of_x, fit_to_span,
-                          m1_closed, sign_pattern_search)
+from .closedforms import (config_from_v, cov_r_of_x, fit_to_span, m1_closed, q_basis,
+                          q_values, sign_pattern_search)
 from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
 from .recursion import melnikov, melnikov_all
@@ -48,7 +48,6 @@ class RunManifest:
     case: str | None
     out_dir: str
     seed: int
-    workers: int
     version: str = __version__
 
 
@@ -78,10 +77,9 @@ def _grid_points(interval, spec) -> np.ndarray:
     return np.geomspace(a, b, count) if kind == "log" else np.linspace(a, b, count)
 
 
-def _melnikov_point(payload):
+def _melnikov_point(config, orders, x):
     """([M_1(x), ..., M_max(x)], {order: CSV row}) at one grid point, from one
     recursion table and one oracle jet pass, both of the highest order."""
-    config, orders, x = payload
     values = melnikov_all(config, x, max(orders))
     est = extract_melnikov(x, max(orders), config)
     rows = {}
@@ -107,18 +105,10 @@ def cmd_melnikov(args) -> int:
         if not 1 <= i <= config.k:
             raise ConfigurationError(f"order {i} outside the config's 1..{config.k}")
     out = Path(args.out)
-    workers = max(1, args.workers)
     _write_manifest(out, args, "melnikov", interval=interval, orders=orders)
 
     xs = [float(x) for x in _grid_points(interval, grid)]
-    payloads = [(config, orders, x) for x in xs]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_melnikov_point, payloads))
-    else:
-        points = [_melnikov_point(p) for p in payloads]
+    points = [_melnikov_point(config, orders, x) for x in xs]
     worst_gap = 0.0
     curves = []
     for i in orders:
@@ -223,28 +213,8 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
     return np.sum(sgn[..., :-1] * sgn[..., 1:] < 0, axis=-1)
 
 
-def _random_v(rng, n):
-    case = "odd" if n % 2 == 1 else "even"
-    dim = 3 if case == "odd" else 4
-    return VCoefficients(case, tuple(rng.uniform(-1.0, 1.0, dim)))
-
-
-def _q_fn(v: VCoefficients, n: int):
-    from .closedforms import q_basis
-
-    funcs = q_basis(n)
-
-    def fn(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return sum(c * g(xs) for c, g in zip(v.values, funcs))
-
-    return fn
-
-
 def _ceiling_scan(n: int, ceiling: int, rng):
     """Zero-count ceiling over random reduced coefficients, batched."""
-    from .closedforms import q_basis
-
     xs = np.geomspace(1e-3, 1e3, 2048)
     design = np.column_stack([g(xs) for g in q_basis(n)])
     dim = design.shape[1]
@@ -255,7 +225,7 @@ def _ceiling_scan(n: int, ceiling: int, rng):
     return worst, worst <= ceiling
 
 
-def _case_m1_counts(out, seed, n_list, targets):
+def _case_m1_counts(seed, n_list, targets):
     rng = np.random.default_rng(seed)
     lines = []
     ok = True
@@ -268,8 +238,7 @@ def _case_m1_counts(out, seed, n_list, targets):
                 lines.append(f"n={n}: FAILED to realize {target} simple zeros")
                 continue
             v, zeros = found
-            artifacts[f"n{n}_realization"] = {
-                "v": list(v.values), "zeros": list(zeros)}
+            artifacts[f"n{n}_realization"] = {"v": list(v), "zeros": list(zeros)}
             lines.append(f"n={n}: {len(zeros)} simple zeros realized at "
                          + ", ".join(f"{z:.6g}" for z in zeros))
         else:
@@ -277,8 +246,8 @@ def _case_m1_counts(out, seed, n_list, targets):
             xs = np.geomspace(1e-3, 1e3, 2048)
             realized = 0
             for _ in range(200):
-                v = _random_v(rng_local, n)
-                realized = max(realized, int(_sign_changes(_q_fn(v, n)(xs))))
+                v = rng_local.uniform(-1.0, 1.0, len(q_basis(n)))
+                realized = max(realized, int(_sign_changes(q_values(v, n, xs))))
                 if realized >= 1:
                     break
             lines.append(f"n={n}: {realized} zero realized (degree-one reduced polynomial)")
@@ -291,7 +260,7 @@ def _case_m1_counts(out, seed, n_list, targets):
     return ok, lines, artifacts
 
 
-def _case_m2_n3_structure(out, seed):
+def _case_m2_n3_structure(seed):
     from .closedforms import table3_structure_config
 
     cfg = table3_structure_config(3, seed=seed)
@@ -310,7 +279,7 @@ def _case_m2_n3_structure(out, seed):
     return ok, lines, artifacts
 
 
-def _case_prop4(out, seed):
+def _case_prop4():
     res = prop4_witness()
     ok = res.count == 8
     lines = [f"{res.count} simple zeros on (0, 50); expected 8: {'PASS' if ok else 'FAIL'}"]
@@ -322,7 +291,7 @@ def _case_prop4(out, seed):
     return ok, lines, artifacts
 
 
-def _case_prop5(out, seed):
+def _case_prop5():
     res = prop5_witness(2)
     ladder = res.sign_ladder
     ladder_ok = (ladder["g(0)"] > 0 and ladder["g(1/2)"] < 0
@@ -344,7 +313,7 @@ def _case_prop5(out, seed):
     return ok, lines, artifacts
 
 
-def _case_cycles(out, seed):
+def _case_cycles(seed):
     eps = 1e-4
     found = sign_pattern_search(2, 3, seed=seed)
     if found is None:
@@ -365,7 +334,7 @@ def _case_cycles(out, seed):
     worst = max(corr)
     if worst > 1.0:
         scale = 1.0 / worst
-        v = VCoefficients(v.case, tuple(scale * c for c in v.values))
+        v = tuple(scale * c for c in v)
         cfg = config_from_v(v, 2, k=2)
     search = find_limit_cycles(eps, cfg, r_zeros, melnikov_zeros=r_zeros, order=1)
     ok = len(search.cycles) == 3 and all(
@@ -377,7 +346,7 @@ def _case_cycles(out, seed):
             f"|x*-zero|={abs(c.x_star - c.melnikov_zero):.2e} (<=5eps={5 * eps:.0e}) "
             f"deriv={c.derivative:.6f} {'stable' if c.stable else 'unstable'}")
     lines.extend(search.diagnostics)
-    artifacts = {"cycles": [c.to_dict() for c in search.cycles], "v": list(v.values),
+    artifacts = {"cycles": [c.to_dict() for c in search.cycles], "v": list(v),
                  "zeros_x": list(zeros), "zeros_r": r_zeros}
     return ok, lines, artifacts
 
@@ -389,14 +358,14 @@ def cmd_reproduce(args) -> int:
     _write_manifest(out, args, "reproduce", case=args.case)
     seed = args.seed
     runner = {
-        "m1_n1": lambda: _case_m1_counts(out, seed, [1], [1]),
-        "m1_n2": lambda: _case_m1_counts(out, seed, [2], [3]),
-        "m1_odd": lambda: _case_m1_counts(out, seed, [3, 5], [3, 3]),
-        "m1_even": lambda: _case_m1_counts(out, seed, [4], [4]),
-        "m2_n3_structure": lambda: _case_m2_n3_structure(out, seed),
-        "prop4": lambda: _case_prop4(out, seed),
-        "prop5_k2": lambda: _case_prop5(out, seed),
-        "cycles_n2_l1": lambda: _case_cycles(out, seed),
+        "m1_n1": lambda: _case_m1_counts(seed, [1], [1]),
+        "m1_n2": lambda: _case_m1_counts(seed, [2], [3]),
+        "m1_odd": lambda: _case_m1_counts(seed, [3, 5], [3, 3]),
+        "m1_even": lambda: _case_m1_counts(seed, [4], [4]),
+        "m2_n3_structure": lambda: _case_m2_n3_structure(seed),
+        "prop4": _case_prop4,
+        "prop5_k2": _case_prop5,
+        "cycles_n2_l1": lambda: _case_cycles(seed),
     }[args.case]
     ok, lines, artifacts = runner()
     status = "PASS" if ok else "FAIL"
@@ -420,7 +389,6 @@ def _write_manifest(out: Path, args, command: str, interval=None, orders=None, c
         case=case,
         out_dir=str(out),
         seed=args.seed,
-        workers=max(1, args.workers),
     )
     write_json(out / "manifest.json", asdict(manifest))
 
@@ -435,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--workers", type=int, default=1, help="worker pool size")
 
     p = sub.add_parser("melnikov", parents=[common],
                        help="tabulate Melnikov orders with a simulation oracle")

@@ -14,37 +14,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisFunction, family, u
+from .basis import family, u
 from .config import OrderCoefficients, SystemConfig
 from .errors import ConfigurationError, DomainError
 from .geometry import crossing_abscissa, switching_angles
 
 __all__ = [
-    "VCoefficients", "SpanFit", "v_coefficients", "config_from_v", "m1_closed",
-    "cov_x_of_r", "cov_r_of_x", "q_poly", "q_denominator", "structural_span",
-    "fit_to_span", "sign_pattern_search", "q_basis", "v_map_matrix",
-    "first_order_image", "v_zero_coefficients", "vanishing_order_config",
-    "table3_structure_config",
+    "SpanFit", "v_coefficients", "config_from_v", "m1_closed", "cov_x_of_r",
+    "cov_r_of_x", "q_values", "q_denominator", "structural_span", "fit_to_span",
+    "sign_pattern_search", "q_basis", "v_map_matrix", "first_order_image",
+    "v_zero_coefficients", "vanishing_order_config", "table3_structure_config",
 ]
 
 
-@dataclass(frozen=True)
-class VCoefficients:
-    """Reduced first-order coefficients (v_0..v_2 odd case, v_0..v_3 even)."""
-
-    case: str  # 'odd' or 'even'
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        expected = 3 if self.case == "odd" else 4
-        if self.case not in ("odd", "even"):
-            raise ConfigurationError(f"case must be 'odd' or 'even', got {self.case!r}")
-        if len(self.values) != expected:
-            raise ConfigurationError(f"{self.case} case needs {expected} values")
-
-
-def v_coefficients(config: SystemConfig) -> VCoefficients:
-    """Reduced coefficients of the first perturbation order."""
+def v_coefficients(config: SystemConfig) -> tuple[float, ...]:
+    """Reduced coefficients of the first perturbation order: (v_0, v_1, v_2)
+    for odd n, (v_0, .., v_3) for even n.  The only written-out copy of the
+    map; ``v_map_matrix`` is built from it."""
     oc = config.order(1)
     a0, a1, _ = oc.a
     b0, _, b2 = oc.b
@@ -52,23 +38,20 @@ def v_coefficients(config: SystemConfig) -> VCoefficients:
     be0, _, be2 = oc.beta
     s = a1 + al1 + b2 + be2
     if config.n % 2 == 1:
-        return VCoefficients("odd", (4.0 * (be0 - b0), -math.pi * s, 4.0 * (a0 - al0)))
-    return VCoefficients("even", (-0.5 * math.pi * s, a1 - al1 - b2 + be2,
-                                  a1 - al1 + b2 - be2, 2.0 * (be0 - b0)))
+        return (4.0 * (be0 - b0), -math.pi * s, 4.0 * (a0 - al0))
+    return (-0.5 * math.pi * s, a1 - al1 - b2 + be2, a1 - al1 + b2 - be2, 2.0 * (be0 - b0))
 
 
-def config_from_v(v: VCoefficients, n: int, k: int = 1) -> SystemConfig:
+def config_from_v(v, n: int, k: int = 1) -> SystemConfig:
     """A config realizing the reduced coefficients at order 1 (closed form)."""
-    if v.case == "odd":
-        if n % 2 != 1:
-            raise ConfigurationError("odd-case coefficients need odd n")
-        v0, v1, v2 = v.values
+    if len(v) != len(q_basis(n)):
+        raise ConfigurationError(f"n = {n} needs {len(q_basis(n))} reduced coefficients")
+    if n % 2 == 1:
+        v0, v1, v2 = v
         oc = OrderCoefficients(a=(v2 / 4.0, -v1 / math.pi, 0.0),
                                beta=(v0 / 4.0, 0.0, 0.0))
     else:
-        if n % 2 != 0:
-            raise ConfigurationError("even-case coefficients need even n")
-        v0, v1, v2, v3 = v.values
+        v0, v1, v2, v3 = v
         a1 = 0.5 * (v1 + v2)
         half_diff = 0.5 * (v2 - v1)              # b2 - beta2
         half_sum = -2.0 * v0 / math.pi - a1      # b2 + beta2
@@ -80,18 +63,17 @@ def config_from_v(v: VCoefficients, n: int, k: int = 1) -> SystemConfig:
     return SystemConfig(n=n, k=k, orders=orders)
 
 
+def _m1_weight(n: int) -> float:
+    """M_1 = _m1_weight(n) * first_order_image(n, rs) @ v_coefficients."""
+    return 0.5 if n % 2 == 1 else 1.0
+
+
 def m1_closed(config: SystemConfig, r: float) -> float:
     """First-order Melnikov function in the section coordinate r."""
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r}")
-    theta1, _ = switching_angles(r, config.n)
-    v = v_coefficients(config)
-    if v.case == "odd":
-        v0, v1, v2 = v.values
-        return 0.5 * (v0 * math.cos(theta1) + r * v1 + v2 * math.sin(theta1))
-    v0, v1, v2, v3 = v.values
-    return (r * v0 + r * v1 * math.sin(theta1) * math.cos(theta1)
-            + r * v2 * theta1 + v3 * math.cos(theta1))
+    row = first_order_image(config.n, [r])[0]
+    return float(_m1_weight(config.n) * sum(c * b for c, b in zip(v_coefficients(config), row)))
 
 
 def cov_x_of_r(r: float, n: int) -> float:
@@ -118,20 +100,12 @@ def q_denominator(x, n: int):
     return out if out.ndim else float(out)
 
 
-def q_poly(config: SystemConfig, x: float) -> float:
-    """Numerator q_1^k (odd n) or q_2^k (even n) at the transformed variable."""
-    if x <= 0.0:
-        raise DomainError(f"abscissa must be positive, got {x}")
-    v = v_coefficients(config)
-    n = config.n
-    if v.case == "odd":
-        k = (n - 1) // 2
-        v0, v1, v2 = v.values
-        return v1 * u(12, k)(x) + v2 * u(4, k)(x) + v0 * u(1, k)(x)
-    k = n // 2
-    v0, v1, v2, v3 = v.values
-    return (v0 * u(13, k)(x) + v1 * u(5, k)(x)
-            + v2 * u(15, k)(x) + v3 * u(2, k)(x))
+def q_values(v, n: int, xs) -> np.ndarray:
+    """Numerator q_1^k (odd n) or q_2^k (even n) of the reduced coefficients
+    ``v``, as an array over the transformed variable(s) ``xs``;
+    M_1 = q / q_denominator."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return sum(c * g(xs) for c, g in zip(v, q_basis(n)))
 
 
 # -- structural spans of the higher orders -------------------------------------
@@ -231,7 +205,7 @@ def fit_to_span(samples, n: int, ell: int) -> SpanFit:
 
 
 def q_basis(n: int) -> list:
-    """Ordered numerator basis matching the VCoefficients layout."""
+    """Ordered numerator basis matching the layout of ``v_coefficients``."""
     if n % 2 == 1:
         k = (n - 1) // 2
         return [u(1, k), u(12, k), u(4, k)]
@@ -250,23 +224,15 @@ def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
     Targets alternating signs at zero_count+1 log-uniform interlaced points
     (scaled by the local basis magnitude so the least-squares problem is
     balanced), then confirms the count by zero isolation.  Returns
-    (VCoefficients, zero locations) or None when the trial budget runs out.
+    (reduced coefficients, zero locations) or None when the trial budget runs out.
     """
     from .certify import isolate_zeros
 
     rng = np.random.default_rng(seed)
     funcs = q_basis(n)
-    case = "odd" if n % 2 == 1 else "even"
     a, b = SEARCH_INTERVAL
     npts = zero_count + 1
     signs = np.array([(-1.0) ** m for m in range(npts)])
-
-    def q_of(vv):
-        def f(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            val = sum(c * g(xs) for c, g in zip(vv, funcs))
-            return val if np.ndim(x) else float(val[0])
-        return f
 
     for _ in range(SEARCH_TRIALS):
         pts = np.sort(np.exp(rng.uniform(math.log(a), math.log(b), size=npts)))
@@ -279,31 +245,25 @@ def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
         achieved = design @ vv
         if np.any(np.sign(achieved) != signs):
             continue
-        report = isolate_zeros(q_of(vv), a / 4.0, b * 4.0, budget=40_000, initial=2048)
+        report = isolate_zeros(lambda x: q_values(vv, n, x), a / 4.0, b * 4.0,
+                               budget=40_000, initial=2048)
         simple = [z for z in report.zeros if z.simple]
         if len(simple) == zero_count and report.count == zero_count:
-            return (VCoefficients(case, tuple(float(c) for c in vv)),
-                    tuple(z.location for z in simple))
+            return tuple(float(c) for c in vv), tuple(z.location for z in simple)
     return None
 
 
 def v_map_matrix(n: int) -> np.ndarray:
-    """Reduced coefficients as a linear map of the 12 order coefficients.
+    """Reduced coefficients as a linear map of the 12 order coefficients:
+    ``v_coefficients`` applied to the unit blocks.  ``+ 0.0`` turns the
+    ``-pi * 0`` entries into +0: the SVD's last bits depend on zero signs.
 
     Coefficient layout: [a0,a1,a2, b0,b1,b2, alpha0,alpha1,alpha2,
     beta0,beta1,beta2].
     """
-    rows = []
-    if n % 2 == 1:
-        r = np.zeros(12); r[9] = 4.0; r[3] = -4.0; rows.append(r)
-        r = np.zeros(12); r[[1, 7, 5, 11]] = -math.pi; rows.append(r)
-        r = np.zeros(12); r[0] = 4.0; r[6] = -4.0; rows.append(r)
-    else:
-        r = np.zeros(12); r[[1, 7, 5, 11]] = -0.5 * math.pi; rows.append(r)
-        r = np.zeros(12); r[1] = 1.0; r[7] = -1.0; r[5] = -1.0; r[11] = 1.0; rows.append(r)
-        r = np.zeros(12); r[1] = 1.0; r[7] = -1.0; r[5] = 1.0; r[11] = -1.0; rows.append(r)
-        r = np.zeros(12); r[9] = 2.0; r[3] = -2.0; rows.append(r)
-    return np.array(rows)
+    columns = [v_coefficients(SystemConfig(n=n, k=1, orders=(_oc_from_vec(e),)))
+               for e in np.eye(12)]
+    return np.array(columns).T + 0.0
 
 
 def _oc_from_vec(v) -> OrderCoefficients:
@@ -311,8 +271,10 @@ def _oc_from_vec(v) -> OrderCoefficients:
                              alpha=tuple(v[6:9]), beta=tuple(v[9:12]))
 
 
-def first_order_image(n: int, rs: np.ndarray) -> np.ndarray:
-    """Design matrix of the functions reachable by a first-order average."""
+def first_order_image(n: int, rs) -> np.ndarray:
+    """Design matrix of the functions reachable by a first-order average, one
+    column per reduced coefficient."""
+    rs = np.asarray(rs, dtype=float)
     theta1 = np.array([switching_angles(r, n)[0] for r in rs])
     if n % 2 == 1:
         return np.column_stack([np.cos(theta1), rs, np.sin(theta1)])
@@ -328,6 +290,11 @@ def v_zero_coefficients(n: int, rng: np.random.Generator) -> OrderCoefficients:
     vec = null.T @ rng.standard_normal(null.shape[0])
     vec *= 1.0 / max(np.max(np.abs(vec)), 1e-12)
     return _oc_from_vec(vec)
+
+
+def _cancelling_block(n: int, coef) -> OrderCoefficients:
+    """Order block whose M_1 is ``-first_order_image(n, rs) @ coef``."""
+    return config_from_v(-np.asarray(coef) / _m1_weight(n), n).order(1)
 
 
 def _m2_on_grid(n: int, rs: np.ndarray):
@@ -508,17 +475,11 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
     B = first_order_image(n, rs)
     Q, _ = np.linalg.qr(B)
     proj = np.eye(len(rs)) - Q @ Q.T
-    case = "odd" if n % 2 == 1 else "even"
     m2 = _m2_on_grid(n, rs)
 
     def accept(c1):
         coef, *_ = np.linalg.lstsq(B, m2(c1), rcond=None)
-        if case == "odd":
-            cancel = VCoefficients(case, tuple(-2.0 * c for c in coef))
-        else:
-            cancel = VCoefficients(case, tuple(-c for c in coef))
-        c2 = config_from_v(cancel, n).order(1)
-        cfg = pad({1: _oc_from_vec(c1), 2: c2})
+        cfg = pad({1: _oc_from_vec(c1), 2: _cancelling_block(n, coef)})
         checks = [melnikov_all(cfg, r, 3) for r in (0.8, 1.3)]
         lower = max(abs(m) for ms in checks for m in ms[:2])
         m3 = min(abs(ms[2]) for ms in checks)
@@ -557,7 +518,6 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     combined = np.column_stack([design, denv[:, None] * image])
     Q, _ = np.linalg.qr(combined)
     proj = (np.eye(len(rs_x)) - Q @ Q.T) @ np.diag(denv)
-    case = "odd" if n % 2 == 1 else "even"
     m2 = _m2_on_grid(n, rs)
     screen_xs = np.geomspace(*STRUCTURE_SCREEN)
     screen_m2 = _m2_on_grid(n, np.array([cov_r_of_x(float(x), n) for x in screen_xs]))
@@ -567,12 +527,7 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
         if np.linalg.norm(m2_first) < 1e-3:
             return None
         coef, *_ = np.linalg.lstsq(combined, denv * m2_first, rcond=None)
-        img = coef[len(fam):]
-        if case == "odd":
-            cancel = VCoefficients(case, tuple(-2.0 * c for c in img))
-        else:
-            cancel = VCoefficients(case, tuple(-c for c in img))
-        c2 = config_from_v(cancel, n).order(1)
+        c2 = _cancelling_block(n, coef[len(fam):])
         if np.linalg.norm(m2(c1, c2)) < 1e-3:
             return None
         screen = list(zip(screen_xs, screen_m2(c1, c2)))

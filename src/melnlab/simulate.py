@@ -401,6 +401,10 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
                       melnikov_zeros=None, order: int | None = None) -> CycleSearch:
     """Damped Newton on the displacement from each seed; deduplicated.
 
+    Stops once the Newton step is at most NEWTON_TOL * max(1, |x|).  The
+    displacement, about eps^m M_m, would be no test: for small eps^m it is
+    small far from the cycle too.
+
     At eps = 0 every point is fixed (period annulus): the function reports no
     isolated cycles in that case.  Diverging seeds are skipped with a note in
     ``diagnostics``.
@@ -422,6 +426,9 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
                 if slope == 0.0:
                     break
                 step = -d / slope
+                if abs(step) <= NEWTON_TOL * max(1.0, abs(x)):
+                    converged = True
+                    break
                 lam = 1.0
                 while lam > 1.0 / 64.0:
                     x_new = x + lam * step
@@ -433,14 +440,11 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
                 else:
                     break
                 x, d = x_new, d_new
-                if abs(d) <= NEWTON_TOL:
-                    converged = True
-                    break
         except (EscapeError, NumericalError, EventDegeneracyError, DomainError) as exc:
             diagnostics.append(f"seed {seed}: {exc}")
             continue
         if not converged:
-            diagnostics.append(f"seed {seed}: Newton did not reach |displacement| <= {NEWTON_TOL}")
+            diagnostics.append(f"seed {seed}: Newton step did not fall to {NEWTON_TOL} max(1, |x|)")
             continue
         if any(abs(x - c.x_star) < CYCLE_DEDUPE for c in results):
             continue

@@ -101,10 +101,10 @@ def test_ac03_simulation_cross_check(rng):
 def test_ac04_theorem_a_realizations():
     from melnlab.cli import _case_m1_counts
 
-    ok1, lines1, _ = _case_m1_counts(None, 1, [1], [1])
-    ok2, lines2, _ = _case_m1_counts(None, 1, [2], [3])
-    ok3, lines3, _ = _case_m1_counts(None, 1, [3, 5], [3, 3])
-    ok4, lines4, _ = _case_m1_counts(None, 1, [4], [4])
+    ok1, lines1, _ = _case_m1_counts(1, [1], [1])
+    ok2, lines2, _ = _case_m1_counts(1, [2], [3])
+    ok3, lines3, _ = _case_m1_counts(1, [3, 5], [3, 3])
+    ok4, lines4, _ = _case_m1_counts(1, [4], [4])
     ok = ok1 and ok2 and ok3 and ok4
     report(4, ok, "simple-zero realizations 1/3/3/4/3 for n=1/2/3/4/5 and 1000-config "
                   "ceilings - " + " | ".join(lines1 + lines2 + lines3 + lines4))
@@ -113,7 +113,7 @@ def test_ac04_theorem_a_realizations():
 def test_ac05_limit_cycles():
     from melnlab.cli import _case_cycles
 
-    ok, lines, artifacts = _case_cycles(None, 1)
+    ok, lines, artifacts = _case_cycles(1)
     cycles = artifacts.get("cycles", [])
     gaps = [abs(c["x_star"] - c["melnikov_zero"]) for c in cycles]
     report(5, ok, f"n=2 three-zero config at eps=1e-4: {len(cycles)} cycles, "
@@ -123,7 +123,7 @@ def test_ac05_limit_cycles():
 def test_ac06_prop4_witness():
     from melnlab.cli import _case_prop4
 
-    ok, lines, artifacts = _case_prop4(None, 1)
+    ok, lines, artifacts = _case_prop4()
     note = artifacts.get("sensitivity_note")
     report(6, ok, f"printed coefficients give {len(artifacts['zeros'])} simple zeros "
                   f"on (0, 50); sensitivity note: {note or 'not needed'}")
@@ -132,7 +132,7 @@ def test_ac06_prop4_witness():
 def test_ac07_prop5_staging():
     from melnlab.cli import _case_prop5
 
-    ok, lines, artifacts = _case_prop5(None, 1)
+    ok, lines, artifacts = _case_prop5()
     report(7, ok, " | ".join(lines))
 
 

@@ -242,6 +242,16 @@ def test_isolate_handles_wide_dynamic_range():
         assert z.simple
 
 
+def test_isolate_refines_a_zero_at_a_tiny_scale():
+    # the bracket around 3e-108 is far narrower than an absolute 1e-15, so
+    # the tolerance must shrink with it or Brent returns a bracket end
+    rep = isolate_zeros(lambda x: x / 1e-108 - 3.0, 1e-110, 1e-106)
+    assert rep.count == 1
+    z = rep.zeros[0]
+    assert abs(z.location - 3e-108) <= 1e-11 * 3e-108
+    assert z.bracket[0] < z.location < z.bracket[1]
+
+
 def test_near_double_zero_resolved_by_refinement():
     rep = isolate_zeros(lambda x: (x - 1.0) ** 2 - 1e-8, 0.5, 2.0, initial=2048)
     assert rep.count == 2

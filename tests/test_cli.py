@@ -65,18 +65,6 @@ def test_melnikov_command_deterministic(tmp_path, demo_config):
     assert csv1 == csv2
 
 
-def test_melnikov_workers_agree(tmp_path, demo_config):
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
-                 "--interval", "0.8:1.2", "--grid", "4log", "--out", str(out1),
-                 "--seed", "3", "--workers", "1"]) == 0
-    assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
-                 "--interval", "0.8:1.2", "--grid", "4log", "--out", str(out2),
-                 "--seed", "3", "--workers", "2"]) == 0
-    for name in ("melnikov_order1.csv", "melnikov_order2.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
 def test_cheb_command(tmp_path):
     out = tmp_path / "cheb"
     code = main(["cheb", "--family", "F1", "--k", "1", "--interval", "0.1:10",
@@ -175,8 +163,7 @@ def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, mo
     monkeypatch.setattr(recursion, "ZTable", builds)
     monkeypatch.setattr(simulate, "integrate_return", returns)
     assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
-                 "--interval", "0.7:1.3", "--grid", "3log", "--out", str(tmp_path / "o"),
-                 "--workers", "1"]) == 0
+                 "--interval", "0.7:1.3", "--grid", "3log", "--out", str(tmp_path / "o")]) == 0
     assert (builds.call_count, returns.call_count) == (3, 3)
     assert all(call.args[1] == 0.0 for call in returns.call_args_list)
 

@@ -6,31 +6,58 @@ import pytest
 
 from conftest import random_config
 from melnlab import recursion
-from melnlab.closedforms import (LM_MAX_STEPS, VCoefficients, _kernel_residual,
+from melnlab.closedforms import (LM_MAX_STEPS, _cancelling_block, _kernel_residual,
                                  _levenberg_marquardt, _m2_on_grid, _oc_from_vec,
                                  _polarized_second_order, config_from_v, cov_r_of_x,
-                                 cov_x_of_r, fit_to_span, m1_closed, q_denominator, q_poly,
-                                 sign_pattern_search, structural_span,
-                                 table3_structure_config, v_coefficients, v_map_matrix,
-                                 vanishing_order_config)
+                                 cov_x_of_r, first_order_image, fit_to_span, m1_closed,
+                                 q_denominator, q_values, sign_pattern_search,
+                                 structural_span, table3_structure_config, v_coefficients,
+                                 v_map_matrix, vanishing_order_config)
+from melnlab.errors import ConfigurationError
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.recursion import melnikov
 
 
 def test_v_map_roundtrip_odd():
-    target = VCoefficients("odd", (0.7, -1.3, 2.1))
-    cfg = config_from_v(target, 3)
-    back = v_coefficients(cfg)
-    assert back.case == "odd"
-    assert back.values == pytest.approx(target.values, rel=1e-14)
+    target = (0.7, -1.3, 2.1)
+    back = v_coefficients(config_from_v(target, 3))
+    assert isinstance(back, tuple)
+    assert back == pytest.approx(target, rel=1e-14)
 
 
 def test_v_map_roundtrip_even():
-    target = VCoefficients("even", (0.4, -0.9, 1.7, -2.2))
-    cfg = config_from_v(target, 4)
-    back = v_coefficients(cfg)
-    assert back.case == "even"
-    assert back.values == pytest.approx(target.values, rel=1e-13)
+    target = (0.4, -0.9, 1.7, -2.2)
+    back = v_coefficients(config_from_v(target, 4))
+    assert isinstance(back, tuple)
+    assert back == pytest.approx(target, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, v", [(3, (0.4, -0.9, 1.7, -2.2)), (4, (0.7, -1.3, 2.1))])
+def test_config_from_v_checks_the_length_against_n(n, v):
+    with pytest.raises(ConfigurationError):
+        config_from_v(v, n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_v_map_matrix_is_v_coefficients(rng, n):
+    V = v_map_matrix(n)
+    for _ in range(5):
+        block = rng.uniform(-1.0, 1.0, 12)
+        want = v_coefficients(SystemConfig(n=n, k=1, orders=(_oc_from_vec(block),)))
+        assert np.max(np.abs(V @ block - np.array(want))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cancelling_block_cancels_the_image(rng, n):
+    # the kernel searches cancel the first-order image part of M_2 this way
+    rs = np.geomspace(0.3, 3.0, 7)
+    B = first_order_image(n, rs)
+    for _ in range(5):
+        c = rng.uniform(-1.0, 1.0, B.shape[1])
+        cfg = SystemConfig(n=n, k=1, orders=(_cancelling_block(n, c),))
+        want = -(B @ c)
+        got = np.array([m1_closed(cfg, float(r)) for r in rs])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_trivial_vanishing_combination():
@@ -38,8 +65,7 @@ def test_trivial_vanishing_combination():
     oc = OrderCoefficients(a=(0.5, 0.3, 0.1), b=(0.2, 0.9, -0.8),
                            alpha=(0.5, 0.4, -0.6), beta=(0.2, 0.7, 0.1))
     cfg = SystemConfig(n=3, k=1, orders=(oc,))
-    v = v_coefficients(cfg)
-    assert v.values == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
+    assert v_coefficients(cfg) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
     for r in (0.5, 1.0, 2.0):
         assert m1_closed(cfg, r) == pytest.approx(0.0, abs=1e-15)
 
@@ -59,10 +85,10 @@ def test_cov_roundtrip_and_monotonicity():
 def test_q_identity(rng, n):
     for _ in range(3):
         cfg = random_config(rng, n, 1)
-        for x in np.geomspace(0.2, 2.5, 12):
-            lhs = q_poly(cfg, float(x)) / q_denominator(float(x), n)
-            rhs = m1_closed(cfg, cov_r_of_x(float(x), n))
-            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+        xs = np.geomspace(0.2, 2.5, 12)
+        lhs = q_values(v_coefficients(cfg), n, xs) / q_denominator(xs, n)
+        rhs = [m1_closed(cfg, cov_r_of_x(float(x), n)) for x in xs]
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 def test_m1_closed_matches_quadrature_even(rng):
@@ -85,10 +111,7 @@ def test_n1_reduced_polynomial_single_zero(rng):
     # q for n = 1 is affine; never more than one positive zero
     xs = np.geomspace(1e-3, 1e3, 1024)
     for _ in range(50):
-        cfg = random_config(rng, 1, 1)
-        vals = np.array([q_poly(cfg, float(x)) for x in xs[:8]])
-        full = np.array([q_poly(cfg, float(x)) for x in xs])
-        signs = np.sign(full)
+        signs = np.sign(q_values(v_coefficients(random_config(rng, 1, 1)), 1, xs))
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
         assert changes <= 1
 
@@ -126,9 +149,9 @@ def test_sign_pattern_search_n3():
     assert found is not None
     v, zeros = found
     assert len(zeros) == 3
-    cfg = config_from_v(v, 3)
-    for z in zeros:
-        assert q_poly(cfg, z) == pytest.approx(0.0, abs=1e-9 * max(1.0, abs(q_poly(cfg, 1.0))))
+    assert isinstance(v, tuple) and len(v) == 3
+    scale = max(1.0, abs(q_values(v, 3, 1.0)[0]))
+    assert np.max(np.abs(q_values(v, 3, zeros))) <= 1e-9 * scale
 
 
 def test_order6_divided_span_self_consistent(rng):

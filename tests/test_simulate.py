@@ -300,10 +300,9 @@ def test_period_annulus_reported(rng):
 
 def test_stability_sign_matches_melnikov_slope(rng):
     # pi_eps'(x*) - 1 has the sign of eps * M1'(a*) near a simple zero
-    from melnlab.closedforms import VCoefficients, config_from_v
+    from melnlab.closedforms import config_from_v
 
-    v = VCoefficients("odd", (-1.0, 0.55, 0.0))   # zero where cos(t1) ~ 0.55 r
-    cfg = config_from_v(v, 3)
+    cfg = config_from_v((-1.0, 0.55, 0.0), 3)   # zero where cos(t1) ~ 0.55 r
     from melnlab.certify import isolate_zeros
 
     rep = isolate_zeros(lambda r: np.array([m1_closed(cfg, float(t)) for t in np.atleast_1d(r)]),
@@ -317,6 +316,40 @@ def test_stability_sign_matches_melnikov_slope(rng):
     h = 1e-5
     slope = (m1_closed(cfg, a_star + h) - m1_closed(cfg, a_star - h)) / (2 * h)
     assert math.copysign(1.0, c.derivative - 1.0) == math.copysign(1.0, eps * slope)
+
+
+def test_cycles_stop_on_the_newton_step():
+    # the three-zero n = 2 config, shrunk so that the displacement eps * M_1
+    # is tiny: a cycle returned must be the fixed point, not merely a point
+    # of small displacement
+    from melnlab.closedforms import config_from_v, cov_r_of_x, sign_pattern_search
+
+    v, zeros = sign_pattern_search(2, 3, seed=1)
+    r_zeros = [cov_r_of_x(z, 2) for z in zeros]
+    seeds = [1.05 * r for r in r_zeros]
+    eps = 1e-4
+
+    def search(scale):
+        cfg = config_from_v(tuple(scale * c for c in v), 2, k=2)
+        return cfg, find_limit_cycles(eps, cfg, seeds, melnikov_zeros=r_zeros).cycles
+
+    # at scale 1e-4 each cycle is the Newton-polished fixed point
+    cfg, cycles = search(1e-4)
+    assert len(cycles) == 3
+    offsets = []
+    for c in cycles:
+        x = c.x_star
+        for _ in range(4):
+            x -= (integrate_return(x, eps, cfg).displacement
+                  / (return_derivative(x, eps, cfg) - 1.0))
+        assert abs(c.x_star - x) <= 1e-9 * max(1.0, x)
+        offsets.append(x - c.melnikov_zero)
+    # at scale 1e-6 the displacement is only resolved to ~4e-8 in x, and
+    # the offset from the zero, about -eps M_2 / M_1', shrinks with the scale
+    _, cycles = search(1e-6)
+    assert len(cycles) == 3
+    for c, offset in zip(cycles, offsets):
+        assert abs(c.x_star - c.melnikov_zero - 1e-2 * offset) <= 1e-7
 
 
 def test_trajectory_dump(tmp_path, rng):
