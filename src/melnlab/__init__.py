@@ -26,7 +26,7 @@ from .geometry import SwitchingGeometry, crossing_abscissa, switching_angles, th
 from .polar import PolarField, build_polar_field, cartesian_field
 from .recursion import ZTable, melnikov, melnikov_all, ztable
 from .series import Jet
-from .simulate import (CycleSearch, LimitCycle, PoincareResult, TrajectorySegment,
+from .simulate import (CycleSearch, LimitCycle, PoincareResult, center_event_times,
                        extract_melnikov, find_limit_cycles, integrate_return)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -411,8 +411,8 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     Verdicts are never guessed: if any zero report fails its exhaustiveness
     check the classification downgrades to 'inconclusive'.
     """
-    if not (0.0 < a < b):
-        raise DomainError("certification interval must satisfy 0 < a < b")
+    if not (0.0 < a < b < math.inf):
+        raise DomainError(f"certification interval must satisfy 0 < a < b < inf, got [{a}, {b}]")
     n = len(fams) - 1
     nu: list[int] = []
     reports: list[ZeroReport] = []
@@ -464,7 +464,6 @@ PROP4_WINDOW = (1e-6, 50.0)
 class Prop4Result:
     coefficients: tuple[float, ...]
     report: ZeroReport
-    adjusted_a1: float | None
     sensitivity_note: str | None
 
     @property
@@ -495,7 +494,7 @@ def prop4_witness() -> Prop4Result:
     g = _prop4_function(PROP4_COEFFS)
     rep = isolate_zeros(g, *PROP4_WINDOW, budget=WITNESS_BUDGET, initial=8192)
     if rep.simple_count == 8:
-        return Prop4Result(PROP4_COEFFS, rep, None, None)
+        return Prop4Result(PROP4_COEFFS, rep, None)
     base = list(PROP4_COEFFS)
     for delta in np.linspace(-1e-6, 1e-6, 41):
         trial = base.copy()
@@ -505,8 +504,8 @@ def prop4_witness() -> Prop4Result:
         if rep2.simple_count == 8:
             note = (f"printed coefficients yielded {rep.simple_count} zeros; "
                     f"a1 adjusted by {delta:+.3e} to recover 8")
-            return Prop4Result(tuple(trial), rep2, trial[1], note)
-    return Prop4Result(PROP4_COEFFS, rep, None,
+            return Prop4Result(tuple(trial), rep2, note)
+    return Prop4Result(PROP4_COEFFS, rep,
                        f"8 simple zeros not recovered (best count {rep.simple_count})")
 
 

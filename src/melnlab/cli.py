@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 numerical-quality failure, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -28,7 +29,7 @@ from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
 from .recursion import melnikov, melnikov_all
 from .reports import format_float, write_csv, write_gnuplot, write_json
-from .simulate import ORACLE_TOL, extract_melnikov, find_limit_cycles
+from .simulate import ORACLE_TOL, center_event_times, extract_melnikov, find_limit_cycles
 
 CASES = ("m1_n1", "m1_n2", "m1_odd", "m1_even", "m2_n3_structure",
          "prop4", "prop5_k2", "cycles_n2_l1")
@@ -56,13 +57,13 @@ def _parse_interval(text: str) -> tuple[float, float]:
         a, b = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise ConfigurationError(f"interval must look like A:B, got {text!r}") from exc
-    if not (0 < a < b):
-        raise ConfigurationError(f"interval must satisfy 0 < A < B, got {text!r}")
+    if not (0 < a < b < math.inf):
+        raise ConfigurationError(f"interval must satisfy 0 < A < B < inf, got {text!r}")
     return a, b
 
 
 def _parse_grid(text: str) -> tuple[int, str]:
-    m = re.fullmatch(r"(\d+)\(?(log|lin)?\)?", text)
+    m = re.fullmatch(r"(\d+)(log|lin)?", text)
     if not m:
         raise ConfigurationError(f"grid must look like N, Nlog or Nlin, got {text!r}")
     count = int(m.group(1))
@@ -75,22 +76,6 @@ def _grid_points(interval, spec) -> np.ndarray:
     count, kind = spec
     a, b = interval
     return np.geomspace(a, b, count) if kind == "log" else np.linspace(a, b, count)
-
-
-def _melnikov_point(config, orders, x):
-    """([M_1(x), ..., M_max(x)], {order: CSV row}) at one grid point, from one
-    recursion table and one oracle jet pass, both of the highest order."""
-    values = melnikov_all(config, x, max(orders))
-    est = extract_melnikov(x, max(orders), config)
-    rows = {}
-    for i in orders:
-        val, oracle = values[i - 1], est.values[i - 1]
-        gap = abs(val - oracle) / max(1.0, abs(val))
-        row = (x, val, oracle, gap, est.error_estimate)
-        if i == 1:
-            row += (m1_closed(config, x),)
-        rows[i] = row + (int(est.flagged_at(i)),)
-    return values, rows
 
 
 def cmd_melnikov(args) -> int:
@@ -107,12 +92,24 @@ def cmd_melnikov(args) -> int:
     out = Path(args.out)
     _write_manifest(out, args, "melnikov", interval=interval, orders=orders)
 
+    # one recursion table per point and one oracle eps-jet pass over the
+    # grid, both of the highest order, serve every requested order
+    top = max(orders)
     xs = [float(x) for x in _grid_points(interval, grid)]
-    points = [_melnikov_point(config, orders, x) for x in xs]
+    values = [melnikov_all(config, x, top) for x in xs]
+    est = extract_melnikov(xs, top, config, center_event_times(xs, config.n))
+    errors = est.error_estimate.tolist()
     worst_gap = 0.0
     curves = []
     for i in orders:
-        rows = [pt_rows[i] for _, pt_rows in points]
+        rows = []
+        for x, val, oracle, err, flag in zip(xs, (v[i - 1] for v in values),
+                                             est.values[i - 1].tolist(), errors,
+                                             est.flagged_at(i).tolist()):
+            row = (x, val, oracle, abs(val - oracle) / max(1.0, abs(val)), err)
+            if i == 1:
+                row += (m1_closed(config, x),)
+            rows.append(row + (int(flag),))
         name = f"melnikov_order{i}.csv"
         header = ["x", f"M{i}", "oracle_simulation", "relative_gap", "oracle_error_estimate"]
         if i == 1:
@@ -122,7 +119,7 @@ def cmd_melnikov(args) -> int:
         curves.append((name, 1, 2, f"M{i}"))
         worst_gap = max(worst_gap, max(r[3] for r in rows))
     write_gnuplot(out / "plot.gp", "Melnikov orders", curves)
-    _append_span_fits(out, config, orders, xs, [values for values, _ in points])
+    _append_span_fits(out, config, orders, xs, values)
     print(f"wrote {len(orders)} order tables to {out} (worst oracle gap {format_float(worst_gap)})")
     if worst_gap > ORACLE_TOL and not config.is_zero():
         raise NumericalError(f"simulation oracle disagrees beyond {ORACLE_TOL}", worst_gap=worst_gap)
@@ -147,17 +144,13 @@ def _append_span_fits(out: Path, config, orders, xs, values) -> None:
         if max(abs(v[i - 1]) for v in values) < 1e-12:
             continue
         samples = [(cov_x_of_r(x, config.n), v[i - 1]) for x, v in zip(xs, values)]
-        name, fam, _den = structural_span(config.n, i)
+        fam = structural_span(config.n, i)[1]
         if len(samples) < 3 * len(fam):
             continue
         fit = fit_to_span(samples, config.n, i)
-        design = np.column_stack([bf(np.array([s[0] for s in samples])) for bf in fam])
-        denv = _den(np.array([s[0] for s in samples]))
-        fitted = (design @ np.array(fit.coefficients)) / denv
         write_csv(out / f"spanfit_order{i}.csv",
                   ["x_transformed", f"M{i}", "fitted", "residual"],
-                  [(s[0], s[1], float(fv), float(s[1] - fv))
-                   for s, fv in zip(samples, fitted)])
+                  [(s[0], s[1], fv, s[1] - fv) for s, fv in zip(samples, fit.fitted)])
         write_json(out / f"spanfit_order{i}.json", {
             "order": i, "family": fit.family_name, "residual": fit.residual,
             "coefficients": list(fit.coefficients),
@@ -171,8 +164,6 @@ def cmd_cheb(args) -> int:
         raise ConfigurationError(
             f"unknown family {args.family!r}; choose from {list(FAMILIES)}")
     interval = _parse_interval(args.interval)
-    out = Path(args.out)
-    _write_manifest(out, args, "cheb", interval=interval)
     lam = args.lam
     if args.family == "F7" and lam is None:
         raise ConfigurationError("family F7 needs --lam")
@@ -189,6 +180,8 @@ def cmd_cheb(args) -> int:
         else:
             fams = family(args.family, args.k, lam=lam)
         name = f"{args.family}^{args.k}" + (f",{lam}" if lam is not None else "")
+    out = Path(args.out)
+    _write_manifest(out, args, "cheb", interval=interval)
 
     verdict = certify_family(fams, interval[0], interval[1], name=name)
     write_json(out / "verdict.json", verdict.to_dict())

@@ -10,7 +10,7 @@ higher orders are fitted numerically onto the corresponding spans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +116,10 @@ class SpanFit:
     """Least-squares fit of a numerator onto a declared ordered family."""
 
     family_name: str
-    basis_ids: tuple[str, ...]
     coefficients: tuple[float, ...]
     residual: float           # relative L2 over the sample grid
     condition_number: float
-    rank: int
-    denominator: str
-    samples: int = field(default=0)
+    fitted: tuple[float, ...]  # the fitted M_ell at each sample
 
 
 def structural_span(n: int, ell: int):
@@ -180,9 +177,10 @@ def fit_to_span(samples, n: int, ell: int) -> SpanFit:
     if len(xs) < 3 * len(fam):
         raise ConfigurationError(
             f"need at least {3 * len(fam)} samples for {len(fam)} basis functions, got {len(xs)}")
-    target = ys * den(xs)
+    denv = den(xs)
+    target = ys * denv
     design = np.column_stack([bf(xs) for bf in fam])
-    coeff, _, rank, svals = np.linalg.lstsq(design, target, rcond=None)
+    coeff, _, _, svals = np.linalg.lstsq(design, target, rcond=None)
     resid = design @ coeff - target
     scale = np.linalg.norm(target)
     rel = float(np.linalg.norm(resid) / scale) if scale > 0 else 0.0
@@ -191,13 +189,10 @@ def fit_to_span(samples, n: int, ell: int) -> SpanFit:
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     return SpanFit(
         family_name=name,
-        basis_ids=tuple(bf.label for bf in fam),
         coefficients=tuple(float(c) for c in coeff),
         residual=rel,
         condition_number=cond,
-        rank=int(rank),
-        denominator=getattr(den, "__name__", "declared"),
-        samples=len(xs),
+        fitted=tuple(((design @ coeff) / denv).tolist()),
     )
 
 
@@ -301,13 +296,13 @@ def _m2_on_grid(n: int, rs: np.ndarray):
     """``m2(c1vec, c2)``: M_2 on the grid ``rs`` of the degree-n config with
     blocks ``c1vec`` (12 numbers) and ``c2``, by one eps-jet pass per call
     from eps = 0 event times computed once."""
-    from .simulate import center_event_times, melnikov_grid
+    from .simulate import center_event_times, extract_melnikov
 
     times = center_event_times(rs, n)
 
     def m2(c1vec, c2: OrderCoefficients = OrderCoefficients()) -> np.ndarray:
         cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1vec), c2))
-        return melnikov_grid(rs, 2, cfg, times)[1]
+        return extract_melnikov(rs, 2, cfg, times).values[1]
 
     return m2
 

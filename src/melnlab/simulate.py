@@ -19,18 +19,18 @@ such pass covers a whole grid of section points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .config import OrderCoefficients, SystemConfig
 from .errors import DomainError, EscapeError, EventDegeneracyError, NumericalError
 from .roots import brentq
-from .series import Jet, _exp, _magnitude, _sincos, _sinhcosh, _sqrt
+from .series import Jet, _exp, _sincos, _sinhcosh, _sqrt
 
-__all__ = ["TrajectorySegment", "PoincareResult", "LimitCycle", "CycleSearch",
-           "integrate_return", "extract_melnikov", "center_event_times", "melnikov_grid",
-           "find_limit_cycles"]
+__all__ = ["PoincareResult", "LimitCycle", "CycleSearch", "integrate_return",
+           "extract_melnikov", "center_event_times", "find_limit_cycles"]
 
 R_ESCAPE = (1e-4, 1e4)
 EPS_MAX_DEFAULT = 1e-2
@@ -58,27 +58,13 @@ CYCLE_DEDUPE = 1e-6
 
 
 @dataclass(frozen=True)
-class TrajectorySegment:
-    """One smooth leg of a crossing orbit."""
-
-    region: int                    # +1 above the curve, -1 below
-    t_span: tuple[float, float]
-    start: tuple[float, float]
-    end: tuple[float, float]
-    exit_event: str                # 'switch' or 'section'
-    exit_transversality: float     # d/dt of the event function at exit
-    solution: object = field(repr=False, default=None)   # t -> (2, ...) closed-form flow
-
-
-@dataclass(frozen=True)
 class PoincareResult:
     x0: float
     eps: float
     x_return: float
-    crossing_times: tuple[float, ...]
-    crossing_angles: tuple[float, ...]
-    crossing_points: tuple[tuple[float, float], ...]
-    segments: tuple[TrajectorySegment, ...] = field(repr=False, default=())
+    event_times: tuple[float, float, float]    # the two switching contacts, the return
+    crossing_angles: tuple[float, float]
+    crossing_points: tuple[tuple[float, float], tuple[float, float]]
 
     @property
     def displacement(self) -> float:
@@ -159,30 +145,27 @@ class _Zone:
 
 
 class _Flow:
-    """Closed-form solution of one zone through ``start`` at time ``t0``.
+    """Closed-form solution of one zone through ``start``.
 
     The zone, the start and the elapsed time may be floats or jets, and the
     start and the elapsed time arrays over a grid of orbits too (the
     equilibrium check then reads the orbit that starts nearest the origin).
-    Calling it on an array of absolute times gives the states as a (2, ...)
-    array.
     """
 
-    def __init__(self, zone: _Zone, start, t0: float):
+    def __init__(self, zone: _Zone, start):
         far = math.hypot(*map(_value, zone.eq))
         near = float(np.min(np.hypot(*map(_value, start))))
         if not far <= EQ_FAR * max(1.0, near):
             raise NumericalError(f"the field of region {zone.region:+d} has no equilibrium "
                                  f"near the orbit (|s*| = {far:.3e})", equilibrium=zone.eq)
         self.zone = zone
-        self.t0 = t0
         d0, d1 = start[0] - zone.eq[0], start[1] - zone.eq[1]
         _, a12, a21, _ = zone.A
         self.d = (d0, d1)
         self.nd = (zone.n11 * d0 + a12 * d1, a21 * d0 - zone.n11 * d1)
 
     def at(self, tau):
-        """State at ``tau`` after ``t0``."""
+        """State at ``tau`` after the start."""
         z = self.zone
         if z.kind:
             s, c = (_sincos if z.kind < 0 else _sinhcosh)(z.w * tau)
@@ -193,9 +176,6 @@ class _Flow:
         ec, es = e * c, e * s
         return (z.eq[0] + ec * self.d[0] + es * self.nd[0],
                 z.eq[1] + ec * self.d[1] + es * self.nd[1])
-
-    def __call__(self, t) -> np.ndarray:
-        return np.array(self.at(np.asarray(t, dtype=float) - self.t0))
 
 
 def _event(label: str, n: int, x, y):
@@ -209,13 +189,14 @@ def _event_rate(zone: _Zone, label: str, n: int, x, y):
     return fy - n * x ** (n - 1) * fx if label == "switch" else fy
 
 
-def _leg(zone: _Zone, n: int, state, t0: float, direction: int, label: str) -> TrajectorySegment:
-    """Flow of ``zone`` from ``state`` to the first event crossing in ``direction``.
+def _leg(zone: _Zone, n: int, state, direction: int, label: str):
+    """(duration, end point) of the flow of ``zone`` from ``state`` to the
+    first event crossing in ``direction``.
 
     The first sign change of the event function in the scan brackets the
     event time.
     """
-    flow = _Flow(zone, state, t0)
+    flow = _Flow(zone, state)
     xs, ys = flow.at(_SCAN)
     gs = _event(label, n, xs, ys)
     if direction > 0:
@@ -227,7 +208,7 @@ def _leg(zone: _Zone, n: int, state, t0: float, direction: int, label: str) -> T
         if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
             raise EscapeError(f"trajectory left the annulus during the {label} leg (r={r_end:.3e})")
         raise NumericalError(f"no terminating event on the {label} leg",
-                             t_final=t0 + LEG_WINDOW)
+                             window=LEG_WINDOW)
     j = int(hits[0])
 
     def g_tau(tau):
@@ -247,16 +228,11 @@ def _leg(zone: _Zone, n: int, state, t0: float, direction: int, label: str) -> T
     r_end = math.hypot(x, y)
     if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
         raise EscapeError(f"trajectory left the annulus (r={r_end:.3e})")
-    return TrajectorySegment(region=zone.region, t_span=(t0, t0 + tau),
-                             start=(float(state[0]), float(state[1])),
-                             end=(float(x), float(y)),
-                             exit_event=label, exit_transversality=float(trans),
-                             solution=flow)
+    return tau, (float(x), float(y))
 
 
 def integrate_return(x0: float, eps: float, config: SystemConfig, *,
-                     eps_max: float = EPS_MAX_DEFAULT,
-                     keep_solutions: bool = False) -> PoincareResult:
+                     eps_max: float = EPS_MAX_DEFAULT) -> PoincareResult:
     """One full return of the section map through the two crossings.
 
     Legs run region '-' to the first switching contact, '+' to the second,
@@ -268,33 +244,21 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
     if abs(eps) > eps_max:
         raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
-    n = config.n
-    seg1 = _leg(below, n, (float(x0), 0.0), 0.0, +1, "switch")
-    seg2 = _leg(above, n, seg1.end, seg1.t_span[1], -1, "switch")
-    seg3 = _leg(below, n, seg2.end, seg2.t_span[1], +1, "section")
-    x_ret = seg3.end[0]
+    state, t, times, points = (float(x0), 0.0), 0.0, [], []
+    for zone, direction, label in ((below, +1, "switch"), (above, -1, "switch"),
+                                   (below, +1, "section")):
+        tau, state = _leg(zone, config.n, state, direction, label)
+        t += tau
+        times.append(t)
+        points.append(state)
+    x_ret = state[0]
     if x_ret <= 0.0:
         raise NumericalError(f"return point has non-positive abscissa {x_ret}")
-
-    segs = (seg1, seg2, seg3)
-    angles = []
-    for seg in segs[:2]:
-        ang = math.atan2(seg.end[1], seg.end[0]) % (2.0 * math.pi)
-        angles.append(ang)
-    if not keep_solutions:
-        segs = tuple(replace(s, solution=None) for s in segs)
     return PoincareResult(
-        x0=x0, eps=eps, x_return=x_ret,
-        crossing_times=(seg1.t_span[1], seg2.t_span[1]),
-        crossing_angles=tuple(angles),
-        crossing_points=tuple(s.end for s in segs[:2]),
-        segments=segs,
+        x0=x0, eps=eps, x_return=x_ret, event_times=tuple(times),
+        crossing_angles=tuple(math.atan2(y, x) % (2.0 * math.pi) for x, y in points[:2]),
+        crossing_points=tuple(points[:2]),
     )
-
-
-def _event_times(res: PoincareResult) -> tuple[float, float, float]:
-    """Times of the two switching contacts and of the return to the section."""
-    return tuple(seg.t_span[1] for seg in res.segments)
 
 
 def _return_jet(times, config: SystemConfig, x0, eps, order: int):
@@ -304,63 +268,68 @@ def _return_jet(times, config: SystemConfig, x0, eps, order: int):
     floats or as arrays over a grid of ``x0``.  Each leg refines its event time
     by ``ceil(log2(order + 1)) + 1`` Newton steps ``tau <- tau - g/g'`` in jet
     arithmetic: one step doubles the number of exact coefficients, and the
-    last one polishes them.  Returns the x-jet of the return point and the
-    largest coefficient (over the grid too) of the correction ``g/g'`` one
-    more step would make.
+    last one polishes them.  Returns the x-jet of the return point and, point
+    by point over the grid, the largest coefficient of the correction ``g/g'``
+    one more step would make on any leg.
     """
     steps = math.ceil(math.log2(order + 1)) + 1
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
     state, residual, t0 = (x0, 0.0), 0.0, 0.0
     for zone, label, t1 in zip((below, above, below), ("switch", "switch", "section"), times):
-        flow = _Flow(zone, state, t0)
+        flow = _Flow(zone, state)
         tau = t1 - t0
         for _ in range(steps + 1):     # the last correction is measured, not applied
             state = flow.at(tau)
             step = _event(label, config.n, *state) / _event_rate(zone, label, config.n, *state)
             tau = tau - step
-        residual = max(residual, _magnitude(step))
+        residual = reduce(np.maximum, (np.abs(c) for c in step.c), residual)
         t0 = t1
     return state[0], residual
 
 
 @dataclass(frozen=True)
 class MelnikovEstimate:
-    """M_1..M_i at x0 from one eps-jet pass, with the pass's error estimate."""
+    """M_1..M_i on a grid from one eps-jet pass, with the pass's error estimate.
 
-    values: tuple[float, ...]
-    error_estimate: float
-    x0: float
+    ``values[m - 1, g]`` is M_m at grid point g and ``error_estimate[g]`` the
+    pass's error estimate there.
+    """
+
+    values: np.ndarray
+    error_estimate: np.ndarray
 
     @property
-    def value(self) -> float:
-        """M_i, the highest order of the pass."""
+    def value(self) -> np.ndarray:
+        """M_i, the highest order of the pass, at every grid point."""
         return self.values[-1]
 
-    def flagged_at(self, i: int) -> bool:
-        """Whether the error estimate exceeds ``ORACLE_TOL * max(1, |M_i|)``."""
-        return self.error_estimate > ORACLE_TOL * max(1.0, abs(self.values[i - 1]))
+    def flagged_at(self, i: int) -> np.ndarray:
+        """Per point, whether the error estimate exceeds ``ORACLE_TOL * max(1, |M_i|)``."""
+        return self.error_estimate > ORACLE_TOL * np.maximum(1.0, np.abs(self.values[i - 1]))
 
     @property
     def flagged(self) -> bool:
-        return self.flagged_at(len(self.values))
+        """Whether the estimate of M_i is flagged at any grid point."""
+        return bool(np.any(self.flagged_at(len(self.values))))
 
 
-def extract_melnikov(x0: float, i: int, config: SystemConfig) -> MelnikovEstimate:
-    """M_1..M_i, the eps-Taylor coefficients of the displacement, from one eps-jet pass.
+def extract_melnikov(xs, i: int, config: SystemConfig, times: np.ndarray) -> MelnikovEstimate:
+    """M_1..M_i, the eps-Taylor coefficients of the displacement, on the grid
+    ``xs`` from one eps-jet pass with ndarray coefficients.
 
     Every zone is affine with ``A(eps)``, ``b(eps)`` polynomial in eps, so
     the closed-form flow carries eps as a truncated Taylor series of order i
-    from the eps = 0 event times; coefficient m of the returned x is M_m.
-    ``error_estimate`` is the largest coefficient of the event-time change
-    one more Newton step would make, and the estimate of M_m is flagged when
-    it exceeds ``ORACLE_TOL`` times ``max(1, |M_m|)``.
+    from the eps = 0 event times ``times = center_event_times(xs, config.n)``;
+    coefficient m of the returned x is M_m.  ``error_estimate`` is, point by
+    point, the largest coefficient of the event-time change one more Newton
+    step would make, and the estimate of M_m is flagged where it exceeds
+    ``ORACLE_TOL`` times ``max(1, |M_m|)``.
     """
     if i < 1 or i > config.k:
         raise DomainError(f"order must be in 1..{config.k}, got {i}")
-    times = _event_times(integrate_return(x0, 0.0, config))
-    x, residual = _return_jet(times, config, float(x0), Jet.variable(0.0, i), i)
-    return MelnikovEstimate(values=tuple(float(c) for c in x.c[1:]),
-                            error_estimate=float(residual), x0=x0)
+    x, residual = _return_jet(times, config, np.asarray(xs, dtype=float),
+                              Jet.variable(0.0, i), i)
+    return MelnikovEstimate(values=np.array(x.c[1:]), error_estimate=residual)
 
 
 def center_event_times(xs, n: int) -> np.ndarray:
@@ -369,22 +338,12 @@ def center_event_times(xs, n: int) -> np.ndarray:
     At eps = 0 both zones are the center, so they serve every config of degree n.
     """
     center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
-    return np.array([_event_times(integrate_return(float(x), 0.0, center)) for x in xs]).T
-
-
-def melnikov_grid(xs, i: int, config: SystemConfig, times: np.ndarray) -> np.ndarray:
-    """(i, len(xs)) values of M_1..M_i: the pass of ``extract_melnikov`` with
-    ndarray coefficients, from ``times = center_event_times(xs, config.n)``."""
-    if i < 1 or i > config.k:
-        raise DomainError(f"order must be in 1..{config.k}, got {i}")
-    xs = np.asarray(xs, dtype=float)
-    x, _ = _return_jet(times, config, xs, Jet.variable(0.0, i), i)
-    return np.array(x.c[1:])
+    return np.array([integrate_return(float(x), 0.0, center).event_times for x in xs]).T
 
 
 def return_derivative(x0: float, eps: float, config: SystemConfig) -> float:
     """Exact derivative of the return map at x0, from a first-order jet in x0."""
-    times = _event_times(integrate_return(x0, eps, config))
+    times = integrate_return(x0, eps, config).event_times
     x, _ = _return_jet(times, config, Jet.variable(float(x0), 1), eps, 1)
     return float(x.c[1])
 
@@ -410,6 +369,8 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
     ``diagnostics``.
     """
     seeds = [float(s) for s in seeds]
+    if melnikov_zeros is not None and len(melnikov_zeros) != len(seeds):
+        raise DomainError(f"{len(seeds)} seeds but {len(melnikov_zeros)} Melnikov zeros")
     if eps == 0.0:
         return CycleSearch((), ("eps = 0: period annulus, every seed is a non-isolated fixed point",))
     results: list[LimitCycle] = []
@@ -454,25 +415,3 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
     results.sort(key=lambda c: c.x_star)
     return CycleSearch(tuple(results), tuple(diagnostics))
 
-
-def trajectory_rows(result: PoincareResult, samples_per_leg: int = 200):
-    """(t, x, y, region) rows sampled from the closed-form flow of a return orbit.
-
-    Requires ``integrate_return(..., keep_solutions=True)``.
-    """
-    rows = []
-    for seg in result.segments:
-        if seg.solution is None:
-            raise DomainError("trajectory dump needs keep_solutions=True")
-        ts = np.linspace(seg.t_span[0], seg.t_span[1], samples_per_leg)
-        vals = seg.solution(ts)
-        for t, x, y in zip(ts, vals[0], vals[1]):
-            rows.append((float(t), float(x), float(y), seg.region))
-    return rows
-
-
-def write_trajectory_csv(path, result: PoincareResult, samples_per_leg: int = 200):
-    from .reports import write_csv
-
-    return write_csv(path, ["t", "x", "y", "region"],
-                     trajectory_rows(result, samples_per_leg))

@@ -11,6 +11,7 @@ from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, _derivative_matrices,
                              _equilibrate, _precise_det, _rho, _wronskian_logs,
                              certify_family, isolate_zeros, theorem3_bound,
                              wronskian, wronskian_scaled)
+from melnlab.errors import DomainError
 
 XS = np.geomspace(0.1, 10.0, 50)
 
@@ -305,6 +306,15 @@ def test_certify_accuracy_one_family():
     assert verdict.classification == "ET-accuracy-1"
     assert verdict.zero_bound == 3
     assert verdict.nu == (0, 0, 1)
+
+
+@pytest.mark.parametrize("a, b", [(0.1, math.inf), (0.1, math.nan), (math.nan, 10.0),
+                                  (0.0, 10.0), (10.0, 0.1)])
+def test_certify_rejects_an_interval_outside_0_a_b_inf(a, b):
+    # on [0.1, inf) the scan would see no zero and call F1^1 an ECT family,
+    # though its W_2 vanishes inside [0.1, 10]
+    with pytest.raises(DomainError):
+        certify_family(family("F1", 1), a, b, name="F1^1")
 
 
 def test_certify_f62_accuracy_one():

@@ -135,12 +135,35 @@ def test_ceiling_scan_blocks_match_one_batch(n):
     ["melnikov", "--seed", "-1"],
     ["cheb", "--family", "F5", "--seed", "-1"],
     ["reproduce", "--case", "m1_n1", "--seed", "-1"],
+    ["melnikov", "--grid", "4(log"],
+    ["melnikov", "--grid", "16)"],
+    ["melnikov", "--grid", "16("],
+    ["melnikov", "--grid", "16(log)"],
+    ["melnikov", "--interval", "0.5:inf"],
+    # F1^1 has a W_2 zero in [0.1, 10], so an ECT verdict on [0.1, inf) is wrong
+    ["cheb", "--family", "F1", "--interval", "0.1:inf"],
+    ["cheb", "--family", "F1", "--interval", "0.1:nan"],
 ], ids=["empty-order", "F7-k0", "F2-negative-k", "melnikov-negative-seed",
-        "cheb-negative-seed", "reproduce-negative-seed"])
+        "cheb-negative-seed", "reproduce-negative-seed", "grid-open-paren",
+        "grid-close-paren", "grid-trailing-paren", "grid-parenthesized-kind",
+        "melnikov-infinite-end", "cheb-infinite-end", "cheb-nan-end"])
 def test_bad_input_is_a_configuration_error(tmp_path, demo_config, argv):
     if argv[0] == "melnikov":
         argv = argv + ["--config", str(demo_config)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    # rejected before anything is written
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["5", "5log", "5lin"])
+def test_documented_grid_forms(tmp_path, demo_config, grid):
+    out = tmp_path / "o"
+    assert main(["melnikov", "--config", str(demo_config), "--interval", "0.8:1.2",
+                 "--grid", grid, "--out", str(out)]) == 0
+    xs = [float(line.split(",")[0])
+          for line in (out / "melnikov_order1.csv").read_text().splitlines()[1:]]
+    want = (np.linspace if grid.endswith("lin") else np.geomspace)(0.8, 1.2, 5)
+    assert xs == want.tolist()
 
 
 def test_cheb_simplicity_probe_stays_in_the_domain(tmp_path):
@@ -153,18 +176,24 @@ def test_cheb_simplicity_probe_stays_in_the_domain(tmp_path):
     assert (out / "verdict.json").exists()
 
 
-def test_melnikov_one_table_and_one_return_per_extract(tmp_path, demo_config, monkeypatch):
+@pytest.mark.parametrize("points", [3, 7])
+def test_melnikov_one_table_per_point_and_one_pass_per_run(tmp_path, demo_config,
+                                                           monkeypatch, points):
     # orders 1 and 2 share one recursion table per point, and one eps-jet
-    # pass of order 2, seeded by one eps = 0 return, gives both oracle values
+    # pass of order 2 over the whole grid, seeded by one eps = 0 return per
+    # point, gives every oracle value
     from melnlab import recursion, simulate
 
     builds = mock.Mock(wraps=recursion.ZTable)
     returns = mock.Mock(wraps=simulate.integrate_return)
+    passes = mock.Mock(wraps=simulate._return_jet)
     monkeypatch.setattr(recursion, "ZTable", builds)
     monkeypatch.setattr(simulate, "integrate_return", returns)
+    monkeypatch.setattr(simulate, "_return_jet", passes)
     assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
-                 "--interval", "0.7:1.3", "--grid", "3log", "--out", str(tmp_path / "o")]) == 0
-    assert (builds.call_count, returns.call_count) == (3, 3)
+                 "--interval", "0.7:1.3", "--grid", f"{points}log",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert (builds.call_count, returns.call_count, passes.call_count) == (points, points, 1)
     assert all(call.args[1] == 0.0 for call in returns.call_args_list)
 
 

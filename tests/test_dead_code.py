@@ -3,6 +3,10 @@ attribute stored on ``self`` in the package, dunders aside, must be read as a
 name, an attribute or an import (not in a string or comment, and not only
 assigned) somewhere in src, tests, scripts or perfbench.
 
+A dataclass field must be read as an attribute (``obj.field``): being
+passed to the constructor is not a read.  ``RunManifest`` is exempt, since
+it is serialized whole by ``asdict``.
+
 Attributes are matched by name alone, whatever object they are read from.
 So an attribute that shares its name with one read elsewhere passes
 unchecked: a ``self.T`` would count as read wherever numpy's ``.T`` is.
@@ -14,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melnlab"
 SCANNED = ("src", "tests", "scripts", "perfbench")
+SERIALIZED_WHOLE = ("RunManifest",)
 
 
 def _dunder(name: str) -> bool:
@@ -40,12 +45,25 @@ def _self_attributes(tree: ast.Module):
             yield node.attr
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, (ast.Name, ast.Attribute)) and \
+                (target.id if isinstance(target, ast.Name) else target.attr) == "dataclass":
+            return True
+    return False
+
+
+def _sources():
+    for path in sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py")):
+        yield path, ast.parse(path.read_text())
+
+
 def test_every_definition_is_referenced():
     used: set[str] = set()
     defined: set[tuple[str, str]] = set()
-    for path in sorted(p for d in SCANNED for p in (ROOT / d).rglob("*.py")):
+    for path, tree in _sources():
         in_package = PACKAGE in path.parents
-        tree = ast.parse(path.read_text())
         where = path.relative_to(ROOT).as_posix()
         if in_package:
             names = [*_assigned_names(tree.body, True), *_self_attributes(tree)]
@@ -66,3 +84,20 @@ def test_every_definition_is_referenced():
                 defined.add((where, node.name))
     dead = sorted(f"{where}: {name}" for where, name in defined if name not in used)
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+
+
+def test_every_dataclass_field_is_read():
+    read: set[str] = set()
+    fields: set[tuple[str, str, str]] = set()
+    for path, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (PACKAGE in path.parents and isinstance(node, ast.ClassDef)
+                  and _is_dataclass(node) and node.name not in SERIALIZED_WHOLE):
+                where = path.relative_to(ROOT).as_posix()
+                fields.update((where, node.name, stmt.target.id) for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)
+                              and isinstance(stmt.target, ast.Name))
+    unread = sorted(f"{where}: {cls}.{name}" for where, cls, name in fields if name not in read)
+    assert not unread, "dataclass fields never read as an attribute:\n" + "\n".join(unread)

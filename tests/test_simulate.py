@@ -10,8 +10,7 @@ from melnlab.errors import DomainError, EscapeError, NumericalError
 from melnlab.geometry import switching_angles
 from melnlab.recursion import melnikov, melnikov_all
 from melnlab.simulate import (center_event_times, extract_melnikov, find_limit_cycles,
-                              integrate_return, melnikov_grid, return_derivative,
-                              trajectory_rows, write_trajectory_csv)
+                              integrate_return, return_derivative)
 from scipy.integrate import solve_ivp
 
 
@@ -30,7 +29,7 @@ def dop853_rhs(config, region, eps):
 
 
 def dop853_return(x0, eps, config):
-    """(x_return, crossing times) by DOP853 with terminal events, rtol 1e-12.
+    """(x_return, event times) by DOP853 with terminal events, rtol 1e-12.
 
     An independent reference for the closed-form flow of the package: the
     same legs and event directions, integrated numerically.
@@ -46,7 +45,7 @@ def dop853_return(x0, eps, config):
                         method="DOP853", rtol=1e-12, atol=1e-14, max_step=0.1, events=event)
         t0, state = float(sol.t_events[0][0]), sol.y_events[0][0]
         times.append(t0)
-    return float(state[0]), tuple(times[:2])
+    return float(state[0]), tuple(times)
 
 
 LADDER_BASE = {1: 1e-3, 2: 2e-3, 3: 6e-3, 4: 1.5e-2, 5: 2.5e-2, 6: 3.5e-2}
@@ -93,8 +92,8 @@ def test_crossing_angles_match_geometry(rng, n):
         t1, t2 = switching_angles(x0, n)
         assert res.crossing_angles[0] == pytest.approx(t1, abs=1e-10)
         assert res.crossing_angles[1] == pytest.approx(t2, abs=1e-10)
-        assert len(res.crossing_times) == 2
-        assert res.crossing_times[0] < res.crossing_times[1]
+        assert len(res.event_times) == 3
+        assert res.event_times[0] < res.event_times[1] < res.event_times[2]
 
 
 def test_event_residuals_on_curve(rng):
@@ -115,12 +114,11 @@ def test_time_reversal_consistency(rng):
         dx, dy = rhs_fwd(t, s)
         return (-dx, -dy)
 
-    t_end = res.segments[-1].t_span[1]
-    t_mid = res.segments[-1].t_span[0]
+    t_mid, t_end = res.event_times[1:]
     sol = solve_ivp(rhs_back, (0.0, t_end - t_mid), [res.x_return, 0.0],
                     method="DOP853", rtol=1e-12, atol=1e-14)
     end = sol.y[:, -1]
-    start = res.segments[-1].start
+    start = res.crossing_points[-1]
     assert end[0] == pytest.approx(start[0], abs=1e-9)
     assert end[1] == pytest.approx(start[1], abs=1e-9)
 
@@ -135,7 +133,7 @@ def test_exact_flow_matches_dop853(rng):
                     res = integrate_return(x0, eps, cfg)
                     x_ref, t_ref = dop853_return(x0, eps, cfg)
                     gaps = [abs(res.x_return - x_ref)]
-                    gaps += [abs(a - b) for a, b in zip(res.crossing_times, t_ref)]
+                    gaps += [abs(a - b) for a, b in zip(res.event_times, t_ref)]
                     worst = max(worst, max(gaps) / max(1.0, x0))
     assert worst <= 1e-12, worst
 
@@ -150,15 +148,11 @@ def test_exact_flow_real_eigenvalues_match_dop853(block, eps, kind):
     q = zone_discriminant(cfg, +1, eps)
     assert q > 0.0 if kind == "saddle" else q == 0.0
     for x0 in (0.5, 1.0, 2.0):
-        res = integrate_return(x0, eps, cfg, eps_max=1.0, keep_solutions=True)
+        res = integrate_return(x0, eps, cfg, eps_max=1.0)
         x_ref, t_ref = dop853_return(x0, eps, cfg)
         assert abs(res.x_return - x_ref) <= 1e-12 * max(1.0, x0)
-        for a, b in zip(res.crossing_times, t_ref):
+        for a, b in zip(res.event_times, t_ref):
             assert abs(a - b) <= 1e-12 * max(1.0, x0)
-        # the stored flow continues each leg from its start to its end
-        for seg in res.segments:
-            ends = seg.solution(np.array(seg.t_span))
-            assert np.allclose(ends.T, [seg.start, seg.end], rtol=0.0, atol=1e-13)
 
 
 def test_escape_is_a_typed_error():
@@ -202,62 +196,83 @@ def test_displacement_smooth_in_eps(rng):
     assert resid < 1e-10
 
 
+def _extract(xs, i, cfg):
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return extract_melnikov(xs, i, cfg, center_event_times(xs, cfg.n))
+
+
 def test_extraction_matches_closed_form(rng):
     for n in (2, 3):
         cfg = random_config(rng, n, 1)
-        for x0 in (0.8, 1.6):
-            est = extract_melnikov(x0, 1, cfg)
-            want = m1_closed(cfg, x0)
-            assert abs(est.value - want) / max(1.0, abs(want)) < 1e-12
-            assert not est.flagged
+        xs = [0.8, 1.6]
+        est = _extract(xs, 1, cfg)
+        want = np.array([m1_closed(cfg, x0) for x0 in xs])
+        assert np.all(np.abs(est.value - want) / np.maximum(1.0, np.abs(want)) < 1e-12)
+        assert not est.flagged
 
 
 def test_extraction_zero_config():
     # the unperturbed flow carries no eps at all
     cfg = SystemConfig(n=2, k=2, orders=(OrderCoefficients(), OrderCoefficients()))
     for i in (1, 2):
-        est = extract_melnikov(1.0, i, cfg)
-        assert abs(est.value) < 1e-12
-        assert abs(est.value) <= max(3.0 * est.error_estimate, 1e-10)
+        est = _extract(1.0, i, cfg)
+        assert est.values.shape == (i, 1) and est.error_estimate.shape == (1,)
+        assert abs(est.value[0]) < 1e-12
+        assert abs(est.value[0]) <= max(3.0 * est.error_estimate[0], 1e-10)
 
 
 def test_extraction_order2_vs_recursion(rng):
     from melnlab.closedforms import v_zero_coefficients
     c1 = v_zero_coefficients(3, rng)
     cfg = SystemConfig(n=3, k=2, orders=(c1, OrderCoefficients()))
-    for x0 in (0.8, 1.3):
-        est = extract_melnikov(x0, 2, cfg)
+    est = _extract([0.8, 1.3], 2, cfg)
+    for x0, value in zip((0.8, 1.3), est.value):
         want = melnikov(cfg, 2, x0)
-        assert abs(est.value - want) / max(1.0, abs(want)) < 1e-12
+        assert abs(value - want) / max(1.0, abs(want)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k", [2, 6])
 def test_grid_pass_is_the_pointwise_pass(rng, n, k):
-    # one eps-jet pass over the grid gives, column by column, the very bits
-    # of the scalar pass, and agrees with the recursion
+    # a grid column equals the 1-point call bit for bit, error estimate
+    # included, and agrees with the recursion
     cfg = random_config(rng, n, k)
     xs = np.geomspace(0.5, 1.8, 6)
-    grid = melnikov_grid(xs, k, cfg, center_event_times(xs, n))
-    assert grid.shape == (k, len(xs))
+    grid = _extract(xs, k, cfg)
+    assert grid.values.shape == (k, len(xs)) and grid.error_estimate.shape == (len(xs),)
     for g, x in enumerate(xs):
-        est = extract_melnikov(float(x), k, cfg)
-        assert grid[:, g].tolist() == list(est.values)
+        est = _extract(float(x), k, cfg)
+        assert grid.values[:, g].tolist() == est.values[:, 0].tolist()
+        assert grid.error_estimate[g] == est.error_estimate[0]
+        assert [grid.flagged_at(i)[g] for i in range(1, k + 1)] == \
+            [est.flagged_at(i)[0] for i in range(1, k + 1)]
         want = melnikov_all(cfg, float(x), k)
-        gaps = [abs(v - w) / max(1.0, abs(w)) for v, w in zip(est.values, want)]
+        gaps = [abs(v - w) / max(1.0, abs(w)) for v, w in zip(est.values[:, 0], want)]
         assert max(gaps) <= 1e-13, gaps
+
+
+def test_flags_are_per_point():
+    # flagged_at gives one flag per point; flagged is a bool, any point flagged
+    from melnlab.simulate import ORACLE_TOL, MelnikovEstimate
+
+    est = MelnikovEstimate(values=np.array([[0.5, 2.0, -3.0]]),
+                           error_estimate=np.array([0.5, 3.0, 2.0]) * ORACLE_TOL)
+    assert est.flagged_at(1).tolist() == [False, True, False]
+    assert est.flagged is True
+    calm = MelnikovEstimate(values=est.values, error_estimate=np.zeros(3))
+    assert calm.flagged is False
 
 
 def test_lower_orders_of_one_pass(rng):
     # a pass of order 6 carries every lower order, each flagged on its own
     cfg = random_config(rng, 3, 6)
-    for x0 in (0.7, 1.4):
-        est = extract_melnikov(x0, 6, cfg)
-        assert len(est.values) == 6 and est.value == est.values[-1]
-        for i in (1, 2, 4):
-            low = extract_melnikov(x0, i, cfg).value
-            assert abs(est.values[i - 1] - low) <= 1e-13 * max(1.0, abs(low))
-            assert not est.flagged_at(i)
+    xs = [0.7, 1.4]
+    est = _extract(xs, 6, cfg)
+    assert est.values.shape == (6, 2) and est.value.tolist() == est.values[-1].tolist()
+    for i in (1, 2, 4):
+        low = _extract(xs, i, cfg).value
+        assert np.all(np.abs(est.values[i - 1] - low) <= 1e-13 * np.maximum(1.0, np.abs(low)))
+        assert not np.any(est.flagged_at(i))
 
 
 @pytest.mark.parametrize("block, eps", [
@@ -289,6 +304,13 @@ def test_eps_bound_and_domain_checks(rng):
         integrate_return(1.0, 0.5, cfg)
     with pytest.raises(DomainError):
         integrate_return(-1.0, 0.0, cfg)
+
+
+def test_seeds_and_melnikov_zeros_must_pair_up(rng):
+    # zip would drop the unpaired seeds without a word
+    cfg = random_config(rng, 2, 1)
+    with pytest.raises(DomainError, match="3 seeds but 1 Melnikov zeros"):
+        find_limit_cycles(1e-4, cfg, [0.8, 1.0, 1.2], melnikov_zeros=[1.0])
 
 
 def test_period_annulus_reported(rng):
@@ -351,16 +373,3 @@ def test_cycles_stop_on_the_newton_step():
     for c, offset in zip(cycles, offsets):
         assert abs(c.x_star - c.melnikov_zero - 1e-2 * offset) <= 1e-7
 
-
-def test_trajectory_dump(tmp_path, rng):
-    cfg = random_config(rng, 2, 1)
-    res = integrate_return(1.0, 1e-3, cfg, keep_solutions=True)
-    rows = trajectory_rows(res, samples_per_leg=50)
-    assert len(rows) == 150
-    for t, x, y, region in rows[1:-1]:
-        if abs(y - x**cfg.n) > 1e-9:
-            assert region == (1 if y - x**cfg.n > 0 else -1)
-    path = write_trajectory_csv(tmp_path / "traj.csv", res, samples_per_leg=10)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,x,y,region"
-    assert len(text) == 31
