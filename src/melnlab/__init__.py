@@ -22,9 +22,9 @@ from .config import OrderCoefficients, SystemConfig, dump_config, load_config
 from .errors import (ConfigurationError, DomainError, EscapeError,
                      EventDegeneracyError, MelnlabError, NumericalError,
                      SequencingError)
-from .geometry import SwitchingGeometry, crossing_abscissa, switching_angles, theta1_jet
-from .polar import PolarField, build_polar_field, cartesian_field
-from .recursion import ZTable, melnikov, melnikov_all, ztable
+from .geometry import crossing_abscissa, switching_angles, theta1_jet
+from .polar import PolarField, cartesian_field
+from .recursion import ZTable, melnikov, melnikov_all
 from .series import Jet
 from .simulate import (CycleSearch, LimitCycle, PoincareResult, center_event_times,
                        extract_melnikov, find_limit_cycles, integrate_return)

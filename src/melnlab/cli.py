@@ -89,6 +89,8 @@ def cmd_melnikov(args) -> int:
     for i in orders:
         if not 1 <= i <= config.k:
             raise ConfigurationError(f"order {i} outside the config's 1..{config.k}")
+    if len(set(orders)) < len(orders):
+        raise ConfigurationError(f"orders must not repeat, got {args.orders!r}")
     out = Path(args.out)
     _write_manifest(out, args, "melnikov", interval=interval, orders=orders)
 
@@ -117,12 +119,14 @@ def cmd_melnikov(args) -> int:
         header.append("oracle_flagged")
         write_csv(out / name, header, rows)
         curves.append((name, 1, 2, f"M{i}"))
-        worst_gap = max(worst_gap, max(r[3] for r in rows))
+        # np.max, not max: a NaN gap must reach the gate below
+        worst_gap = float(np.max([worst_gap] + [r[3] for r in rows]))
     write_gnuplot(out / "plot.gp", "Melnikov orders", curves)
     _append_span_fits(out, config, orders, xs, values)
     print(f"wrote {len(orders)} order tables to {out} (worst oracle gap {format_float(worst_gap)})")
-    if worst_gap > ORACLE_TOL and not config.is_zero():
-        raise NumericalError(f"simulation oracle disagrees beyond {ORACLE_TOL}", worst_gap=worst_gap)
+    if not math.isfinite(worst_gap) or (worst_gap > ORACLE_TOL and not config.is_zero()):
+        raise NumericalError(f"simulation oracle disagrees beyond {ORACLE_TOL} "
+                             f"(worst gap {format_float(worst_gap)})")
     return 0
 
 
@@ -194,7 +198,7 @@ def cmd_cheb(args) -> int:
     print(f"{name} on [{interval[0]}, {interval[1]}]: {verdict.classification}"
           f" (zero bound {verdict.zero_bound}, nu={list(verdict.nu)})")
     if verdict.classification == "inconclusive":
-        raise NumericalError("family certification inconclusive", nu=list(verdict.nu))
+        raise NumericalError(f"family certification inconclusive (nu={list(verdict.nu)})")
     return 0
 
 

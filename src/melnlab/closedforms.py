@@ -484,8 +484,8 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
 
     cfg = _kernel_quadratic_search(n, proj, m2, rng, ORDER3_STARTS, accept)
     if cfg is None:
-        raise NumericalError("nullspace search for an order-3 configuration failed",
-                             n=n, starts=ORDER3_STARTS, seed=seed)
+        raise NumericalError(f"nullspace search for an order-3 configuration failed "
+                             f"(n = {n}, seed {seed}, {ORDER3_STARTS} starts)")
     return cfg
 
 
@@ -533,6 +533,6 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     cfg = _kernel_quadratic_search(n, proj, m2, rng, STRUCTURE_STARTS, accept,
                                    tol=1e-7, scale_rows=np.diag(denv))
     if cfg is None:
-        raise NumericalError("structural-span search failed", n=n, starts=STRUCTURE_STARTS,
-                             seed=seed, span=name)
+        raise NumericalError(f"structural-span search onto {name} failed "
+                             f"(n = {n}, seed {seed}, {STRUCTURE_STARTS} starts)")
     return cfg

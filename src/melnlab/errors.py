@@ -20,12 +20,9 @@ class SequencingError(MelnlabError):
 class NumericalError(MelnlabError):
     """A numerical routine failed to reach its accuracy target.
 
-    Carries optional diagnostics (interval, degrees tried, tail size).
+    The message names the values the failure depends on (interval, degree,
+    seed, ...).
     """
-
-    def __init__(self, message: str, **diagnostics):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics)
 
 
 class EventDegeneracyError(MelnlabError):

@@ -10,7 +10,6 @@ for odd n, second quadrant for even n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +17,18 @@ from .errors import DomainError
 from .roots import brentq
 from .series import Jet, jet_sincos
 
-__all__ = ["R_MIN", "SwitchingGeometry", "crossing_abscissa", "switching_angles",
+__all__ = ["R_MIN", "SECTOR_SIGNS", "crossing_abscissa", "switching_angles",
            "switching_function", "theta1_jet"]
 
 # theta is undefined at the origin; keep a safe margin
 R_MIN = 1e-6
 
 TWO_PI = 2.0 * math.pi
+
+# Field label of sector j along a circle: j=0 is (0, theta1) below the curve,
+# j=1 is (theta1, theta2) above it, j=2 is (theta2, 2*pi) below it again.
+# Angles are never wrapped mid-computation; theta2 > pi always.
+SECTOR_SIGNS = (-1, +1, -1)
 
 
 def _check_radius(r: float) -> float:
@@ -91,47 +95,3 @@ def theta1_jet(r: float, n: int, order: int) -> Jet:
         gt = c + n * rpow * c ** (n - 1) * s
         th = th - g / gt
     return th
-
-
-@dataclass(frozen=True)
-class SwitchingGeometry:
-    """Sector bookkeeping for one switching degree.
-
-    Sector j=0 is (0, theta1) with field label '-', j=1 is (theta1, theta2)
-    with '+', j=2 is (theta2, 2*pi) with '-'.  Angles are never wrapped
-    mid-computation; theta2 > pi always.
-    """
-
-    n: int
-
-    SECTOR_SIGNS = (-1, +1, -1)
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError(f"switching degree must be a positive integer, got {self.n!r}")
-
-    def angles(self, r: float) -> tuple[float, float]:
-        return switching_angles(r, self.n)
-
-    def boundaries(self, r: float) -> tuple[float, float, float, float]:
-        """(theta_0, theta_1, theta_2, theta_3) = (0, theta1, theta2, 2*pi)."""
-        theta1, theta2 = self.angles(r)
-        return 0.0, theta1, theta2, TWO_PI
-
-    def theta_jets(self, r: float, order: int) -> tuple[Jet, Jet]:
-        """r-jets of both switching angles, from one Newton solve for theta1."""
-        t1 = theta1_jet(r, self.n, order)
-        return t1, math.pi - (-1.0) ** self.n * t1
-
-    def sector_sign(self, j: int) -> int:
-        """Field label of sector j: -1 below the curve, +1 above."""
-        return self.SECTOR_SIGNS[j]
-
-    def sector_of(self, theta: float, r: float) -> int:
-        theta1, theta2 = self.angles(r)
-        t = theta % TWO_PI
-        if t < theta1:
-            return 0
-        if t < theta2:
-            return 1
-        return 2

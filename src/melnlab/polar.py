@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 from .config import SystemConfig
 from .errors import DomainError
-from .geometry import SwitchingGeometry
 from .series import Jet, _sincos, jet_sincos
 
-__all__ = ["PolarField", "build_polar_field", "cartesian_field"]
+__all__ = ["PolarField", "cartesian_field"]
 
 
 def _radial(coeffs, r, s, c):
@@ -53,7 +52,6 @@ class PolarField:
     """Evaluators of the standard-form right-hand sides F_i^(+/-)(r, theta)."""
 
     config: SystemConfig
-    geometry: SwitchingGeometry
 
     @property
     def k(self) -> int:
@@ -125,11 +123,6 @@ class PolarField:
         A = [_radial(self._side(sign, i), *cut(degree + 1 - i)) for i in range(1, upto + 1)]
         B = [_angular(self._side(sign, i), *cut(degree - i)) for i in range(1, upto)]
         return _divide(A, B)
-
-
-def build_polar_field(config: SystemConfig) -> PolarField:
-    """Attach the switching geometry and return the standard-form field."""
-    return PolarField(config=config, geometry=SwitchingGeometry(n=config.n))
 
 
 def cartesian_field(config: SystemConfig, x: float, y: float, eps: float):

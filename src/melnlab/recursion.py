@@ -27,7 +27,8 @@ from scipy.fft import dct
 from .combinatorics import compositions, partitions
 from .config import SystemConfig
 from .errors import DomainError, NumericalError, SequencingError
-from .polar import PolarField, build_polar_field
+from .geometry import SECTOR_SIGNS, TWO_PI, switching_angles, theta1_jet
+from .polar import PolarField
 from .series import Jet
 
 __all__ = ["ZTable", "melnikov", "melnikov_all"]
@@ -42,7 +43,7 @@ def _cheb_fit(fun, a: float, b: float) -> Chebyshev:
 
     Doubles the degree from CHEB_START_DEGREE until the last two coefficients
     drop below CHEB_REL_TOL times the coefficient scale; raises NumericalError
-    with interval diagnostics if CHEB_MAX_DEGREE is reached without decay.
+    naming the interval and degree if CHEB_MAX_DEGREE is reached without decay.
     """
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
     n = CHEB_START_DEGREE
@@ -61,8 +62,8 @@ def _cheb_fit(fun, a: float, b: float) -> Chebyshev:
             return Chebyshev(coef[:keep], domain=(a, b))
         if n >= CHEB_MAX_DEGREE:
             raise NumericalError(
-                "sector integrand did not converge under Chebyshev refinement",
-                interval=(a, b), degree=n, tail=float(tail), scale=float(scale))
+                f"sector integrand on [{a}, {b}] did not converge under Chebyshev "
+                f"refinement (degree {n}, tail {tail:.3e} of scale {scale:.3e})")
         n *= 2
 
 
@@ -106,23 +107,26 @@ class ZTable:
 
     Parameters
     ----------
-    field : PolarField
+    config : SystemConfig
     x : float
         Section coordinate (radius of the unperturbed circle), x > 0.
     order : int
-        Highest Melnikov order to build (<= field.k).
+        Highest Melnikov order to build (<= config.k).
+
+    Raises NumericalError when some M_i comes out non-finite.
     """
 
-    def __init__(self, field: PolarField, x: float, order: int | None = None):
-        self.field = field
-        self.geometry = field.geometry
+    def __init__(self, config: SystemConfig, x: float, order: int | None = None):
+        self.field = PolarField(config)
         self.x = float(x)
-        self.order = field.k if order is None else int(order)
-        if not 1 <= self.order <= field.k:
-            raise DomainError(f"order must be in 1..{field.k}, got {self.order}")
+        self.order = config.k if order is None else int(order)
+        if not 1 <= self.order <= config.k:
+            raise DomainError(f"order must be in 1..{config.k}, got {self.order}")
 
-        self.bounds = self.geometry.boundaries(self.x)
-        self._theta_jets = self.geometry.theta_jets(self.x, self.order)
+        self.bounds = (0.0, *switching_angles(self.x, config.n), TWO_PI)
+        # r-jets of both switching angles, from one Newton solve for theta1
+        t1 = theta1_jet(self.x, config.n, self.order)
+        self._theta_jets = (t1, math.pi - (-1.0) ** config.n * t1)
 
         self._cheb: dict[tuple[int, int], Chebyshev] = {}
         self._z_start: dict[tuple[int, int], float] = {}
@@ -208,10 +212,14 @@ class ZTable:
                 prim = _cheb_antiderivative(cheb, self.bounds[j])
                 self._cheb[(i, j)] = math.factorial(i) * prim + left
                 self._z_end[(i, j)] = float(self._cheb[(i, j)](self.bounds[j + 1]))
-            self._melnikov.append(self._z_end[(i, 2)] / math.factorial(i))
+            value = self._z_end[(i, 2)] / math.factorial(i)
+            if not math.isfinite(value):
+                raise NumericalError(f"M_{i} is not finite at x = {self.x} "
+                                     f"(switching degree n = {self.field.config.n})")
+            self._melnikov.append(value)
 
     def _integrand(self, i: int, j: int, nodesets: dict):
-        sign = self.geometry.sector_sign(j)
+        sign = SECTOR_SIGNS[j]
 
         def K(tarr):
             key = (j, tarr.size)
@@ -236,7 +244,7 @@ class ZTable:
         """
         key = (j, side)
         if key not in self._nested:
-            sign = self.geometry.sector_sign(j)
+            sign = SECTOR_SIGNS[j]
             t0 = self._endpoint(j, side)
             self._nested[key] = self.field.f_nested_jets(sign, self.x, t0, self.order - 2)
         return self._nested[key]
@@ -327,21 +335,16 @@ class ZTable:
         return math.factorial(i) * total
 
 
-def ztable(config: SystemConfig, x: float, order: int | None = None) -> ZTable:
-    """Build the recursion table at base point x."""
-    return ZTable(build_polar_field(config), x, config.k if order is None else order)
-
-
 def melnikov(config: SystemConfig, i: int, x: float) -> float:
     """Melnikov function of order i at section coordinate x."""
     if x <= 0.0:
         raise DomainError(f"section coordinate must be positive, got {x}")
-    return ztable(config, x, i).melnikov(i)
+    return ZTable(config, x, i).melnikov(i)
 
 
 def melnikov_all(config: SystemConfig, x: float, upto: int | None = None) -> list[float]:
     """[M_1(x), ..., M_upto(x)] sharing one recursion table."""
     upto = config.k if upto is None else upto
-    table = ztable(config, x, upto)
+    table = ZTable(config, x, upto)
     return [table.melnikov(i) for i in range(1, upto + 1)]
 

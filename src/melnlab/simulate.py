@@ -157,7 +157,7 @@ class _Flow:
         near = float(np.min(np.hypot(*map(_value, start))))
         if not far <= EQ_FAR * max(1.0, near):
             raise NumericalError(f"the field of region {zone.region:+d} has no equilibrium "
-                                 f"near the orbit (|s*| = {far:.3e})", equilibrium=zone.eq)
+                                 f"near the orbit (|s*| = {far:.3e})")
         self.zone = zone
         d0, d1 = start[0] - zone.eq[0], start[1] - zone.eq[1]
         _, a12, a21, _ = zone.A
@@ -207,8 +207,8 @@ def _leg(zone: _Zone, n: int, state, direction: int, label: str):
         r_end = math.hypot(xs[-1], ys[-1])
         if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
             raise EscapeError(f"trajectory left the annulus during the {label} leg (r={r_end:.3e})")
-        raise NumericalError(f"no terminating event on the {label} leg",
-                             window=LEG_WINDOW)
+        raise NumericalError(f"no terminating event on the {label} leg "
+                             f"within {LEG_WINDOW:.6g} time units of its start")
     j = int(hits[0])
 
     def g_tau(tau):
@@ -239,8 +239,9 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
     then '-' back to the section, matching the sector pattern of y - x^n
     along circles around the origin.
     """
-    if x0 <= 0.0:
-        raise DomainError(f"section coordinate must be positive, got {x0}")
+    if not R_ESCAPE[0] <= x0 <= R_ESCAPE[1]:
+        raise DomainError(f"section coordinate {x0} outside the annulus "
+                          f"[{R_ESCAPE[0]:g}, {R_ESCAPE[1]:g}]")
     if abs(eps) > eps_max:
         raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
@@ -341,10 +342,11 @@ def center_event_times(xs, n: int) -> np.ndarray:
     return np.array([integrate_return(float(x), 0.0, center).event_times for x in xs]).T
 
 
-def return_derivative(x0: float, eps: float, config: SystemConfig) -> float:
-    """Exact derivative of the return map at x0, from a first-order jet in x0."""
-    times = integrate_return(x0, eps, config).event_times
-    x, _ = _return_jet(times, config, Jet.variable(float(x0), 1), eps, 1)
+def return_derivative(result: PoincareResult, config: SystemConfig) -> float:
+    """Exact derivative of the return map at ``result.x0``, from a first-order
+    jet in x0 along the legs of ``result`` (a return from ``integrate_return``)."""
+    x, _ = _return_jet(result.event_times, config, Jet.variable(float(result.x0), 1),
+                       result.eps, 1)
     return float(x.c[1])
 
 
@@ -381,12 +383,13 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
         converged = False
         it = 0
         try:
-            d = integrate_return(x, eps, config).displacement
+            ret = integrate_return(x, eps, config)
             for it in range(1, NEWTON_MAX_ITER + 1):
-                slope = return_derivative(x, eps, config) - 1.0
+                deriv = return_derivative(ret, config)
+                slope = deriv - 1.0
                 if slope == 0.0:
                     break
-                step = -d / slope
+                step = -ret.displacement / slope
                 if abs(step) <= NEWTON_TOL * max(1.0, abs(x)):
                     converged = True
                     break
@@ -394,13 +397,13 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
                 while lam > 1.0 / 64.0:
                     x_new = x + lam * step
                     if x_new > 0.0:
-                        d_new = integrate_return(x_new, eps, config).displacement
-                        if abs(d_new) < abs(d):
+                        ret_new = integrate_return(x_new, eps, config)
+                        if abs(ret_new.displacement) < abs(ret.displacement):
                             break
                     lam *= 0.5
                 else:
                     break
-                x, d = x_new, d_new
+                x, ret = x_new, ret_new
         except (EscapeError, NumericalError, EventDegeneracyError, DomainError) as exc:
             diagnostics.append(f"seed {seed}: {exc}")
             continue
@@ -409,9 +412,9 @@ def find_limit_cycles(eps: float, config: SystemConfig, seeds, *,
             continue
         if any(abs(x - c.x_star) < CYCLE_DEDUPE for c in results):
             continue
-        deriv = return_derivative(x, eps, config)
-        results.append(LimitCycle(x_star=x, eps=eps, derivative=deriv, residual=abs(d), iterations=it, seed=float(seed),
-                                  melnikov_zero=mzero, order=order))
+        results.append(LimitCycle(x_star=x, eps=eps, derivative=deriv,
+                                  residual=abs(ret.displacement), iterations=it,
+                                  seed=float(seed), melnikov_zero=mzero, order=order))
     results.sort(key=lambda c: c.x_star)
     return CycleSearch(tuple(results), tuple(diagnostics))
 

@@ -130,6 +130,7 @@ def test_ceiling_scan_blocks_match_one_batch(n):
 
 @pytest.mark.parametrize("argv", [
     ["melnikov", "--orders", "1,,2"],
+    ["melnikov", "--orders", "2,2"],
     ["cheb", "--family", "F7", "--k", "0", "--lam", "1"],
     ["cheb", "--family", "F2", "--k", "-1"],
     ["melnikov", "--seed", "-1"],
@@ -143,7 +144,7 @@ def test_ceiling_scan_blocks_match_one_batch(n):
     # F1^1 has a W_2 zero in [0.1, 10], so an ECT verdict on [0.1, inf) is wrong
     ["cheb", "--family", "F1", "--interval", "0.1:inf"],
     ["cheb", "--family", "F1", "--interval", "0.1:nan"],
-], ids=["empty-order", "F7-k0", "F2-negative-k", "melnikov-negative-seed",
+], ids=["empty-order", "repeated-order", "F7-k0", "F2-negative-k", "melnikov-negative-seed",
         "cheb-negative-seed", "reproduce-negative-seed", "grid-open-paren",
         "grid-close-paren", "grid-trailing-paren", "grid-parenthesized-kind",
         "melnikov-infinite-end", "cheb-infinite-end", "cheb-nan-end"])
@@ -153,6 +154,34 @@ def test_bad_input_is_a_configuration_error(tmp_path, demo_config, argv):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     # rejected before anything is written
     assert not (tmp_path / "o").exists()
+
+
+def test_start_outside_the_annulus_is_a_configuration_error(tmp_path, demo_config):
+    # the orbit from x0 = 1e-5 starts inside r < 1e-4, so it never left the annulus
+    assert main(["melnikov", "--config", str(demo_config), "--interval", "1e-5:1e-4",
+                 "--grid", "2", "--out", str(tmp_path / "o")]) == 3
+
+
+def test_non_finite_melnikov_value_exits_2(tmp_path, capsys):
+    # the README example config at n = 1100: M_2 at x = 2 comes out NaN
+    cfg = SystemConfig(n=1100, k=2, orders=(
+        OrderCoefficients(a=(0.3, -0.2, 0.5), b=(0.1, 0.4, -0.6),
+                          alpha=(-0.7, 0.2, 0.1), beta=(0.9, -0.3, 0.2)),
+        OrderCoefficients(a=(0.2, -0.1, 0.3)),
+    ))
+    dump_config(cfg, tmp_path / "cfg.json")
+    assert main(["melnikov", "--config", str(tmp_path / "cfg.json"), "--orders", "1,2",
+                 "--interval", "1.5:2", "--grid", "4", "--out", str(tmp_path / "o")]) == 2
+    assert "M_2 is not finite at x = 2.0" in capsys.readouterr().err
+
+
+def test_oracle_gate_fails_on_a_non_finite_gap(tmp_path, demo_config, monkeypatch):
+    # max() skips a NaN gap; the gate must not
+    from melnlab import cli
+
+    monkeypatch.setattr(cli, "melnikov_all", lambda config, x, upto: [float("nan")] * upto)
+    assert main(["melnikov", "--config", str(demo_config), "--interval", "0.8:1.2",
+                 "--grid", "3", "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("grid", ["5", "5log", "5lin"])

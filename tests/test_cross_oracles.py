@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from melnlab.recursion import melnikov, ztable
+from melnlab.recursion import ZTable, melnikov
 from melnlab.simulate import integrate_return
 from test_simulate import ladder_melnikov
 
@@ -36,7 +36,7 @@ def test_alpha2_matches_crossing_time_differences(rng, j):
     base = random_config(rng, 3, 2, scale=0.7)
     cfg = SystemConfig(n=3, k=3, orders=base.orders + (OrderCoefficients(),))
     x0 = 1.15
-    table = ztable(cfg, x0, 3)
+    table = ZTable(cfg, x0, 3)
     h = 2e-3
     a_plus = crossing_angle(cfg, x0, +h, j)
     a_zero = crossing_angle(cfg, x0, 0.0, j)
@@ -49,7 +49,7 @@ def test_alpha2_matches_crossing_time_differences(rng, j):
 def test_alpha1_matches_crossing_time_differences(rng, j):
     cfg = random_config(rng, 2, 2, scale=0.7)
     x0 = 0.9
-    table = ztable(cfg, x0, 2)
+    table = ZTable(cfg, x0, 2)
     h = 1e-3
     f1 = (crossing_angle(cfg, x0, +h, j) - crossing_angle(cfg, x0, -h, j)) / (2 * h)
     f2 = (crossing_angle(cfg, x0, +h / 2, j) - crossing_angle(cfg, x0, -h / 2, j)) / h
@@ -65,7 +65,7 @@ def test_w_coefficients_match_crossing_radius_ladder(rng, j):
     base = random_config(rng, 3, 3, scale=0.6)
     cfg = SystemConfig(n=3, k=4, orders=base.orders + (OrderCoefficients(),))
     x0 = 1.1
-    table = ztable(cfg, x0, 4)
+    table = ZTable(cfg, x0, 4)
     eps = 1.5e-2 / 2.0 ** np.arange(3)
     ladder = np.concatenate([eps, -eps])
     vals = np.array([crossing_radius(cfg, x0, e, j) - x0 for e in ladder])

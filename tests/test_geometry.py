@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError
-from melnlab.geometry import (SwitchingGeometry, crossing_abscissa, switching_angles,
+from melnlab.geometry import (SECTOR_SIGNS, crossing_abscissa, switching_angles,
                               switching_function, theta1_jet)
+from melnlab.recursion import ZTable
 
 
 def test_n1_angles_are_constant():
@@ -45,15 +48,14 @@ def test_domain_errors():
 def test_region_classification_random_sample(rng):
     # sign of y - x^n must agree with the sector labels everywhere
     for n in (1, 2, 3, 4):
-        geo = SwitchingGeometry(n=n)
         rs = rng.uniform(0.05, 5.0, 2500)
         thetas = rng.uniform(0.0, 2.0 * math.pi, 2500)
         for r, th in zip(rs, thetas):
             s = switching_function(r, th, n)
             if abs(s) < 1e-12:
                 continue
-            j = geo.sector_of(th, r)
-            assert geo.sector_sign(j) == (1 if s > 0 else -1), (n, r, th)
+            j = int(np.searchsorted(switching_angles(r, n), th, side="right"))
+            assert SECTOR_SIGNS[j] == (1 if s > 0 else -1), (n, r, th)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -73,10 +75,12 @@ def test_theta1_jet_matches_finite_differences(n):
 
 
 def test_theta_jet_of_second_angle():
-    geo = SwitchingGeometry(n=2)
-    j1, j2 = geo.theta_jets(1.1, 2)
+    def theta_jets(n):
+        cfg = SystemConfig(n=n, k=2, orders=(OrderCoefficients(), OrderCoefficients()))
+        return ZTable(cfg, 1.1, 2)._theta_jets
+
+    j1, j2 = theta_jets(2)
     assert j2.value == pytest.approx(math.pi - j1.value, abs=1e-14)
     assert j2.derivative(1) == pytest.approx(-j1.derivative(1), abs=1e-14)
-    geo3 = SwitchingGeometry(n=3)
-    j13, j23 = geo3.theta_jets(1.1, 2)
+    j13, j23 = theta_jets(3)
     assert j23.derivative(1) == pytest.approx(j13.derivative(1), abs=1e-14)

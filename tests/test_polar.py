@@ -6,7 +6,7 @@ import pytest
 from conftest import random_config
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError
-from melnlab.polar import build_polar_field, cartesian_field
+from melnlab.polar import PolarField, cartesian_field
 from melnlab.series import Jet
 
 
@@ -25,7 +25,7 @@ def series_quotient_oracle(field, i, sign, r, theta, rho=0.15, m=128):
 
 def test_zero_config_gives_zero_field():
     cfg = SystemConfig(n=2, k=3, orders=tuple(OrderCoefficients() for _ in range(3)))
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     for i in (1, 2, 3):
         assert field.f(i, +1, 1.3, 0.7) == 0.0
         assert field.f(i, -1, 0.4, 5.1) == 0.0
@@ -33,7 +33,7 @@ def test_zero_config_gives_zero_field():
 
 def test_first_order_matches_explicit_formula(rng):
     cfg = random_config(rng, 3, 2)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     a0, a1, a2 = cfg.order(1).a
     b0, b1, b2 = cfg.order(1).b
     for r, th in [(1.2, 0.4), (0.6, 2.9), (2.5, 4.4)]:
@@ -48,7 +48,7 @@ def test_first_order_matches_explicit_formula(rng):
 @pytest.mark.parametrize("i", [2, 3, 4])
 def test_higher_orders_match_quotient_oracle(rng, i):
     cfg = random_config(rng, 2, 4)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     for sign in (+1, -1):
         for r, th in [(1.1, 0.8), (0.7, 3.9)]:
             got = field.f(i, sign, r, th)
@@ -58,7 +58,7 @@ def test_higher_orders_match_quotient_oracle(rng, i):
 
 def test_two_pi_periodicity(rng):
     cfg = random_config(rng, 4, 3)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     for i in (1, 2, 3):
         for sign in (+1, -1):
             th = rng.uniform(0, 2 * math.pi)
@@ -70,7 +70,7 @@ def test_first_order_affine_in_radius(rng):
     # F_1 is affine in r; orders >= 2 pick up negative powers from the
     # angular division and are rational instead
     cfg = random_config(rng, 3, 2)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     th = 0.9
     r1, r2, r3 = 0.5, 1.0, 2.0
     f = [field.f(1, +1, r, th) for r in (r1, r2, r3)]
@@ -96,7 +96,7 @@ def test_cartesian_field_pieces(rng):
 def test_polar_cartesian_chain_rule(rng):
     # dr/dtheta from the Cartesian field equals the polar series evaluation
     cfg = random_config(rng, 2, 2, scale=0.5)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     eps = 1e-3
     for r, th in [(1.3, 0.9), (0.8, 4.0)]:
         x, y = r * math.cos(th), r * math.sin(th)
@@ -111,7 +111,7 @@ def test_polar_cartesian_chain_rule(rng):
 
 def test_f_r_jets_match_finite_differences(rng):
     cfg = random_config(rng, 3, 3)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     r0, th, h = 1.2, 1.1, 1e-5
     jets = field.f_r_jets(-1, r0, th, 2)
     for i in (1, 2, 3):
@@ -135,7 +135,7 @@ def _same(a, b) -> bool:
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
     cfg = random_config(rng, 3, 5)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     for theta in (0.9, np.linspace(0.1, 6.0, 9)):
         for order in range(cfg.k):
             full = field.f_all(sign, Jet.variable(1.3, order), theta)
@@ -149,7 +149,7 @@ def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
 @pytest.mark.parametrize("degree", [0, 1, 2, 4])
 def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     cfg = random_config(rng, 2, 6)
-    field = build_polar_field(cfg)
+    field = PolarField(cfg)
     r, t0 = 0.8, 2.3
     # rectangular reference: every r-coefficient carries the full t-order
     tj = Jet.variable(t0, degree)

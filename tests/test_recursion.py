@@ -7,16 +7,16 @@ from scipy.integrate import quad
 from conftest import random_config
 from melnlab.closedforms import m1_closed, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig
-from melnlab.errors import DomainError, SequencingError
+from melnlab.errors import DomainError, NumericalError, SequencingError
 from melnlab.geometry import switching_angles
-from melnlab.polar import PolarField, build_polar_field
-from melnlab.recursion import CHEB_START_DEGREE, ZTable, melnikov, melnikov_all, ztable
+from melnlab.polar import PolarField
+from melnlab.recursion import CHEB_START_DEGREE, ZTable, melnikov, melnikov_all
 from melnlab.series import Jet
 
 
 def melfun_quadrature(config, r):
     """Three-piece first-order integral, independent adaptive quadrature."""
-    field = build_polar_field(config)
+    field = PolarField(config)
     t1, t2 = switching_angles(r, config.n)
     total = 0.0
     for (a, b, sign) in ((0.0, t1, -1), (t1, t2, +1), (t2, 2 * math.pi, -1)):
@@ -31,7 +31,7 @@ def second_order_quadrature(config, x):
     theta-prime comes from central differences of the root-solved angle, so
     the oracle shares nothing with the jet path.
     """
-    field = build_polar_field(config)
+    field = PolarField(config)
     t1, t2 = switching_angles(x, config.n)
     bounds = [0.0, t1, t2, 2 * math.pi]
     signs = [-1, +1, -1]
@@ -94,7 +94,7 @@ def test_z1_equals_closed_antiderivative(rng):
                  + be2 * x * (t - math.sin(t) * math.cos(t)) / 2)
 
     for t in (0.3 * t1, 0.8 * t1, t1):
-        assert ztable(cfg, x, 1).z(1, 0, t) == pytest.approx(antiderivative(t), abs=1e-12)
+        assert ZTable(cfg, x, 1).z(1, 0, t) == pytest.approx(antiderivative(t), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -118,7 +118,7 @@ def test_jump_terms_are_necessary(rng):
     # discontinuous first order: the delta corrections add (jump(2,1) + jump(2,2))/2!
     # to M2, and that contribution must not vanish
     cfg = random_config(rng, 3, 2)
-    table = ZTable(build_polar_field(cfg), 1.1, 2)
+    table = ZTable(cfg, 1.1, 2)
     assert abs(table.jump(2, 1) + table.jump(2, 2)) / 2.0 > 1e-6
 
 
@@ -126,14 +126,14 @@ def test_jump_corrections_vanish_for_continuous_field(rng):
     block = OrderCoefficients(a=(0.4, -0.2, 0.7), b=(0.1, 0.3, -0.5),
                               alpha=(0.4, -0.2, 0.7), beta=(0.1, 0.3, -0.5))
     cfg = SystemConfig(n=3, k=2, orders=(block, block))
-    table = ztable(cfg, 1.2, 2)
+    table = ZTable(cfg, 1.2, 2)
     assert table.jump(2, 1) == pytest.approx(0.0, abs=1e-13)
     assert table.jump(2, 2) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_alpha1_structure(rng):
     cfg = random_config(rng, 2, 2)
-    table = ztable(cfg, 1.3, 2)
+    table = ZTable(cfg, 1.3, 2)
     from melnlab.geometry import theta1_jet
     t1p = theta1_jet(1.3, 2, 1).derivative(1)
     # alpha_j^1 = theta_j'(x) * w_1^j with w_1^j the upstream z at the angle
@@ -143,7 +143,7 @@ def test_alpha1_structure(rng):
 
 def test_unperturbed_alpha_vanishes():
     cfg = SystemConfig(n=2, k=3, orders=tuple(OrderCoefficients() for _ in range(3)))
-    table = ztable(cfg, 1.0, 3)
+    table = ZTable(cfg, 1.0, 3)
     for q in (1, 2):
         for j in (1, 2):
             assert table.alpha(q, j) == 0.0
@@ -153,8 +153,8 @@ def test_w2_formula(rng):
     # w_2^j = z_2^{j-1}(theta_j)/2 + dz_1^{j-1}/dt(theta_j) * alpha_j^1
     cfg = random_config(rng, 3, 2)
     x = 0.9
-    table = ztable(cfg, x, 2)
-    field = build_polar_field(cfg)
+    table = ZTable(cfg, x, 2)
+    field = PolarField(cfg)
     t1 = table.theta(1)
     z2_end = table.z(2, 0, t1)
     dz1 = field.f(1, -1, x, t1)   # dz_1^0/dt = F_1^0
@@ -164,7 +164,7 @@ def test_w2_formula(rng):
 
 def test_sequencing_and_domain_errors(rng, monkeypatch):
     cfg = random_config(rng, 2, 3)
-    table = ztable(cfg, 1.0, 2)
+    table = ZTable(cfg, 1.0, 2)
     with pytest.raises(SequencingError):
         table.melnikov(3)
     with pytest.raises(SequencingError):
@@ -179,6 +179,15 @@ def test_sequencing_and_domain_errors(rng, monkeypatch):
         with pytest.raises(DomainError):
             order_zero()
     assert builds == []
+
+
+def test_non_finite_melnikov_value_raises(rng):
+    # at n = 1100 and x = 2, theta1_jet's r^(n-1) overflows while cos^n
+    # underflows, and inf * 0 puts a NaN into M_2 through the jump terms
+    cfg = random_config(rng, 1100, 2)
+    assert math.isfinite(ZTable(cfg, 2.0, 1).melnikov(1))
+    with pytest.raises(NumericalError, match=r"M_2 .* x = 2\.0 .* n = 1100"):
+        ZTable(cfg, 2.0, 2)
 
 
 def test_melnikov_first_order_identity_any_config(rng):
@@ -224,7 +233,7 @@ PINNED_ORDER6 = (
 
 def test_endpoint_tjets_stop_at_the_computed_degree(rng):
     # an order-3 table keeps endpoint jets of total degree 1: i + t-order <= 2
-    table = ztable(random_config(rng, 2, 3), 1.0, 3)
+    table = ZTable(random_config(rng, 2, 3), 1.0, 3)
     assert table._tjet_K(2, 1, "L", 0).order == 0
     with pytest.raises(AssertionError):
         table._tjet_K(2, 1, "L", 1)
@@ -233,7 +242,7 @@ def test_endpoint_tjets_stop_at_the_computed_degree(rng):
 def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
     # every order reads prefixes of one order-5 field evaluation per
     # (sector, node count); none of that scratch outlives the build
-    field = build_polar_field(random_config(rng, 3, 6))
+    cfg = random_config(rng, 3, 6)
     calls = []
     f_r_jets = PolarField.f_r_jets
 
@@ -242,7 +251,7 @@ def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
         return f_r_jets(self, sign, r, theta, order)
 
     monkeypatch.setattr(PolarField, "f_r_jets", counted)
-    table = ZTable(field, 1.1, 6)
+    table = ZTable(cfg, 1.1, 6)
     assert {order for order, _, _ in calls} == {5}
     sectors = [int(np.searchsorted(table.bounds, lo, side="right")) - 1 for _, lo, _ in calls]
     assert sorted(set(sectors)) == [0, 1, 2]

@@ -295,7 +295,8 @@ def test_return_derivative_matches_central_difference(rng, block, eps):
         # 5e-12 on these cases
         h = 2e-3
         ref = (4.0 * central(x0, h / 2.0) - central(x0, h)) / 3.0
-        assert abs(return_derivative(x0, eps, cfg) - ref) <= 1e-10 * max(1.0, abs(ref))
+        slope = return_derivative(integrate_return(x0, eps, cfg), cfg)
+        assert abs(slope - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_eps_bound_and_domain_checks(rng):
@@ -340,6 +341,26 @@ def test_stability_sign_matches_melnikov_slope(rng):
     assert math.copysign(1.0, c.derivative - 1.0) == math.copysign(1.0, eps * slope)
 
 
+def test_one_return_per_newton_iterate(monkeypatch):
+    # the slope pass reads the iterate's own return; the cycle's derivative
+    # is the last pass's, so no point is integrated twice
+    from melnlab import simulate
+    from melnlab.closedforms import config_from_v
+
+    cfg = config_from_v((-1.0, 0.55, 0.0), 3)
+    returns = []
+    integrate = simulate.integrate_return
+
+    def counted(x0, eps, config):
+        returns.append(x0)
+        return integrate(x0, eps, config)
+
+    monkeypatch.setattr(simulate, "integrate_return", counted)
+    search = find_limit_cycles(1e-4, cfg, [1.2])
+    assert len(search.cycles) == 1 and len(returns) > 2
+    assert len(returns) == len(set(returns))
+
+
 def test_cycles_stop_on_the_newton_step():
     # the three-zero n = 2 config, shrunk so that the displacement eps * M_1
     # is tiny: a cycle returned must be the fixed point, not merely a point
@@ -362,8 +383,8 @@ def test_cycles_stop_on_the_newton_step():
     for c in cycles:
         x = c.x_star
         for _ in range(4):
-            x -= (integrate_return(x, eps, cfg).displacement
-                  / (return_derivative(x, eps, cfg) - 1.0))
+            ret = integrate_return(x, eps, cfg)
+            x -= ret.displacement / (return_derivative(ret, cfg) - 1.0)
         assert abs(c.x_star - x) <= 1e-9 * max(1.0, x)
         offsets.append(x - c.melnikov_zero)
     # at scale 1e-6 the displacement is only resolved to ~4e-8 in x, and
