@@ -30,3 +30,8 @@ from .simulate import (CycleSearch, LimitCycle, PoincareResult, center_event_tim
                        extract_melnikov, find_limit_cycles, integrate_return)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+
+# imported last, with the package: the console script loads it anyway, and
+# so argparse and the CLI's other imports load at start-up, not inside the
+# first CLI call
+from . import cli  # noqa: E402

@@ -438,6 +438,3 @@ def main(argv=None) -> int:
         print(f"numerical-quality failure: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

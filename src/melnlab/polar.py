@@ -22,7 +22,7 @@ from .config import SystemConfig
 from .errors import DomainError
 from .series import Jet, _sincos, jet_sincos
 
-__all__ = ["PolarField", "cartesian_field"]
+__all__ = ["PolarField", "cartesian_field", "endpoint_triangles"]
 
 
 def _radial(coeffs, r, s, c):
@@ -98,31 +98,38 @@ class PolarField:
         rj = Jet.variable(float(r), order)
         return self.f_all(sign, rj, theta, min(order + 1, self.k))
 
-    def f_nested_jets(self, sign: int, r: float, t0: float, degree: int) -> list[Jet]:
+    def f_nested_jets(self, sign: int, triangles: list[tuple]) -> list[Jet]:
         """[F_1, ..., F_{degree+1}] (at most k) as r-jets whose coefficients are t-jets.
 
-        Entry i keeps total degree ``degree + 1 - i``: its coefficient L, times
-        L!, is the t-jet of the L-th state derivative of F_i at (r, t0),
-        truncated at t-order ``degree + 1 - i - L``.  A_i is evaluated on
-        triangles cut to that degree and B_i on triangles one degree lower,
-        so the division yields each F_i exactly to its degree, every
-        coefficient bit for bit as in an untruncated expansion.
+        ``triangles`` is ``endpoint_triangles(r, t0, degree)``.  Entry i keeps
+        total degree ``degree + 1 - i``: its coefficient L, times L!, is the
+        t-jet of the L-th state derivative of F_i at (r, t0), truncated at
+        t-order ``degree + 1 - i - L``.  A_i is evaluated on triangles cut to
+        that degree and B_i on triangles one degree lower, so the division
+        yields each F_i exactly to its degree, every coefficient bit for bit
+        as in an untruncated expansion.
         """
-        def triangle(lead, first):
-            return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
-                                 for L in range(1, degree + 1)])
-
-        rsc = (triangle(Jet.constant(float(r), degree), 1.0),
-               *jet_sincos(triangle(Jet.variable(float(t0), degree), 0.0)))
-
-        def cut(d):
-            return [Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])])
-                    for v in rsc]
-
+        degree = len(triangles) - 1
         upto = min(degree + 1, self.k)
-        A = [_radial(self._side(sign, i), *cut(degree + 1 - i)) for i in range(1, upto + 1)]
-        B = [_angular(self._side(sign, i), *cut(degree - i)) for i in range(1, upto)]
+        A = [_radial(self._side(sign, i), *triangles[degree + 1 - i]) for i in range(1, upto + 1)]
+        B = [_angular(self._side(sign, i), *triangles[degree - i]) for i in range(1, upto)]
         return _divide(A, B)
+
+
+def endpoint_triangles(r: float, t0: float, degree: int) -> list[tuple[Jet, Jet, Jet]]:
+    """(r, sin t, cos t) at (r, t0) as r-jets of t-jets, cut to each total degree.
+
+    Entry d holds the three nested jets truncated to total degree d, for
+    d = 0..degree; they depend on the point only, not on the field's side.
+    """
+    def triangle(lead, first):
+        return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
+                             for L in range(1, degree + 1)])
+
+    rsc = (triangle(Jet.constant(float(r), degree), 1.0),
+           *jet_sincos(triangle(Jet.variable(float(t0), degree), 0.0)))
+    return [tuple(Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])]) for v in rsc)
+            for d in range(degree + 1)]
 
 
 def cartesian_field(config: SystemConfig, x: float, y: float, eps: float):

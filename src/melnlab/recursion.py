@@ -19,16 +19,18 @@ differenced on the main path.
 from __future__ import annotations
 
 import math
+import sys
+from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft  # numpy.fft loads lazily; import it with the module
 from numpy.polynomial.chebyshev import Chebyshev, chebint
-from scipy.fft import dct
 
 from .combinatorics import compositions, partitions
 from .config import SystemConfig
 from .errors import DomainError, NumericalError, SequencingError
 from .geometry import SECTOR_SIGNS, TWO_PI, switching_angles, theta1_jet
-from .polar import PolarField
+from .polar import PolarField, endpoint_triangles
 from .series import Jet
 
 __all__ = ["ZTable", "melnikov", "melnikov_all"]
@@ -36,6 +38,98 @@ __all__ = ["ZTable", "melnikov", "melnikov_all"]
 CHEB_START_DEGREE = 64
 CHEB_MAX_DEGREE = 1024
 CHEB_REL_TOL = 5e-14
+
+
+# pi as pocketfft spells it, parsed to the platform's long double
+_PI_LD = np.longdouble("3.141592653589793238462643383279502884197")
+
+
+def _unit_root(x: int, n: int, ang: float) -> tuple[float, float]:
+    """(cos, sin) of 2*pi*x/n with pocketfft's octant folding (``sincos_2pibyn::calc``)."""
+    x <<= 3
+    if x < 4 * n:
+        if x < 2 * n:
+            if x < n:
+                return math.cos(x * ang), math.sin(x * ang)
+            return math.sin((2 * n - x) * ang), math.cos((2 * n - x) * ang)
+        x -= 2 * n
+        if x < n:
+            return -math.sin(x * ang), math.cos(x * ang)
+        return -math.cos((2 * n - x) * ang), math.sin((2 * n - x) * ang)
+    x = 8 * n - x
+    if x < 2 * n:
+        if x < n:
+            return math.cos(x * ang), -math.sin(x * ang)
+        return math.sin((2 * n - x) * ang), -math.cos((2 * n - x) * ang)
+    x -= 4 * n
+    if x < n:
+        return -math.sin(x * ang), -math.cos(x * ang)
+    return -math.cos((2 * n - x) * ang), -math.sin((2 * n - x) * ang)
+
+
+@lru_cache(maxsize=8)
+def _dct2_twiddles(size: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Post-twiddle factors of a size-``size`` DCT-II: (w[k-1], w[N-k-1], w[(N+1)//2-1]).
+
+    w[i] is the real part of pocketfft's ``sincos_2pibyn(4N)[i+1]``, the
+    product of a fine and a coarse table entry, each folded into the first
+    octant before ``cos``/``sin``; the arrays are read-only.
+    """
+    n = 4 * size
+    ang = float(np.longdouble(0.25) * _PI_LD / np.longdouble(n))
+    nval = (n + 2) // 2
+    shift = 1
+    while (1 << shift) * (1 << shift) < nval:
+        shift += 1
+    mask = (1 << shift) - 1
+    fine = np.array([(1.0, 0.0)] + [_unit_root(i, n, ang) for i in range(1, mask + 1)])
+    coarse = np.array([(1.0, 0.0)] + [_unit_root(i * (mask + 1), n, ang)
+                                      for i in range(1, (nval + mask) // (mask + 1))])
+    idx = np.arange(1, size + 1)
+    x1, x2 = fine[idx & mask], coarse[idx >> shift]
+    w = x1[:, 0] * x2[:, 0] - x1[:, 1] * x2[:, 1]
+    half = (size + 1) // 2
+    wk, wkc = w[:half - 1], w[size - 1 - np.arange(1, half)]
+    wk.flags.writeable = wkc.flags.writeable = False
+    return wk, wkc, float(w[half - 1])
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-II, equal bit for bit to ``scipy.fft.dct(x, type=2)``.
+
+    A port of pocketfft's ``T_dcst23`` onto numpy's copy of the same
+    pocketfft: pre-scale and butterfly into halfcomplex order, one unscaled
+    inverse real FFT, then the post-twiddle.
+    """
+    size = x.size
+    wk, wkc, wmid = _dct2_twiddles(size)
+    pairs = (size - 1) // 2
+    buf = np.zeros(2 * (size // 2 + 1))
+    buf[0] = 2.0 * x[0]
+    odd, even = x[1:2 * pairs:2], x[2:2 * pairs + 1:2]
+    buf[2:2 * pairs + 2:2] = even + odd
+    buf[3:2 * pairs + 3:2] = even - odd
+    if size % 2 == 0:
+        buf[size] = 2.0 * x[size - 1]
+    y = irfft(buf.view(complex), n=size, norm="forward")
+    half = (size + 1) // 2
+    yk, ykc = y[1:half], y[size - 1:size - half:-1]
+    t1 = wk * ykc + wkc * yk
+    t2 = wk * yk - wkc * ykc
+    y[1:half] = 0.5 * (t1 + t2)
+    y[size - 1:size - half:-1] = 0.5 * (t1 - t2)
+    if size % 2 == 0:
+        y[half] *= wmid
+    return y
+
+
+@lru_cache(maxsize=8)
+def _cheb_points(n: int) -> np.ndarray:
+    """cos of the n Chebyshev points of the first kind on [-1, 1], read-only."""
+    theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
+    cosines = np.cos(theta)
+    cosines.flags.writeable = False
+    return cosines
 
 
 def _cheb_fit(fun, a: float, b: float) -> Chebyshev:
@@ -48,10 +142,9 @@ def _cheb_fit(fun, a: float, b: float) -> Chebyshev:
     mid, half = 0.5 * (b + a), 0.5 * (b - a)
     n = CHEB_START_DEGREE
     while True:
-        theta = np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n)
-        nodes = mid + half * np.cos(theta)
+        nodes = mid + half * _cheb_points(n)
         vals = np.asarray(fun(nodes), dtype=float)
-        coef = dct(vals, type=2) / n
+        coef = _dct2(vals) / n
         coef[0] *= 0.5
         scale = np.max(np.abs(coef))
         if scale == 0.0:
@@ -124,6 +217,12 @@ class ZTable:
             raise DomainError(f"order must be in 1..{config.k}, got {self.order}")
 
         self.bounds = (0.0, *switching_angles(self.x, config.n), TWO_PI)
+        if self.bounds[1] < sys.float_info.min:
+            # sector 0 = [0, theta1] would need a Chebyshev domain map of scale 2/theta1
+            raise NumericalError(
+                f"crossing angle theta1 = atan(x^(n-1)) underflows to {self.bounds[1]!r} "
+                f"at x = {self.x}, n = {config.n}: sector 0 = [0, theta1] is too narrow "
+                f"to fit")
         # r-jets of both switching angles, from one Newton solve for theta1
         t1 = theta1_jet(self.x, config.n, self.order)
         self._theta_jets = (t1, math.pi - (-1.0) ** config.n * t1)
@@ -136,6 +235,7 @@ class ZTable:
         self._alpha: dict[tuple[int, int], float] = {}
         self._tjets: dict[tuple[int, int, str, int], Jet] = {}
         self._nested: dict[tuple[int, str], list[Jet]] = {}
+        self._triangles: dict[int, list[tuple[Jet, Jet, Jet]]] = {}
         self._melnikov: list[float] = []
 
         self._build()
@@ -233,20 +333,20 @@ class ZTable:
 
     # t-jets ------------------------------------------------------------------
 
-    def _endpoint(self, j: int, side: str) -> float:
-        return self.bounds[j] if side == "L" else self.bounds[j + 1]
-
     def _nested_jets(self, j: int, side: str) -> list[Jet]:
         """F_1..F_{order-1} at a sector endpoint, F_q a mixed jet of total degree order-1-q.
 
         Only the jump corrections read these (orders >= 2): ``_tjet_K`` reads
-        F_q's r-coefficient L at t-order p with q + L + p <= order - 1.
+        F_q's r-coefficient L at t-order p with q + L + p <= order - 1.  The
+        (r, sin, cos) triangles depend on the endpoint only, so the sectors on
+        either side of a switching angle share them.
         """
         key = (j, side)
         if key not in self._nested:
-            sign = SECTOR_SIGNS[j]
-            t0 = self._endpoint(j, side)
-            self._nested[key] = self.field.f_nested_jets(sign, self.x, t0, self.order - 2)
+            b = j if side == "L" else j + 1
+            if b not in self._triangles:
+                self._triangles[b] = endpoint_triangles(self.x, self.bounds[b], self.order - 2)
+            self._nested[key] = self.field.f_nested_jets(SECTOR_SIGNS[j], self._triangles[b])
         return self._nested[key]
 
     def _tjet_K(self, i: int, j: int, side: str, order: int) -> Jet:

@@ -3,14 +3,51 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
+# the README's example parameter file
+README_CONFIG = """{"n": 3, "k": 2, "orders": [
+  {"i": 1, "a": [0.3, -0.2, 0.5], "b": [0.1, 0.4, -0.6],
+   "alpha": [-0.7, 0.2, 0.1], "beta": [0.9, -0.3, 0.2]},
+  {"i": 2, "a": [0.2, -0.1, 0.3]}
+]}"""
+
+# `python -m melnlab` with every scipy* import failing
+WITHOUT_SCIPY = """
+import runpy
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+runpy.run_module("melnlab", run_name="__main__", alter_sys=True)
+"""
 
 
-def test_import_leaves_scipy_optimize_out():
-    # scipy.optimize costs about 0.2 s and 22 MB at start-up; melnlab
-    # carries its own Brent root finder and Levenberg-Marquardt solver instead
+def test_import_loads_no_scipy():
+    # scipy cost about 0.2 s and 25 MB at start-up; melnlab carries its own
+    # Brent root finder, Levenberg-Marquardt solver and DCT-II instead
     code = ("import sys; import melnlab, melnlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+                         check=True, env=ENV)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["melnikov", "--config", "{config}", "--orders", "1,2", "--grid", "4"],
+    ["cheb", "--family", "F5", "--k", "1"],
+], ids=["melnikov", "cheb"])
+def test_cli_runs_without_scipy(tmp_path, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(README_CONFIG)
+    argv = [a.format(config=config) for a in argv] + ["--out", str(tmp_path / "out")]
+    run = subprocess.run([sys.executable, "-W", "error", "-c", WITHOUT_SCIPY, *argv],
+                         capture_output=True, text=True, env=ENV)
+    assert run.returncode == 0, run.stderr

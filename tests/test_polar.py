@@ -6,7 +6,7 @@ import pytest
 from conftest import random_config
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError
-from melnlab.polar import PolarField, cartesian_field
+from melnlab.polar import PolarField, cartesian_field, endpoint_triangles
 from melnlab.series import Jet
 
 
@@ -155,7 +155,7 @@ def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     tj = Jet.variable(t0, degree)
     rj = Jet([Jet.constant(r, degree), Jet.constant(1.0, degree)], order=degree)
     rect = field.f_all(-1, rj, Jet.constant(tj, degree))
-    tri = field.f_nested_jets(-1, r, t0, degree)
+    tri = field.f_nested_jets(-1, endpoint_triangles(r, t0, degree))
     assert len(tri) == degree + 1
     # entry i keeps total degree degree + 1 - i, the most the recursion reads
     for i, (got, want) in enumerate(zip(tri, rect), start=1):

@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import dct
 from scipy.integrate import quad
 
 from conftest import random_config
+from melnlab import recursion
 from melnlab.closedforms import m1_closed, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError, NumericalError, SequencingError
 from melnlab.geometry import switching_angles
-from melnlab.polar import PolarField
-from melnlab.recursion import CHEB_START_DEGREE, ZTable, melnikov, melnikov_all
+from melnlab.polar import PolarField, endpoint_triangles
+from melnlab.recursion import CHEB_START_DEGREE, ZTable, _dct2, melnikov, melnikov_all
 from melnlab.series import Jet
 
 
@@ -190,6 +193,18 @@ def test_non_finite_melnikov_value_raises(rng):
         ZTable(cfg, 2.0, 2)
 
 
+@pytest.mark.parametrize("n", [1030, 1100])
+def test_underflowed_crossing_angle_raises_before_any_fit(rng, n):
+    # at x = 0.5, theta1 = atan(x^(n-1)) is subnormal (n = 1030) or 0 (n = 1100);
+    # a fit over sector 0 = [0, theta1] would warn of a divide by zero or an
+    # overflow in numpy's Chebyshev domain map and end in "M_1 is not finite"
+    cfg = random_config(rng, n, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=rf"theta1 .* x = 0\.5, n = {n}"):
+            ZTable(cfg, 0.5, 1)
+
+
 def test_melnikov_first_order_identity_any_config(rng):
     # order-1 path and the MelFun integral are the same computation
     for n in (2, 4):
@@ -279,3 +294,24 @@ def test_order6_values_are_pinned(rng):
     for n, x, want in PINNED_ORDER6:
         got = melnikov_all(configs[n], x, 6)
         assert got == pytest.approx(list(want), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 16, 17, 33, 97, 1000, 64, 128, 256, 512, 1024])
+def test_dct2_equals_scipy_bit_for_bit(rng, size):
+    # the Chebyshev fit's DCT-II is a port of pocketfft's, the one scipy runs
+    for scale in (1e-20, 1.0, 1e20):
+        for vals in scale * rng.standard_normal((20, size)):
+            assert np.array_equal(_dct2(vals), dct(vals, type=2))
+
+
+def test_switching_angle_triangles_are_built_once(rng, monkeypatch):
+    # the sectors on either side of a switching angle share its endpoint jets
+    built = []
+
+    def counted(r, t0, degree):
+        built.append(t0)
+        return endpoint_triangles(r, t0, degree)
+
+    monkeypatch.setattr(recursion, "endpoint_triangles", counted)
+    table = ZTable(random_config(rng, 3, 4), 1.1, 4)
+    assert sorted(built) == [table.bounds[1], table.bounds[2]]
