@@ -206,8 +206,9 @@ def cmd_cheb(args) -> int:
 
 
 def _sign_changes(vals: np.ndarray) -> np.ndarray:
-    sgn = np.sign(vals)
-    return np.sum(sgn[..., :-1] * sgn[..., 1:] < 0, axis=-1)
+    """Strict sign changes between neighbours along the last axis; zeros change nothing."""
+    neg, pos = vals < 0, vals > 0
+    return np.sum((neg[..., :-1] & pos[..., 1:]) | (pos[..., :-1] & neg[..., 1:]), axis=-1)
 
 
 def _ceiling_scan(n: int, ceiling: int, rng):

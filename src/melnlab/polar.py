@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import SystemConfig
 from .errors import DomainError
 from .series import Jet, _sincos, jet_sincos
@@ -57,8 +59,12 @@ class PolarField:
     def k(self) -> int:
         return self.config.k
 
-    def _side(self, sign: int, i: int):
+    def _side(self, sign, i: int):
         oc = self.config.order(i)
+        if isinstance(sign, np.ndarray):
+            up = sign > 0
+            return tuple(tuple(np.where(up, u, d) for u, d in zip(above, below))
+                         for above, below in ((oc.a, oc.alpha), (oc.b, oc.beta)))
         if sign > 0:
             return oc.a, oc.b
         return oc.alpha, oc.beta
@@ -89,10 +95,11 @@ class PolarField:
             raise DomainError(f"order {i} outside 1..{self.k}")
         return self.f_all(sign, r, theta, upto=i)[i - 1]
 
-    def f_r_jets(self, sign: int, r: float, theta, order: int) -> list[Jet]:
+    def f_r_jets(self, sign, r: float, theta, order: int) -> list[Jet]:
         """[F_1, ..., F_{order+1}] (at most k) as jets in r of the given order.
 
-        Coefficients follow theta's type.  An r-jet of order ``order`` feeds
+        Coefficients follow theta's type; ``sign`` may be an array of signs
+        broadcast against theta.  An r-jet of order ``order`` feeds
         the sector integrands of orders up to order+1, which read no higher F_i.
         """
         rj = Jet.variable(float(r), order)

@@ -6,7 +6,8 @@ the z_i^j are built sector by sector:
 
 * the integral term accumulates F_i plus the chain-rule sums over partition
   tuples, integrated with an adaptive-degree Chebyshev interpolant per sector
-  (exact antiderivative of the fitted series, target 1e-13 relative);
+  (exact antiderivative of the fitted series, target 1e-13 relative), the
+  three sectors of an order side by side in one array pass;
 * crossing a switching angle adds the jump correction
   i! * sum_p (1/p!) d^p/deps^p [delta_{i-p}^j(A_j^p(x, eps), x)] at eps = 0,
   evaluated by composing the t-jet of delta at the switching angle with the
@@ -24,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft  # numpy.fft loads lazily; import it with the module
-from numpy.polynomial.chebyshev import Chebyshev, chebint
 
 from .combinatorics import compositions, partitions
 from .config import SystemConfig
@@ -95,31 +95,32 @@ def _dct2_twiddles(size: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _dct2(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DCT-II, equal bit for bit to ``scipy.fft.dct(x, type=2)``.
+    """Unnormalized DCT-II along the last axis, equal bit for bit to
+    ``scipy.fft.dct(x, type=2, axis=-1)``.
 
     A port of pocketfft's ``T_dcst23`` onto numpy's copy of the same
     pocketfft: pre-scale and butterfly into halfcomplex order, one unscaled
-    inverse real FFT, then the post-twiddle.
+    inverse real FFT over all rows, then the post-twiddle.
     """
-    size = x.size
+    size = x.shape[-1]
     wk, wkc, wmid = _dct2_twiddles(size)
     pairs = (size - 1) // 2
-    buf = np.zeros(2 * (size // 2 + 1))
-    buf[0] = 2.0 * x[0]
-    odd, even = x[1:2 * pairs:2], x[2:2 * pairs + 1:2]
-    buf[2:2 * pairs + 2:2] = even + odd
-    buf[3:2 * pairs + 3:2] = even - odd
+    buf = np.zeros(x.shape[:-1] + (2 * (size // 2 + 1),))
+    buf[..., 0] = 2.0 * x[..., 0]
+    odd, even = x[..., 1:2 * pairs:2], x[..., 2:2 * pairs + 1:2]
+    buf[..., 2:2 * pairs + 2:2] = even + odd
+    buf[..., 3:2 * pairs + 3:2] = even - odd
     if size % 2 == 0:
-        buf[size] = 2.0 * x[size - 1]
+        buf[..., size] = 2.0 * x[..., size - 1]
     y = irfft(buf.view(complex), n=size, norm="forward")
     half = (size + 1) // 2
-    yk, ykc = y[1:half], y[size - 1:size - half:-1]
+    yk, ykc = y[..., 1:half], y[..., size - 1:size - half:-1]
     t1 = wk * ykc + wkc * yk
     t2 = wk * yk - wkc * ykc
-    y[1:half] = 0.5 * (t1 + t2)
-    y[size - 1:size - half:-1] = 0.5 * (t1 - t2)
+    y[..., 1:half] = 0.5 * (t1 + t2)
+    y[..., size - 1:size - half:-1] = 0.5 * (t1 - t2)
     if size % 2 == 0:
-        y[half] *= wmid
+        y[..., half] *= wmid
     return y
 
 
@@ -132,40 +133,33 @@ def _cheb_points(n: int) -> np.ndarray:
     return cosines
 
 
-def _cheb_fit(fun, a: float, b: float) -> Chebyshev:
-    """Adaptive Chebyshev interpolation of ``fun`` on [a, b].
+def _chebval(x, c):
+    """sum_k c[k] T_k(x) by numpy's ``chebval`` recurrence; len(c) >= 2.
 
-    Doubles the degree from CHEB_START_DEGREE until the last two coefficients
-    drop below CHEB_REL_TOL times the coefficient scale; raises NumericalError
-    naming the interval and degree if CHEB_MAX_DEGREE is reached without decay.
+    The rows of ``c`` broadcast against ``x``, so one pass evaluates a
+    different series at each point.  Zero rows at the high end change no
+    value (at most the sign of an exact zero).
     """
-    mid, half = 0.5 * (b + a), 0.5 * (b - a)
-    n = CHEB_START_DEGREE
-    while True:
-        nodes = mid + half * _cheb_points(n)
-        vals = np.asarray(fun(nodes), dtype=float)
-        coef = _dct2(vals) / n
-        coef[0] *= 0.5
-        scale = np.max(np.abs(coef))
-        if scale == 0.0:
-            return Chebyshev(np.zeros(2), domain=(a, b))
-        tail = np.max(np.abs(coef[-2:]))
-        if tail <= CHEB_REL_TOL * scale:
-            keep = max(2, int(np.max(np.nonzero(np.abs(coef) > 1e-16 * scale)[0])) + 1)
-            return Chebyshev(coef[:keep], domain=(a, b))
-        if n >= CHEB_MAX_DEGREE:
-            raise NumericalError(
-                f"sector integrand on [{a}, {b}] did not converge under Chebyshev "
-                f"refinement (degree {n}, tail {tail:.3e} of scale {scale:.3e})")
-        n *= 2
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
-def _cheb_antiderivative(cheb: Chebyshev, lower: float) -> Chebyshev:
-    """Antiderivative of ``cheb`` vanishing at ``lower`` (domain-aware)."""
-    a, b = cheb.domain
-    ci = chebint(cheb.coef) * 0.5 * (b - a)
-    prim = Chebyshev(ci, domain=(a, b))
-    return prim - prim(lower)
+def _chebint(c: np.ndarray) -> np.ndarray:
+    """numpy's ``chebint(c)`` of each column of ``c``: the antiderivative
+    series on the unit window, vanishing at 0."""
+    n = len(c)
+    j = np.arange(2, n)[:, None]
+    prim = np.empty((n + 1, c.shape[1]))
+    prim[0] = c[0] * 0
+    prim[1] = c[0]
+    prim[2] = c[1] / 4
+    prim[3:] = c[2:] / (2 * (j + 1))
+    prim[1:n - 1] -= c[2:] / (2 * (j - 1))
+    prim[0] += [0 - _chebval(0.0, col) for col in prim.T.tolist()]
+    return prim
 
 
 def _chain_sum(i: int, fs, zs, dF):
@@ -227,7 +221,7 @@ class ZTable:
         t1 = theta1_jet(self.x, config.n, self.order)
         self._theta_jets = (t1, math.pi - (-1.0) ** config.n * t1)
 
-        self._cheb: dict[tuple[int, int], Chebyshev] = {}
+        self._coef: list[np.ndarray] = []  # z_i's Chebyshev series, see _fit
         self._z_start: dict[tuple[int, int], float] = {}
         self._z_end: dict[tuple[int, int], float] = {}
         self._jump: dict[tuple[int, int], float] = {}
@@ -254,7 +248,7 @@ class ZTable:
         a, b = self.bounds[j], self.bounds[j + 1]
         if not (a - 1e-12 <= t <= b + 1e-12):
             raise DomainError(f"t={t} outside sector {j} = [{a}, {b}]")
-        return float(self._cheb[(i, j)](min(max(t, a), b)))
+        return self._zval(self._coef[i - 1], j, min(max(t, a), b))
 
     def w(self, i: int, j: int) -> float:
         """Expansion coefficient w_i^j of the perturbed crossing state."""
@@ -294,11 +288,17 @@ class ZTable:
             raise DomainError(f"switching index must be 1 or 2, got {j}")
 
     def _build(self) -> None:
-        # (sector, node count) -> field r-jets and z_m values on those nodes;
-        # a sector's Chebyshev nodes depend only on their count, so every
-        # order reads prefixes of one evaluation.  Freed on return.
-        nodesets: dict[tuple[int, int], tuple[list[Jet], list[np.ndarray]]] = {}
+        lo, hi = np.array(self.bounds[:3]), np.array(self.bounds[1:])
+        # numpy's Chebyshev domain map (``mapparms``) of each sector onto [-1, 1]
+        self._map = off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
+        # node count -> field r-jets, z_m values and mapped nodes, one row per
+        # sector; every order reads prefixes of one evaluation.  Freed on return.
+        nodesets: dict[int, tuple[list[Jet], list[np.ndarray], np.ndarray]] = {}
         for i in range(1, self.order + 1):
+            # numpy's Chebyshev algebra, step by step: chebint, - prim(lo), * i!, + left
+            prim = _chebint(self._fit(i, lo[:, None], hi[:, None], nodesets)) * 0.5 * (hi - lo)
+            prim[0] -= [_chebval(t, c) for t, c in zip((off + scl * lo).tolist(), prim.T.tolist())]
+            prim *= math.factorial(i)
             for j in range(3):
                 if j == 0:
                     left = 0.0
@@ -307,29 +307,60 @@ class ZTable:
                     self._jump[(i, j)] = jump
                     left = self._z_end[(i, j - 1)] + jump
                 self._z_start[(i, j)] = left
-                integrand = self._integrand(i, j, nodesets)
-                cheb = _cheb_fit(integrand, self.bounds[j], self.bounds[j + 1])
-                prim = _cheb_antiderivative(cheb, self.bounds[j])
-                self._cheb[(i, j)] = math.factorial(i) * prim + left
-                self._z_end[(i, j)] = float(self._cheb[(i, j)](self.bounds[j + 1]))
+                prim[0, j] += left
+                self._z_end[(i, j)] = self._zval(prim, j, self.bounds[j + 1])
+            self._coef.append(prim)
             value = self._z_end[(i, 2)] / math.factorial(i)
             if not math.isfinite(value):
                 raise NumericalError(f"M_{i} is not finite at x = {self.x} "
                                      f"(switching degree n = {self.field.config.n})")
             self._melnikov.append(value)
 
-    def _integrand(self, i: int, j: int, nodesets: dict):
-        sign = SECTOR_SIGNS[j]
+    def _zval(self, coef: np.ndarray, j: int, t: float) -> float:
+        off, scl = self._map
+        return _chebval(float(off[j] + scl[j] * t), coef[:, j].tolist())
 
-        def K(tarr):
-            key = (j, tarr.size)
-            if key not in nodesets:
-                nodesets[key] = (self.field.f_r_jets(sign, self.x, tarr, self.order - 1), [])
-            fs, zs = nodesets[key]
-            zs.extend(self._cheb[(m, j)](tarr) for m in range(len(zs) + 1, i))
-            return _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb))
+    def _fit(self, i: int, lo: np.ndarray, hi: np.ndarray, nodesets: dict) -> np.ndarray:
+        """Chebyshev coefficients of K_i^0..K_i^2 on the unit window, one
+        column per sector, zero-padded at the high end.
 
-        return K
+        The sectors whose last two coefficients are not below CHEB_REL_TOL
+        times their scale are fitted again, side by side, at twice the
+        degree; at CHEB_MAX_DEGREE the lowest-index one raises NumericalError.
+        """
+        fits: list = [None] * 3
+        active, n = [0, 1, 2], CHEB_START_DEGREE
+        while active:
+            if n not in nodesets:
+                theta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _cheb_points(n)
+                signs = np.array(SECTOR_SIGNS)[:, None]
+                nodesets[n] = (self.field.f_r_jets(signs, self.x, theta, self.order - 1), [],
+                               self._map[0][:, None] + self._map[1][:, None] * theta)
+            fs, zs, u = nodesets[n]
+            zs.extend(_chebval(u, self._coef[m - 1][:, :, None]) for m in range(len(zs) + 1, i))
+            rows = slice(None) if len(active) == 3 else active
+            vals = _chain_sum(i, fs, [z[rows] for z in zs],
+                              lambda f, lb: f.coefficient(lb)[rows] * math.factorial(lb))
+            coef = _dct2(vals) / n
+            coef[:, 0] *= 0.5
+            for j, c in zip(active, coef):
+                scale = np.max(np.abs(c))
+                tail = np.max(np.abs(c[-2:]))
+                if scale == 0.0:
+                    fits[j] = np.zeros(2)
+                elif tail <= CHEB_REL_TOL * scale:
+                    fits[j] = c[:max(2, int(np.max(np.nonzero(np.abs(c) > 1e-16 * scale)[0])) + 1)]
+                elif n >= CHEB_MAX_DEGREE:
+                    raise NumericalError(
+                        f"sector integrand on [{self.bounds[j]}, {self.bounds[j + 1]}] did not "
+                        f"converge under Chebyshev refinement (degree {n}, tail {tail:.3e} "
+                        f"of scale {scale:.3e})")
+            active = [j for j in active if fits[j] is None]
+            n *= 2
+        coef = np.zeros((max(map(len, fits)), 3))
+        for j, c in enumerate(fits):
+            coef[:len(c), j] = c
+        return coef
 
     # t-jets ------------------------------------------------------------------
 

@@ -128,6 +128,16 @@ def test_ceiling_scan_blocks_match_one_batch(n):
     assert _ceiling_scan(n, 4, np.random.default_rng(n)) == (worst, worst <= 4)
 
 
+def test_sign_changes_match_the_product_of_signs():
+    # exact zeros (of either sign) and NaN sit between the nonzero values
+    rng = np.random.default_rng(5)
+    vals = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.nan], size=(40, 30))
+    sgn = np.sign(vals)
+    want = np.sum(sgn[..., :-1] * sgn[..., 1:] < 0, axis=-1)
+    assert np.array_equal(_sign_changes(vals), want)
+    assert [_sign_changes(row) for row in vals] == want.tolist()
+
+
 @pytest.mark.parametrize("argv", [
     ["melnikov", "--orders", "1,,2"],
     ["melnikov", "--orders", "2,2"],

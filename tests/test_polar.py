@@ -146,6 +146,16 @@ def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
             assert _same(field.f(i, sign, 1.3, theta), field.f_all(sign, 1.3, theta)[i - 1])
 
 
+def test_f_r_jets_with_a_sign_per_row_match_each_side(rng):
+    # one call over both sides' nodes gives each row the bits of its own side
+    field = PolarField(random_config(rng, 3, 4))
+    theta = np.array([np.linspace(a, a + 1.0, 7) for a in (0.1, 2.0, 4.0)])
+    rows = field.f_r_jets(np.array([[-1], [+1], [-1]]), 1.3, theta, 3)
+    for r, sign in enumerate((-1, +1, -1)):
+        alone = field.f_r_jets(sign, 1.3, theta[r], 3)
+        assert all(_same(Jet([c[r] for c in a.c]), b) for a, b in zip(rows, alone))
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2, 4])
 def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     cfg = random_config(rng, 2, 6)

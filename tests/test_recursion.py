@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -255,23 +256,16 @@ def test_endpoint_tjets_stop_at_the_computed_degree(rng):
 
 
 def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
-    # every order reads prefixes of one order-5 field evaluation per
-    # (sector, node count); none of that scratch outlives the build
+    # every order reads prefixes of one order-5 field evaluation per node
+    # count, on the nodes of all three sectors; none of that scratch outlives
+    # the build (the kept coefficient series of z_i are not scratch)
     cfg = random_config(rng, 3, 6)
     calls = []
     f_r_jets = PolarField.f_r_jets
 
     def counted(self, sign, r, theta, order):
-        calls.append((order, theta.min(), theta.size))
+        calls.append((order, np.array(theta)))
         return f_r_jets(self, sign, r, theta, order)
-
-    monkeypatch.setattr(PolarField, "f_r_jets", counted)
-    table = ZTable(cfg, 1.1, 6)
-    assert {order for order, _, _ in calls} == {5}
-    sectors = [int(np.searchsorted(table.bounds, lo, side="right")) - 1 for _, lo, _ in calls]
-    assert sorted(set(sectors)) == [0, 1, 2]
-    keys = [(j, size) for j, (_, _, size) in zip(sectors, calls)]
-    assert len(keys) == len(set(keys))
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -285,8 +279,69 @@ def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
             for v in value:
                 yield from arrays(v)
 
-    held = [a.size for v in vars(table).values() for a in arrays(v)]
-    assert all(size < CHEB_START_DEGREE for size in held), held
+    monkeypatch.setattr(PolarField, "f_r_jets", counted)
+    for start in (CHEB_START_DEGREE, 8):   # from degree 8, some sectors refit alone
+        monkeypatch.setattr(recursion, "CHEB_START_DEGREE", start)
+        calls.clear()
+        table = ZTable(cfg, 1.1, 6)
+        assert {order for order, _ in calls} == {5}
+        counts = [theta.size // 3 for _, theta in calls]
+        assert counts[0] == start and len(counts) == len(set(counts))
+        assert len(counts) > 1 or start == CHEB_START_DEGREE
+        for (_, theta), n in zip(calls, counts):
+            sectors = np.searchsorted(table.bounds, theta.ravel(), side="right") - 1
+            assert np.bincount(sectors, minlength=3).tolist() == [n, n, n]
+        held = [a.size for name, v in vars(table).items() if name != "_coef"
+                for a in arrays(v)]
+        assert all(size < start for size in held), held
+
+
+# melnikov_all to order 6 and z_1, z_6 at each sector's midpoint for the
+# first random_config(rng, 3, 6), every fit started at degree 8, as float.hex;
+# recorded from the per-sector fit on numpy's Chebyshev class.
+PINNED_START8 = {
+    0.6: (('-0x1.fc69b3009a086p+0', '-0x1.04c02ee50fe54p+0', '-0x1.38d2a2d98605fp+3',
+           '-0x1.9f9b101549dabp+1', '-0x1.a37cc6861db30p+5', '-0x1.2f126dbfc6be8p+6'),
+          ('-0x1.8deffeffe36b0p-3', '-0x1.b1008b15bec20p-3', '-0x1.b192b35f97580p-8',
+           '0x1.e096bd4c2ce23p+8', '0x1.0c31ebfb54907p+14', '-0x1.b2de3643bddb8p+15')),
+    1.1: (('-0x1.96f2a84a47194p+1', '0x1.2ad4eaf727698p-1', '-0x1.31f222f85ae99p+3',
+           '-0x1.460855eb29517p+1', '-0x1.9b241561a9186p+4', '-0x1.44215aa5db1a3p+5'),
+          ('-0x1.cd70812669853p-2', '-0x1.00b5b39f1df57p+0', '-0x1.18cd681d18082p+0',
+           '0x1.d43cfde1dd17cp+9', '0x1.f6a0154a2524dp+11', '-0x1.5d44465461169p+15')),
+}
+
+
+def test_sectors_that_stop_at_different_degrees_keep_every_bit(rng, monkeypatch):
+    # from degree 8 the sectors converge at different degrees, so some
+    # orders refit one or two sectors alone at twice the degree
+    monkeypatch.setattr(recursion, "CHEB_START_DEGREE", 8)
+    blocks = []
+    dct2 = recursion._dct2
+    monkeypatch.setattr(recursion, "_dct2", lambda x: blocks.append(x.shape) or dct2(x))
+    cfg = random_config(rng, 3, 6)
+    for x, (want_m, want_z) in PINNED_START8.items():
+        blocks.clear()
+        assert [v.hex() for v in melnikov_all(cfg, x, 6)] == list(want_m)
+        assert {rows for rows, _ in blocks} == {1, 2, 3}
+        table = ZTable(cfg, x, 6)
+        got_z = [table.z(i, j, 0.5 * (table.bounds[j] + table.bounds[j + 1]))
+                 for i in (1, 6) for j in range(3)]
+        assert [v.hex() for v in got_z] == list(want_z)
+
+
+@pytest.mark.parametrize("side, sector", [("below", 0), ("above", 1)])
+def test_unconverged_fit_names_the_lowest_failing_sector(monkeypatch, side, sector):
+    # one side of the field is zero, so its sectors converge at once; a
+    # negative tolerance fails every other sector at the first degree
+    monkeypatch.setattr(recursion, "CHEB_MAX_DEGREE", CHEB_START_DEGREE)
+    monkeypatch.setattr(recursion, "CHEB_REL_TOL", -1.0)
+    field = {"a" if side == "above" else "alpha": (0.7, -0.4, 0.9),
+             "b" if side == "above" else "beta": (0.2, 0.5, -0.3)}
+    cfg = SystemConfig(n=3, k=1, orders=(OrderCoefficients(**field),))
+    bounds = (0.0, *switching_angles(1.1, 3), 2 * math.pi)
+    interval = re.escape(f"[{bounds[sector]}, {bounds[sector + 1]}]")
+    with pytest.raises(NumericalError, match=rf"on {interval} .*\(degree {CHEB_START_DEGREE},"):
+        ZTable(cfg, 1.1, 1)
 
 
 def test_order6_values_are_pinned(rng):
@@ -298,10 +353,14 @@ def test_order6_values_are_pinned(rng):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 16, 17, 33, 97, 1000, 64, 128, 256, 512, 1024])
 def test_dct2_equals_scipy_bit_for_bit(rng, size):
-    # the Chebyshev fit's DCT-II is a port of pocketfft's, the one scipy runs
+    # the Chebyshev fit's DCT-II is a port of pocketfft's, the one scipy runs;
+    # a block of rows goes through one inverse FFT
     for scale in (1e-20, 1.0, 1e20):
-        for vals in scale * rng.standard_normal((20, size)):
+        block = scale * rng.standard_normal((20, size))
+        for vals in block:
             assert np.array_equal(_dct2(vals), dct(vals, type=2))
+        for rows in (block, block[:3], block[:1]):
+            assert np.array_equal(_dct2(rows), dct(rows, type=2, axis=-1))
 
 
 def test_switching_angle_triangles_are_built_once(rng, monkeypatch):
