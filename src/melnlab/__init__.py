@@ -13,10 +13,9 @@ from .basis import BasisFunction, family, family_G, family_H_pencil, family_H8, 
 from .certify import (AccuracyVerdict, ZeroRecord, ZeroReport, certify_family,
                       isolate_zeros, prop4_witness, prop5_witness, theorem3_bound,
                       wronskian, wronskian_scaled)
-from .closedforms import (SpanFit, config_from_v, cov_r_of_x, cov_x_of_r, fit_to_span,
-                          m1_closed, q_denominator, q_values, sign_pattern_search,
-                          structural_span, v_coefficients, v_zero_coefficients,
-                          vanishing_order_config)
+from .closedforms import (SpanFit, config_from_v, cov_r_of_x, fit_to_span, m1_closed,
+                          q_denominator, q_values, sign_pattern_search, structural_span,
+                          v_coefficients, v_zero_coefficients, vanishing_order_config)
 from .combinatorics import compositions, partitions
 from .config import OrderCoefficients, SystemConfig, dump_config, load_config
 from .errors import (ConfigurationError, DomainError, EscapeError,

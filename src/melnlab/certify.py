@@ -230,9 +230,6 @@ class ZeroReport:
             "flags": list(self.flags),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def _grid(a: float, b: float, m: int) -> np.ndarray:
     if a > 0:
@@ -244,9 +241,11 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
                   initial: int = 4096) -> ZeroReport:
     """Sign-change scan with local refinement, bisection, and simplicity check.
 
-    ``f`` maps float -> float (vectorized input is used when possible).  The
-    count is a lower bound; ``exhaustive`` is set only if |f| clears a floor,
-    relative to a windowed local magnitude, between brackets.
+    ``f`` maps float -> float (vectorized input is used when possible).  A
+    bracket whose ends do not repeat the scan's sign change, on floats or on
+    one-point arrays, is skipped and flagged.  The count is a lower bound;
+    ``exhaustive`` is set only if no bracket was skipped and |f| clears a
+    floor, relative to a windowed local magnitude, between brackets.
     """
     if not (b > a):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -254,9 +253,7 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     used = 0
     rounds: list[int] = []
 
-    def feval(xs: np.ndarray) -> np.ndarray:
-        nonlocal used
-        used += len(xs)
+    def evaluate(xs: np.ndarray) -> np.ndarray:
         try:
             vals = np.asarray(f(xs), dtype=float)
             if vals.shape != xs.shape:
@@ -264,6 +261,11 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
             return vals
         except (TypeError, ValueError):
             return np.array([float(f(float(xi))) for xi in xs])
+
+    def feval(xs: np.ndarray) -> np.ndarray:
+        nonlocal used
+        used += len(xs)
+        return evaluate(xs)
 
     xs = _grid(a, b, min(initial, max(budget // 2, 16)))
     ys = feval(xs)
@@ -326,13 +328,23 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         # absolute 1e-15 above 1e-3, relative below, so that brackets near
         # tiny zeros are still refined; the floor keeps xtol positive
         xtol = max(min(1e-15, BISECT_RTOL * max(abs(lo), abs(hi))), math.ulp(0.0))
-        root = brentq(fscalar, lo, hi, xtol=xtol, rtol=BISECT_RTOL)
+        # f on a float may take another path than the scan's array and find ends
+        # of one sign at rounding-level values; then bisect through the scan's call
+        for fone in (fscalar, lambda t: float(evaluate(np.array([t]))[0])):
+            try:
+                root = brentq(fone, lo, hi, xtol=xtol, rtol=BISECT_RTOL)
+                break
+            except ValueError:
+                pass
+        else:
+            flags.append("bracket-end-not-reproducible")
+            continue
         used += 60
         # central difference, cut at the bracket ends: f may be undefined beyond
         h = max(abs(root), 1.0) * 1e-6
         x_minus, x_plus = max(root - h, lo), min(root + h, hi)
         width = 2.0 * h if (x_minus, x_plus) == (root - h, root + h) else x_plus - x_minus
-        f_plus, f_minus = fscalar(x_plus), fscalar(x_minus)
+        f_plus, f_minus = fone(x_plus), fone(x_minus)
         used += 2
         deriv = (f_plus - f_minus) / width
         bracket_mag = max(abs(float(ys[idx])), abs(float(ys[idx + 1])))
@@ -343,7 +355,7 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         simple = (abs(deriv) >= SIMPLICITY_FLOOR * max(1.0, bracket_mag)
                   or abs(deriv) >= 1e-3 * secant)
         zeros.append(ZeroRecord(location=root, simple=simple, bracket=(lo, hi),
-                                residual=abs(fscalar(root)), derivative=deriv))
+                                residual=abs(fone(root)), derivative=deriv))
     zeros.sort(key=lambda z: z.location)
 
     # exhaustive only when every dip away from the located brackets resolved
@@ -354,7 +366,7 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     if leftover:
         exhaustive = False
         flags.append("unresolved-dip-without-sign-change")
-    if any("budget" in fl for fl in flags):
+    if any("budget" in fl or "reproducible" in fl for fl in flags):
         exhaustive = False
 
     return ZeroReport((a, b), tuple(zeros), exhaustive=exhaustive, budget_used=used,
@@ -511,7 +523,6 @@ def prop4_witness() -> Prop4Result:
 
 @dataclass(frozen=True)
 class Prop5Result:
-    k: int
     coefficients: tuple[float, ...]          # (a0, a1, a2, a3, a4)
     sign_ladder: dict
     stage1_report: ZeroReport
@@ -638,9 +649,9 @@ def prop5_witness(k: int = 2) -> Prop5Result:
         hi = 2.0 / float(ys[0])
         rep = isolate_zeros(gfun, 1e-9, hi, budget=WITNESS_BUDGET, initial=16384)
         if rep.simple_count >= 9:
-            return Prop5Result(k=k, coefficients=tuple(float(v) for v in avec),
+            return Prop5Result(coefficients=tuple(float(v) for v in avec),
                                sign_ladder=ladder, stage1_report=stage1, report=rep,
                                succeeded=True, note=None)
-    return Prop5Result(k=k, coefficients=zero_a, sign_ladder=ladder,
+    return Prop5Result(coefficients=zero_a, sign_ladder=ladder,
                        stage1_report=stage1, report=None, succeeded=False,
                        note="ladder search exhausted its scale budget")

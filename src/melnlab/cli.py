@@ -15,7 +15,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,32 +23,17 @@ from . import __version__
 from .basis import family, family_G, family_H_pencil, family_H8, family_J0
 from .certify import certify_family, prop4_witness, prop5_witness, wronskian_scaled
 from .closedforms import (config_from_v, cov_r_of_x, fit_to_span, m1_closed, q_basis,
-                          q_values, sign_pattern_search)
+                          sign_pattern_search, structural_span, table3_structure_config)
 from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
+from .geometry import crossing_abscissa
 from .recursion import melnikov, melnikov_all
 from .reports import format_float, write_csv, write_gnuplot, write_json
 from .simulate import ORACLE_TOL, center_event_times, extract_melnikov, find_limit_cycles
 
-CASES = ("m1_n1", "m1_n2", "m1_odd", "m1_even", "m2_n3_structure",
-         "prop4", "prop5_k2", "cycles_n2_l1")
-FAMILIES = ("F1", "F2", "F3", "F4", "F5", "F6", "F7", "G", "H8", "J0", "H")
 # random reduced coefficients drawn by each zero-count ceiling scan
 CEILING_TRIALS = 1000
 CEILING_BLOCK = 125
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str | None
-    interval: tuple[float, float] | None
-    grid: str | None
-    orders: tuple[int, ...] | None
-    case: str | None
-    out_dir: str
-    seed: int
-    version: str = __version__
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -62,26 +46,21 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _parse_grid(text: str) -> tuple[int, str]:
+def _grid_points(text: str, interval) -> list[float]:
     m = re.fullmatch(r"(\d+)(log|lin)?", text)
     if not m:
         raise ConfigurationError(f"grid must look like N, Nlog or Nlin, got {text!r}")
     count = int(m.group(1))
     if count < 2:
         raise ConfigurationError("grid needs at least 2 points")
-    return count, m.group(2) or "log"
-
-
-def _grid_points(interval, spec) -> np.ndarray:
-    count, kind = spec
-    a, b = interval
-    return np.geomspace(a, b, count) if kind == "log" else np.linspace(a, b, count)
+    space = np.linspace if m.group(2) == "lin" else np.geomspace
+    return [float(x) for x in space(*interval, count)]
 
 
 def cmd_melnikov(args) -> int:
     config = load_config(args.config)
     interval = _parse_interval(args.interval)
-    grid = _parse_grid(args.grid)
+    xs = _grid_points(args.grid, interval)
     try:
         orders = tuple(int(p) for p in args.orders.split(","))
     except ValueError as exc:
@@ -92,31 +71,26 @@ def cmd_melnikov(args) -> int:
     if len(set(orders)) < len(orders):
         raise ConfigurationError(f"orders must not repeat, got {args.orders!r}")
     out = Path(args.out)
-    _write_manifest(out, args, "melnikov", interval=interval, orders=orders)
+    _write_manifest(out, args, interval=interval, orders=orders)
 
     # one recursion table per point and one oracle eps-jet pass over the
     # grid, both of the highest order, serve every requested order
     top = max(orders)
-    xs = [float(x) for x in _grid_points(interval, grid)]
     values = [melnikov_all(config, x, top) for x in xs]
     est = extract_melnikov(xs, top, config, center_event_times(xs, config.n))
     errors = est.error_estimate.tolist()
     worst_gap = 0.0
     curves = []
     for i in orders:
-        rows = []
-        for x, val, oracle, err, flag in zip(xs, (v[i - 1] for v in values),
-                                             est.values[i - 1].tolist(), errors,
-                                             est.flagged_at(i).tolist()):
-            row = (x, val, oracle, abs(val - oracle) / max(1.0, abs(val)), err)
-            if i == 1:
-                row += (m1_closed(config, x),)
-            rows.append(row + (int(flag),))
+        # order one also carries the closed form
+        rows = [(x, val, oracle, abs(val - oracle) / max(1.0, abs(val)), err)
+                + ((m1_closed(config, x),) if i == 1 else ()) + (int(flag),)
+                for x, val, oracle, err, flag in zip(xs, (v[i - 1] for v in values),
+                                                     est.values[i - 1].tolist(), errors,
+                                                     est.flagged_at(i).tolist())]
         name = f"melnikov_order{i}.csv"
-        header = ["x", f"M{i}", "oracle_simulation", "relative_gap", "oracle_error_estimate"]
-        if i == 1:
-            header.append("closed_form")
-        header.append("oracle_flagged")
+        header = ["x", f"M{i}", "oracle_simulation", "relative_gap", "oracle_error_estimate",
+                  *(["closed_form"] if i == 1 else []), "oracle_flagged"]
         write_csv(out / name, header, rows)
         curves.append((name, 1, 2, f"M{i}"))
         # np.max, not max: a NaN gap must reach the gate below
@@ -138,16 +112,12 @@ def _append_span_fits(out: Path, config, orders, xs, values) -> None:
     (x, M_i, fitted, residual) rows; skipped silently when a lower order is
     nonzero (no structure claim then) or when the sample set is too small.
     """
-    from .closedforms import cov_x_of_r, structural_span
-
     for i in sorted(set(orders)):
-        if i < 2:
-            continue
-        if any(max(abs(v[m - 1]) for v in values) >= 1e-10 for m in range(1, i)):
+        if i < 2 or any(max(abs(v[m - 1]) for v in values) >= 1e-10 for m in range(1, i)):
             continue
         if max(abs(v[i - 1]) for v in values) < 1e-12:
             continue
-        samples = [(cov_x_of_r(x, config.n), v[i - 1]) for x, v in zip(xs, values)]
+        samples = [(crossing_abscissa(x, config.n), v[i - 1]) for x, v in zip(xs, values)]
         fam = structural_span(config.n, i)[1]
         if len(samples) < 3 * len(fam):
             continue
@@ -163,29 +133,27 @@ def _append_span_fits(out: Path, config, orders, xs, values) -> None:
               f"residual {format_float(fit.residual)}")
 
 
+# family name -> builder of its ordered members from the parsed arguments
+FAMILIES = {
+    **{f"F{i}": lambda args, name=f"F{i}": family(name, args.k, lam=args.lam)
+       for i in range(1, 8)},
+    "G": lambda args: family_G(args.k),
+    "H8": lambda args: family_H8(args.k),
+    "J0": lambda args: family_J0(),
+    "H": lambda args: family_H_pencil(args.k, args.alpha or 0.0, args.beta or 0.0),
+}
+
+
 def cmd_cheb(args) -> int:
     if args.family not in FAMILIES:
         raise ConfigurationError(
             f"unknown family {args.family!r}; choose from {list(FAMILIES)}")
     interval = _parse_interval(args.interval)
-    lam = args.lam
-    if args.family == "F7" and lam is None:
-        raise ConfigurationError("family F7 needs --lam")
-    if args.family == "H":
-        fams = family_H_pencil(args.k, args.alpha or 0.0, args.beta or 0.0)
-        name = f"H^{args.k}_{args.alpha},{args.beta}"
-    else:
-        if args.family == "G":
-            fams = family_G(args.k)
-        elif args.family == "J0":
-            fams = family_J0()
-        elif args.family == "H8":
-            fams = family_H8(args.k)
-        else:
-            fams = family(args.family, args.k, lam=lam)
-        name = f"{args.family}^{args.k}" + (f",{lam}" if lam is not None else "")
+    fams = FAMILIES[args.family](args)
+    name = (f"H^{args.k}_{args.alpha},{args.beta}" if args.family == "H" else
+            f"{args.family}^{args.k}" + (f",{args.lam}" if args.lam is not None else ""))
     out = Path(args.out)
-    _write_manifest(out, args, "cheb", interval=interval)
+    _write_manifest(out, args, interval=interval)
 
     verdict = certify_family(fams, interval[0], interval[1], name=name)
     write_json(out / "verdict.json", verdict.to_dict())
@@ -223,33 +191,20 @@ def _ceiling_scan(n: int, ceiling: int, rng):
     return worst, worst <= ceiling
 
 
-def _case_m1_counts(seed, n_list, targets):
+def _case_m1_counts(seed, targets):
+    """First-order realizations and ceilings; ``targets`` maps n to its zero count."""
     rng = np.random.default_rng(seed)
-    lines = []
-    ok = True
-    artifacts = {}
-    for n, target in zip(n_list, targets):
-        found = sign_pattern_search(n, target, seed=seed) if target > 1 else None
-        if target > 1:
-            if found is None:
-                ok = False
-                lines.append(f"n={n}: FAILED to realize {target} simple zeros")
-                continue
-            v, zeros = found
-            artifacts[f"n{n}_realization"] = {"v": list(v), "zeros": list(zeros)}
-            lines.append(f"n={n}: {len(zeros)} simple zeros realized at "
-                         + ", ".join(f"{z:.6g}" for z in zeros))
-        else:
-            rng_local = np.random.default_rng(seed + n)
-            xs = np.geomspace(1e-3, 1e3, 2048)
-            realized = 0
-            for _ in range(200):
-                v = rng_local.uniform(-1.0, 1.0, len(q_basis(n)))
-                realized = max(realized, int(_sign_changes(q_values(v, n, xs))))
-                if realized >= 1:
-                    break
-            lines.append(f"n={n}: {realized} zero realized (degree-one reduced polynomial)")
-            ok = ok and realized == 1
+    ok, lines, artifacts = True, [], {}
+    for n, target in targets.items():
+        found = sign_pattern_search(n, target, seed=seed)
+        if found is None:
+            ok = False
+            lines.append(f"n={n}: FAILED to realize {target} simple zeros")
+            continue
+        v, zeros = found
+        artifacts[f"n{n}_realization"] = {"v": list(v), "zeros": list(zeros)}
+        lines.append(f"n={n}: {len(zeros)} simple zero{'s' if len(zeros) > 1 else ''} "
+                     "realized at " + ", ".join(f"{z:.6g}" for z in zeros))
         worst, inside = _ceiling_scan(n, target, rng)
         lines.append(f"n={n}: ceiling {target} respected over {CEILING_TRIALS} random configs"
                      f" (max seen {worst})" if inside else
@@ -259,14 +214,9 @@ def _case_m1_counts(seed, n_list, targets):
 
 
 def _case_m2_n3_structure(seed):
-    from .closedforms import table3_structure_config
-
     cfg = table3_structure_config(3, seed=seed)
-    xs = np.geomspace(0.3, 2.2, 40)
-    samples = []
-    for xv in xs:
-        r = cov_r_of_x(float(xv), 3)
-        samples.append((float(xv), melnikov(cfg, 2, r)))
+    samples = [(float(x), melnikov(cfg, 2, cov_r_of_x(float(x), 3)))
+               for x in np.geomspace(0.3, 2.2, 40)]
     fit = fit_to_span(samples, 3, 2)
     ok = fit.residual <= 1e-6
     lines = [f"M2 numerator fits Span(F5^1) with relative residual {fit.residual:.3e}"
@@ -283,7 +233,8 @@ def _case_prop4():
     lines = [f"{res.count} simple zeros on (0, 50); expected 8: {'PASS' if ok else 'FAIL'}"]
     if res.sensitivity_note:
         lines.append(f"sensitivity: {res.sensitivity_note}")
-    artifacts = {"zeros": [z.location for z in res.report.zeros],
+    artifacts = {"coefficients": list(res.coefficients),
+                 "zeros": [z.location for z in res.report.zeros],
                  "report": res.report.to_dict(),
                  "sensitivity_note": res.sensitivity_note}
     return ok, lines, artifacts
@@ -322,53 +273,48 @@ def _case_cycles(seed):
     # zeros are invariant under coefficient scaling while that constant is
     # linear in it, so shrink the configuration until the constant is small.
     h = 1e-6
-    scale = 1.0
     cfg = config_from_v(v, 2, k=2)
-    corr = []
-    for r in r_zeros:
-        m2 = melnikov(cfg, 2, r)
-        m1p = (m1_closed(cfg, r + h) - m1_closed(cfg, r - h)) / (2.0 * h)
-        corr.append(abs(m2 / m1p))
-    worst = max(corr)
+    worst = max(abs(melnikov(cfg, 2, r) / ((m1_closed(cfg, r + h) - m1_closed(cfg, r - h))
+                                           / (2.0 * h))) for r in r_zeros)
     if worst > 1.0:
-        scale = 1.0 / worst
-        v = tuple(scale * c for c in v)
+        v = tuple((1.0 / worst) * c for c in v)
         cfg = config_from_v(v, 2, k=2)
     search = find_limit_cycles(eps, cfg, r_zeros, melnikov_zeros=r_zeros, order=1)
     ok = len(search.cycles) == 3 and all(
         abs(c.x_star - c.melnikov_zero) <= 5.0 * eps for c in search.cycles)
     lines = [f"{len(search.cycles)} limit cycles at eps={eps}; expected 3: {'PASS' if ok else 'FAIL'}"]
-    for c in search.cycles:
-        lines.append(
-            f"  x*={c.x_star:.8f} zero={c.melnikov_zero:.8f} "
-            f"|x*-zero|={abs(c.x_star - c.melnikov_zero):.2e} (<=5eps={5 * eps:.0e}) "
-            f"deriv={c.derivative:.6f} {'stable' if c.stable else 'unstable'}")
+    lines += [f"  x*={c.x_star:.8f} zero={c.melnikov_zero:.8f} "
+              f"|x*-zero|={abs(c.x_star - c.melnikov_zero):.2e} (<=5eps={5 * eps:.0e}) "
+              f"deriv={c.derivative:.6f} {'stable' if c.stable else 'unstable'}"
+              for c in search.cycles]
     lines.extend(search.diagnostics)
     artifacts = {"cycles": [c.to_dict() for c in search.cycles], "v": list(v),
                  "zeros_x": list(zeros), "zeros_r": r_zeros}
     return ok, lines, artifacts
 
 
+# case name -> runner taking the seed, returning (ok, report lines, artifacts)
+CASES = {
+    "m1_n1": lambda seed: _case_m1_counts(seed, {1: 1}),
+    "m1_n2": lambda seed: _case_m1_counts(seed, {2: 3}),
+    "m1_odd": lambda seed: _case_m1_counts(seed, {3: 3, 5: 3}),
+    "m1_even": lambda seed: _case_m1_counts(seed, {4: 4}),
+    "m2_n3_structure": _case_m2_n3_structure,
+    "prop4": lambda seed: _case_prop4(),
+    "prop5_k2": lambda seed: _case_prop5(),
+    "cycles_n2_l1": _case_cycles,
+}
+
+
 def cmd_reproduce(args) -> int:
     if args.case not in CASES:
-        raise ConfigurationError(f"unknown case {args.case!r}; choose from {CASES}")
+        raise ConfigurationError(f"unknown case {args.case!r}; choose from {tuple(CASES)}")
     out = Path(args.out)
-    _write_manifest(out, args, "reproduce", case=args.case)
-    seed = args.seed
-    runner = {
-        "m1_n1": lambda: _case_m1_counts(seed, [1], [1]),
-        "m1_n2": lambda: _case_m1_counts(seed, [2], [3]),
-        "m1_odd": lambda: _case_m1_counts(seed, [3, 5], [3, 3]),
-        "m1_even": lambda: _case_m1_counts(seed, [4], [4]),
-        "m2_n3_structure": lambda: _case_m2_n3_structure(seed),
-        "prop4": _case_prop4,
-        "prop5_k2": _case_prop5,
-        "cycles_n2_l1": lambda: _case_cycles(seed),
-    }[args.case]
-    ok, lines, artifacts = runner()
+    _write_manifest(out, args)
+    ok, lines, artifacts = CASES[args.case](args.seed)
     status = "PASS" if ok else "FAIL"
     report = {"case": args.case, "status": status, "lines": lines,
-              "seed": seed, "artifacts": artifacts}
+              "seed": args.seed, "artifacts": artifacts}
     write_json(out / f"{args.case}.json", report)
     print(f"[{status}] {args.case}")
     for line in lines:
@@ -376,19 +322,13 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 2
 
 
-def _write_manifest(out: Path, args, command: str, interval=None, orders=None, case=None):
+def _write_manifest(out: Path, args, interval=None, orders=None):
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=command,
-        config_path=getattr(args, "config", None),
-        interval=interval,
-        grid=getattr(args, "grid", None),
-        orders=orders,
-        case=case,
-        out_dir=str(out),
-        seed=args.seed,
-    )
-    write_json(out / "manifest.json", asdict(manifest))
+    write_json(out / "manifest.json", {
+        "command": args.command, "config_path": getattr(args, "config", None),
+        "interval": interval, "grid": getattr(args, "grid", None), "orders": orders,
+        "case": getattr(args, "case", None), "out_dir": str(out), "seed": args.seed,
+        "version": __version__})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_melnikov)
 
     p = sub.add_parser("cheb", parents=[common], help="certify an ordered family")
-    p.add_argument("--family", required=True, help="F1..F7, G, H, J0, H8")
+    p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILIES)}")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None, help="pencil parameter (family H)")

@@ -17,11 +17,11 @@ import numpy as np
 from .basis import family, u
 from .config import OrderCoefficients, SystemConfig
 from .errors import ConfigurationError, DomainError
-from .geometry import crossing_abscissa, switching_angles
+from .geometry import switching_angles
 
 __all__ = [
-    "SpanFit", "v_coefficients", "config_from_v", "m1_closed", "cov_x_of_r",
-    "cov_r_of_x", "q_values", "q_denominator", "structural_span", "fit_to_span",
+    "SpanFit", "v_coefficients", "config_from_v", "m1_closed", "cov_r_of_x",
+    "q_values", "q_denominator", "structural_span", "fit_to_span",
     "sign_pattern_search", "q_basis", "v_map_matrix", "first_order_image",
     "v_zero_coefficients", "vanishing_order_config", "table3_structure_config",
 ]
@@ -76,13 +76,8 @@ def m1_closed(config: SystemConfig, r: float) -> float:
     return float(_m1_weight(config.n) * sum(c * b for c, b in zip(v_coefficients(config), row)))
 
 
-def cov_x_of_r(r: float, n: int) -> float:
-    """Crossing abscissa x = r*cos(theta1(r)); solves x^2 + x^(2n) = r^2."""
-    return crossing_abscissa(r, n)
-
-
 def cov_r_of_x(x: float, n: int) -> float:
-    """Inverse change of variables r = sqrt(x^2 + x^(2n))."""
+    """r = sqrt(x^2 + x^(2n)), the inverse of ``geometry.crossing_abscissa``."""
     if x <= 0.0:
         raise DomainError(f"abscissa must be positive, got {x}")
     return math.sqrt(x * x + x ** (2 * n))

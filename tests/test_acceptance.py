@@ -57,7 +57,8 @@ def test_ac02_recursion_orders_1_2(rng):
 
 
 def test_ac03_simulation_cross_check(rng):
-    """extract_melnikov vs melnikov at every order i = 1..6, within 1e-12."""
+    """extract_melnikov vs melnikov at every order i = 1..6, within 1e-12.  M_1..M_{i-1}
+    vanish for i <= 4 only: cfg5 has M_4 != 0 and cfg6 has M_3 != 0."""
     zero = OrderCoefficients()
     grid = np.geomspace(0.7, 1.5, 5)
     cases = {
@@ -95,20 +96,17 @@ def test_ac03_simulation_cross_check(rng):
         worst = worst_gap(i, cfg)
         ok = ok and worst <= 1e-12
         lines.append(f"i={i}: {worst:.2e}")
-    report(3, ok, "relative gaps at 5 grid points, lower orders vanishing - "
+    report(3, ok, "relative gaps at 5 grid points, lower orders vanishing for i <= 4 - "
            + "; ".join(lines) + " (tol 1e-12)")
 
 
 def test_ac04_theorem_a_realizations():
-    from melnlab.cli import _case_m1_counts
+    from melnlab.cli import CASES
 
-    ok1, lines1, _ = _case_m1_counts(1, [1], [1])
-    ok2, lines2, _ = _case_m1_counts(1, [2], [3])
-    ok3, lines3, _ = _case_m1_counts(1, [3, 5], [3, 3])
-    ok4, lines4, _ = _case_m1_counts(1, [4], [4])
-    ok = ok1 and ok2 and ok3 and ok4
+    runs = [CASES[case](1) for case in ("m1_n1", "m1_n2", "m1_odd", "m1_even")]
+    ok = all(run_ok for run_ok, _, _ in runs)
     report(4, ok, "simple-zero realizations 1/3/3/4/3 for n=1/2/3/4/5 and 1000-config "
-                  "ceilings - " + " | ".join(lines1 + lines2 + lines3 + lines4))
+                  "ceilings - " + " | ".join(line for _, lines, _ in runs for line in lines))
 
 
 def test_ac05_limit_cycles():

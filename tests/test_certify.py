@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from melnlab.basis import family, family_G, family_H_pencil, family_J0, u
 from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, _derivative_matrices,
                              _equilibrate, _precise_det, _rho, _wronskian_logs,
-                             certify_family, isolate_zeros, theorem3_bound,
-                             wronskian, wronskian_scaled)
+                             certify_family, isolate_zeros, prop5_witness,
+                             theorem3_bound, wronskian, wronskian_scaled)
 from melnlab.errors import DomainError
 
 XS = np.geomspace(0.1, 10.0, 50)
@@ -264,6 +264,26 @@ def test_true_double_zero_withholds_exhaustiveness():
     rep = isolate_zeros(lambda x: (x - 1.0) ** 2, 0.5, 2.0, initial=2048)
     assert rep.count == 0
     assert not rep.exhaustive
+
+
+def test_bisection_falls_back_to_the_scans_call():
+    # g_3 of the Prop. 5 witness from F7^{3,1} at x^6: near x = 430 its values
+    # are rounding noise of size 1e102, where a bare float takes another path
+    # than the scan's array (-4.3e102 against +1.6e102 at 432.264), so
+    # bisecting on floats alone found bracket ends of one sign
+    a0, a1, a2, a3, a4 = prop5_witness(3).coefficients
+    weights = (-16.0, 7 * (a0 - 16), 7 * (7 * a1 - 3 * a3), a2, 7 * a1 - 2 * a3, a4, 1.0)
+    members = [m.substituted_power(6) for m in family("F7", 3, lam=1.0)]
+    rep = isolate_zeros(lambda x: sum(c * m(x) for c, m in zip(weights, members)),
+                        1e-9, 493.0, initial=8192)
+    assert rep.count == rep.simple_count > 0 and rep.exhaustive and not rep.flags
+
+
+def test_bracket_whose_ends_disagree_with_the_scan_is_skipped():
+    # the scan sees the sign change of x - 1; one-point calls never do
+    rep = isolate_zeros(lambda x: x - 1.0 if np.size(x) > 1 else np.ones_like(x), 0.5, 2.0)
+    assert rep.count == 0 and not rep.exhaustive
+    assert "bracket-end-not-reproducible" in rep.flags
 
 
 def test_budget_flagging():

@@ -1,11 +1,13 @@
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import random_block
-from melnlab.cli import CEILING_TRIALS, _ceiling_scan, _sign_changes, main
+from melnlab.basis import family, family_G, family_H8, family_H_pencil, family_J0
+from melnlab.cli import CASES, CEILING_TRIALS, FAMILIES, _ceiling_scan, _sign_changes, main
 from melnlab.closedforms import q_basis, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
 from melnlab.recursion import melnikov
@@ -107,6 +109,39 @@ def test_reproduce_m1_n1(tmp_path):
     assert code == 0
     report = json.loads((out / "m1_n1.json").read_text())
     assert report["status"] == "PASS"
+    assert len(report["artifacts"]["n1_realization"]["zeros"]) == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_m1_n1_realizes_one_simple_zero(seed):
+    ok, lines, artifacts = CASES["m1_n1"](seed)
+    assert ok and lines[0].startswith("n=1: 1 simple zero realized at ")
+    assert len(artifacts["n1_realization"]["zeros"]) == 1
+
+
+# member count and members of each family at --k 2 --lam 1.5 --alpha 0.5 --beta -0.25
+FAMILY_BUILDS = {
+    **{f"F{i}": (size, lambda name=f"F{i}": family(name, 2, lam=1.5))
+       for i, size in zip(range(1, 8), (3, 4, 5, 6, 8, 7, 7))},
+    "G": (6, lambda: family_G(2)), "H8": (6, lambda: family_H8(2)), "J0": (6, family_J0),
+    "H": (5, lambda: family_H_pencil(2, 0.5, -0.25)),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cheb_builds_each_family_of_the_table(tmp_path, monkeypatch, name):
+    from melnlab import cli
+
+    certify = mock.Mock(return_value=SimpleNamespace(classification="ECT", zero_bound=0,
+                                                     nu=(), to_dict=dict))
+    monkeypatch.setattr(cli, "certify_family", certify)
+    monkeypatch.setattr(cli, "wronskian_scaled", lambda fams, xs, s: np.zeros(len(xs)))
+    assert main(["cheb", "--family", name, "--k", "2", "--lam", "1.5", "--alpha", "0.5",
+                 "--beta", "-0.25", "--out", str(tmp_path / "o")]) == 0
+    count, want = FAMILY_BUILDS[name]
+    [((fams, *_), _)] = certify.call_args_list
+    assert len(fams) == count
+    assert [f.label for f in fams] == [f.label for f in want()]
 
 
 def test_reproduce_m2_n3_structure_seed10(tmp_path):
@@ -142,6 +177,8 @@ def test_sign_changes_match_the_product_of_signs():
     ["melnikov", "--orders", "1,,2"],
     ["melnikov", "--orders", "2,2"],
     ["cheb", "--family", "F7", "--k", "0", "--lam", "1"],
+    ["cheb", "--family", "F8"],
+    ["cheb", "--family", "F7"],
     ["cheb", "--family", "F2", "--k", "-1"],
     ["melnikov", "--seed", "-1"],
     ["cheb", "--family", "F5", "--seed", "-1"],
@@ -154,8 +191,8 @@ def test_sign_changes_match_the_product_of_signs():
     # F1^1 has a W_2 zero in [0.1, 10], so an ECT verdict on [0.1, inf) is wrong
     ["cheb", "--family", "F1", "--interval", "0.1:inf"],
     ["cheb", "--family", "F1", "--interval", "0.1:nan"],
-], ids=["empty-order", "repeated-order", "F7-k0", "F2-negative-k", "melnikov-negative-seed",
-        "cheb-negative-seed", "reproduce-negative-seed", "grid-open-paren",
+], ids=["empty-order", "repeated-order", "F7-k0", "unknown-family", "F7-without-lam",
+        "F2-negative-k", "melnikov-negative-seed", "cheb-negative-seed", "reproduce-negative-seed", "grid-open-paren",
         "grid-close-paren", "grid-trailing-paren", "grid-parenthesized-kind",
         "melnikov-infinite-end", "cheb-infinite-end", "cheb-nan-end"])
 def test_bad_input_is_a_configuration_error(tmp_path, demo_config, argv):

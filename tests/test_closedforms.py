@@ -9,12 +9,13 @@ from melnlab import recursion
 from melnlab.closedforms import (LM_MAX_STEPS, _cancelling_block, _kernel_residual,
                                  _levenberg_marquardt, _m2_on_grid, _oc_from_vec,
                                  _polarized_second_order, config_from_v, cov_r_of_x,
-                                 cov_x_of_r, first_order_image, fit_to_span, m1_closed,
-                                 q_denominator, q_values, sign_pattern_search,
-                                 structural_span, table3_structure_config, v_coefficients,
-                                 v_map_matrix, vanishing_order_config)
+                                 first_order_image, fit_to_span, m1_closed, q_denominator,
+                                 q_values, sign_pattern_search, structural_span,
+                                 table3_structure_config, v_coefficients, v_map_matrix,
+                                 vanishing_order_config)
 from melnlab.errors import ConfigurationError
 from melnlab.config import OrderCoefficients, SystemConfig
+from melnlab.geometry import crossing_abscissa
 from melnlab.recursion import melnikov
 
 
@@ -76,8 +77,8 @@ def test_cov_roundtrip_and_monotonicity():
         rs = np.array([cov_r_of_x(float(x), n) for x in xs])
         assert np.all(np.diff(rs) > 0)
         for x, r in zip(xs[::25], rs[::25]):
-            assert abs(cov_x_of_r(r, n) - x) <= 1e-12 * max(1.0, x)
-    assert cov_x_of_r(1.0, 1) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+            assert abs(crossing_abscissa(r, n) - x) <= 1e-12 * max(1.0, x)
+    assert crossing_abscissa(1.0, 1) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
     assert cov_r_of_x(1.0, 3) == pytest.approx(math.sqrt(2), rel=1e-15)
 
 

@@ -4,8 +4,7 @@ name, an attribute or an import (not in a string or comment, and not only
 assigned) somewhere in src, tests, scripts or perfbench.
 
 A dataclass field must be read as an attribute (``obj.field``): being
-passed to the constructor is not a read.  ``RunManifest`` is exempt, since
-it is serialized whole by ``asdict``.
+passed to the constructor is not a read.
 
 Attributes are matched by name alone, whatever object they are read from.
 So an attribute that shares its name with one read elsewhere passes
@@ -18,7 +17,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melnlab"
 SCANNED = ("src", "tests", "scripts", "perfbench")
-SERIALIZED_WHOLE = ("RunManifest",)
 
 
 def _dunder(name: str) -> bool:
@@ -94,7 +92,7 @@ def test_every_dataclass_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             elif (PACKAGE in path.parents and isinstance(node, ast.ClassDef)
-                  and _is_dataclass(node) and node.name not in SERIALIZED_WHOLE):
+                  and _is_dataclass(node)):
                 where = path.relative_to(ROOT).as_posix()
                 fields.update((where, node.name, stmt.target.id) for stmt in node.body
                               if isinstance(stmt, ast.AnnAssign)
