@@ -73,10 +73,10 @@ def cmd_melnikov(args) -> int:
     out = Path(args.out)
     _write_manifest(out, args, interval=interval, orders=orders)
 
-    # one recursion table per point and one oracle eps-jet pass over the
-    # grid, both of the highest order, serve every requested order
+    # one recursion pass and one oracle eps-jet pass over the grid, both of
+    # the highest order, serve every requested order
     top = max(orders)
-    values = [melnikov_all(config, x, top) for x in xs]
+    values = melnikov_all(config, np.array(xs), top)
     est = extract_melnikov(xs, top, config, center_event_times(xs, config.n))
     errors = est.error_estimate.tolist()
     worst_gap = 0.0
@@ -85,7 +85,7 @@ def cmd_melnikov(args) -> int:
         # order one also carries the closed form
         rows = [(x, val, oracle, abs(val - oracle) / max(1.0, abs(val)), err)
                 + ((m1_closed(config, x),) if i == 1 else ()) + (int(flag),)
-                for x, val, oracle, err, flag in zip(xs, (v[i - 1] for v in values),
+                for x, val, oracle, err, flag in zip(xs, values[i - 1].tolist(),
                                                      est.values[i - 1].tolist(), errors,
                                                      est.flagged_at(i).tolist())]
         name = f"melnikov_order{i}.csv"
@@ -107,17 +107,18 @@ def cmd_melnikov(args) -> int:
 def _append_span_fits(out: Path, config, orders, xs, values) -> None:
     """Sidecar span fit for a requested order whose lower orders all vanish.
 
-    ``values[p]`` holds M_1..M_max at ``xs[p]``, so every lower order is
-    checked, requested or not.  Emits spanfit_order{i}.json plus a CSV of
+    ``values[i-1]`` holds M_i over ``xs`` for i = 1..max, so every lower order
+    is checked, requested or not.  Emits spanfit_order{i}.json plus a CSV of
     (x, M_i, fitted, residual) rows; skipped silently when a lower order is
     nonzero (no structure claim then) or when the sample set is too small.
     """
     for i in sorted(set(orders)):
-        if i < 2 or any(max(abs(v[m - 1]) for v in values) >= 1e-10 for m in range(1, i)):
+        if i < 2 or np.max(np.abs(values[:i - 1])) >= 1e-10:
             continue
-        if max(abs(v[i - 1]) for v in values) < 1e-12:
+        if np.max(np.abs(values[i - 1])) < 1e-12:
             continue
-        samples = [(crossing_abscissa(x, config.n), v[i - 1]) for x, v in zip(xs, values)]
+        samples = [(crossing_abscissa(x, config.n), v)
+                   for x, v in zip(xs, values[i - 1].tolist())]
         fam = structural_span(config.n, i)[1]
         if len(samples) < 3 * len(fam):
             continue
@@ -215,8 +216,8 @@ def _case_m1_counts(seed, targets):
 
 def _case_m2_n3_structure(seed):
     cfg = table3_structure_config(3, seed=seed)
-    samples = [(float(x), melnikov(cfg, 2, cov_r_of_x(float(x), 3)))
-               for x in np.geomspace(0.3, 2.2, 40)]
+    xs = np.geomspace(0.3, 2.2, 40).tolist()
+    samples = list(zip(xs, melnikov(cfg, 2, np.array([cov_r_of_x(x, 3) for x in xs])).tolist()))
     fit = fit_to_span(samples, 3, 2)
     ok = fit.residual <= 1e-6
     lines = [f"M2 numerator fits Span(F5^1) with relative residual {fit.residual:.3e}"
@@ -274,8 +275,8 @@ def _case_cycles(seed):
     # linear in it, so shrink the configuration until the constant is small.
     h = 1e-6
     cfg = config_from_v(v, 2, k=2)
-    worst = max(abs(melnikov(cfg, 2, r) / ((m1_closed(cfg, r + h) - m1_closed(cfg, r - h))
-                                           / (2.0 * h))) for r in r_zeros)
+    worst = max(abs(m2 / ((m1_closed(cfg, r + h) - m1_closed(cfg, r - h)) / (2.0 * h)))
+                for r, m2 in zip(r_zeros, melnikov(cfg, 2, np.array(r_zeros)).tolist()))
     if worst > 1.0:
         v = tuple((1.0 / worst) * c for c in v)
         cfg = config_from_v(v, 2, k=2)

@@ -470,9 +470,8 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
     def accept(c1):
         coef, *_ = np.linalg.lstsq(B, m2(c1), rcond=None)
         cfg = pad({1: _oc_from_vec(c1), 2: _cancelling_block(n, coef)})
-        checks = [melnikov_all(cfg, r, 3) for r in (0.8, 1.3)]
-        lower = max(abs(m) for ms in checks for m in ms[:2])
-        m3 = min(abs(ms[2]) for ms in checks)
+        checks = np.abs(melnikov_all(cfg, np.array([0.8, 1.3]), 3))
+        lower, m3 = np.max(checks[:2]), np.min(checks[2])
         if lower < 1e-11 and m3 > 5e-3:
             return cfg
         return None

@@ -82,10 +82,15 @@ def theta1_jet(r: float, n: int, order: int) -> Jet:
     """Taylor jet of theta1 as a function of the radius, at base point r."""
     if order < 0:
         raise DomainError("jet order must be >= 0")
-    theta1, _ = switching_angles(r, n)
+    return _theta1_newton(float(r), switching_angles(r, n)[0], n, order)
+
+
+def _theta1_newton(r, theta1, n: int, order: int) -> Jet:
+    """``theta1_jet`` from the crossing angle ``theta1`` at ``r``; both may be arrays
+    over points, each getting its float jet's bits (the Newton steps are elementwise)."""
     if n == 1:
         return Jet.constant(theta1, order)
-    rj = Jet.variable(float(r), order)
+    rj = Jet.variable(r, order)
     th = Jet.constant(theta1, order)
     rpow = rj ** (n - 1)
     # jet-Newton on g(theta, r) = sin(theta) - r^(n-1) cos(theta)^n

@@ -95,14 +95,14 @@ class PolarField:
             raise DomainError(f"order {i} outside 1..{self.k}")
         return self.f_all(sign, r, theta, upto=i)[i - 1]
 
-    def f_r_jets(self, sign, r: float, theta, order: int) -> list[Jet]:
+    def f_r_jets(self, sign, r, theta, order: int) -> list[Jet]:
         """[F_1, ..., F_{order+1}] (at most k) as jets in r of the given order.
 
-        Coefficients follow theta's type; ``sign`` may be an array of signs
+        Coefficients follow theta's type; ``sign`` and ``r`` may be arrays
         broadcast against theta.  An r-jet of order ``order`` feeds
         the sector integrands of orders up to order+1, which read no higher F_i.
         """
-        rj = Jet.variable(float(r), order)
+        rj = Jet.variable(r, order)
         return self.f_all(sign, rj, theta, min(order + 1, self.k))
 
     def f_nested_jets(self, sign: int, triangles: list[tuple]) -> list[Jet]:
@@ -123,18 +123,19 @@ class PolarField:
         return _divide(A, B)
 
 
-def endpoint_triangles(r: float, t0: float, degree: int) -> list[tuple[Jet, Jet, Jet]]:
+def endpoint_triangles(r, t0, degree: int) -> list[tuple[Jet, Jet, Jet]]:
     """(r, sin t, cos t) at (r, t0) as r-jets of t-jets, cut to each total degree.
 
     Entry d holds the three nested jets truncated to total degree d, for
     d = 0..degree; they depend on the point only, not on the field's side.
+    ``r`` and ``t0`` are floats, or arrays over several endpoints.
     """
     def triangle(lead, first):
         return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
                              for L in range(1, degree + 1)])
 
-    rsc = (triangle(Jet.constant(float(r), degree), 1.0),
-           *jet_sincos(triangle(Jet.variable(float(t0), degree), 0.0)))
+    rsc = (triangle(Jet.constant(r, degree), 1.0),
+           *jet_sincos(triangle(Jet.variable(t0, degree), 0.0)))
     return [tuple(Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])]) for v in rsc)
             for d in range(degree + 1)]
 

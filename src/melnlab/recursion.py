@@ -7,7 +7,7 @@ the z_i^j are built sector by sector:
 * the integral term accumulates F_i plus the chain-rule sums over partition
   tuples, integrated with an adaptive-degree Chebyshev interpolant per sector
   (exact antiderivative of the fitted series, target 1e-13 relative), the
-  three sectors of an order side by side in one array pass;
+  three sectors of every point of a grid side by side in one array pass;
 * crossing a switching angle adds the jump correction
   i! * sum_p (1/p!) d^p/deps^p [delta_{i-p}^j(A_j^p(x, eps), x)] at eps = 0,
   evaluated by composing the t-jet of delta at the switching angle with the
@@ -29,7 +29,7 @@ from numpy.fft import irfft  # numpy.fft loads lazily; import it with the module
 from .combinatorics import compositions, partitions
 from .config import SystemConfig
 from .errors import DomainError, NumericalError, SequencingError
-from .geometry import SECTOR_SIGNS, TWO_PI, switching_angles, theta1_jet
+from .geometry import SECTOR_SIGNS, TWO_PI, _theta1_newton, switching_angles
 from .polar import PolarField, endpoint_triangles
 from .series import Jet
 
@@ -158,8 +158,24 @@ def _chebint(c: np.ndarray) -> np.ndarray:
     prim[2] = c[1] / 4
     prim[3:] = c[2:] / (2 * (j + 1))
     prim[1:n - 1] -= c[2:] / (2 * (j - 1))
-    prim[0] += [0 - _chebval(0.0, col) for col in prim.T.tolist()]
+    prim[0] += 0 - _chebval_columns(0.0, prim)
     return prim
+
+
+def _chebval_columns(x, c: np.ndarray) -> np.ndarray:
+    """``_chebval`` of each column of ``c`` at the matching entry of ``x``, in
+    one array pass, or on Python floats for one point's three sectors, where a
+    numpy operation costs some twenty float ones.  Same IEEE operations, same bits."""
+    if c.shape[1] > 3:
+        return _chebval(x, c)
+    xs = x.tolist() if isinstance(x, np.ndarray) else [x] * c.shape[1]
+    return np.array([_chebval(t, col) for t, col in zip(xs, c.T.tolist())])
+
+
+def _pow(a, p: int):
+    """``a ** p`` rounded as CPython rounds it, elementwise on an array: numpy's
+    power differs from CPython's in the last bit for some bases (p = 2..5)."""
+    return np.array([v ** p for v in a.tolist()]) if isinstance(a, np.ndarray) else a ** p
 
 
 def _chain_sum(i: int, fs, zs, dF):
@@ -186,40 +202,47 @@ def _chain_sum(i: int, fs, zs, dF):
 
 
 class ZTable:
-    """Per-base-point state of the Melnikov recursion.
+    """State of the Melnikov recursion at one base point, or in one pass over a grid.
 
     Holds the sector-wise Chebyshev representations of z_i^j, the switching
     angles with their radius jets, crossing-time coefficients alpha_j^q, the
-    w_i^j expansion coefficients, and the resulting Melnikov values.
+    w_i^j expansion coefficients, and the resulting Melnikov values, each in
+    the shape of x.  Each grid point gets the bits of its own float table; a
+    float x keeps float endpoint jets, which a 1-wide array would slow down.
 
     Parameters
     ----------
     config : SystemConfig
-    x : float
-        Section coordinate (radius of the unperturbed circle), x > 0.
+    x : float or 1-D array
+        Section coordinate(s) (radius of the unperturbed circle), x > 0.
     order : int
         Highest Melnikov order to build (<= config.k).
 
     Raises NumericalError when some M_i comes out non-finite.
     """
 
-    def __init__(self, config: SystemConfig, x: float, order: int | None = None):
+    def __init__(self, config: SystemConfig, x, order: int | None = None):
         self.field = PolarField(config)
-        self.x = float(x)
         self.order = config.k if order is None else int(order)
         if not 1 <= self.order <= config.k:
             raise DomainError(f"order must be in 1..{config.k}, got {self.order}")
+        if np.ndim(x) > 1 or np.size(x) == 0:
+            raise DomainError(f"x must be a float or a non-empty 1-D array, got {x!r}")
+        grid = np.ndim(x) == 1
+        self.x = np.array(x, dtype=float) if grid else float(x)
 
-        self.bounds = (0.0, *switching_angles(self.x, config.n), TWO_PI)
-        if self.bounds[1] < sys.float_info.min:
-            # sector 0 = [0, theta1] would need a Chebyshev domain map of scale 2/theta1
-            raise NumericalError(
-                f"crossing angle theta1 = atan(x^(n-1)) underflows to {self.bounds[1]!r} "
-                f"at x = {self.x}, n = {config.n}: sector 0 = [0, theta1] is too narrow "
-                f"to fit")
-        # r-jets of both switching angles, from one Newton solve for theta1
-        t1 = theta1_jet(self.x, config.n, self.order)
-        self._theta_jets = (t1, math.pi - (-1.0) ** config.n * t1)
+        # the crossing angles stay scalar per point: brentq, CPython's x ** (n-1) and atan
+        angles = []
+        for xp in np.atleast_1d(self.x).tolist():
+            angles.append(switching_angles(xp, config.n))
+            if angles[-1][0] < sys.float_info.min:
+                # sector 0 = [0, theta1] would need a Chebyshev domain map of scale 2/theta1
+                raise NumericalError(
+                    f"crossing angle theta1 = atan(x^(n-1)) underflows to {angles[-1][0]!r} "
+                    f"at x = {xp}, n = {config.n}: sector 0 = [0, theta1] is too narrow "
+                    f"to fit")
+        t1, t2 = (np.array(a) if grid else a[0] for a in zip(*angles))
+        self.bounds = (0.0 * t1, t1, t2, 0.0 * t1 + TWO_PI)
 
         self._coef: list[np.ndarray] = []  # z_i's Chebyshev series, see _fit
         self._z_start: dict[tuple[int, int], float] = {}
@@ -230,25 +253,30 @@ class ZTable:
         self._tjets: dict[tuple[int, int, str, int], Jet] = {}
         self._nested: dict[tuple[int, str], list[Jet]] = {}
         self._triangles: dict[int, list[tuple[Jet, Jet, Jet]]] = {}
-        self._melnikov: list[float] = []
+        self._melnikov: list = []
 
-        self._build()
+        # on floats an overflow (r^(n-1) at large n) or inf * 0 is silent; so on arrays
+        with np.errstate(all="ignore"):
+            # r-jets of both switching angles, from one Newton solve for theta1
+            t1 = _theta1_newton(self.x, t1, config.n, self.order)
+            self._theta_jets = (t1, math.pi - (-1.0) ** config.n * t1)
+            self._build()
 
     # -- public accessors ----------------------------------------------------
 
-    def melnikov(self, i: int) -> float:
-        """M_i(x) = z_i^N(T, x)/i!."""
+    def melnikov(self, i: int):
+        """M_i(x) = z_i^N(T, x)/i!, in the shape of x."""
         self._require(i)
         return self._melnikov[i - 1]
 
-    def z(self, i: int, j: int, t: float) -> float:
+    def z(self, i: int, j: int, t):
         """z_i^j(t, x) for t inside sector j (endpoints included)."""
         self._require(i)
         self._check_sector(j)
         a, b = self.bounds[j], self.bounds[j + 1]
-        if not (a - 1e-12 <= t <= b + 1e-12):
+        if not np.all((a - 1e-12 <= t) & (t <= b + 1e-12)):
             raise DomainError(f"t={t} outside sector {j} = [{a}, {b}]")
-        return self._zval(self._coef[i - 1], j, min(max(t, a), b))
+        return self._zval(self._coef[i - 1], j, np.minimum(np.maximum(t, a), b))
 
     def w(self, i: int, j: int) -> float:
         """Expansion coefficient w_i^j of the perturbed crossing state."""
@@ -288,16 +316,17 @@ class ZTable:
             raise DomainError(f"switching index must be 1 or 2, got {j}")
 
     def _build(self) -> None:
-        lo, hi = np.array(self.bounds[:3]), np.array(self.bounds[1:])
-        # numpy's Chebyshev domain map (``mapparms``) of each sector onto [-1, 1]
+        # one row per (point, sector), point-major
+        lo, hi = np.array(self.bounds[:3]).T.ravel(), np.array(self.bounds[1:]).T.ravel()
+        # numpy's Chebyshev domain map (``mapparms``) of each row onto [-1, 1]
         self._map = off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
-        # node count -> field r-jets, z_m values and mapped nodes, one row per
-        # sector; every order reads prefixes of one evaluation.  Freed on return.
-        nodesets: dict[int, tuple[list[Jet], list[np.ndarray], np.ndarray]] = {}
+        # (node count, rows) -> field r-jets, z_m values and mapped nodes; every
+        # order reads prefixes of one evaluation.  Freed on return.
+        nodesets: dict[tuple[int, bytes], tuple[list[Jet], list[np.ndarray], np.ndarray]] = {}
         for i in range(1, self.order + 1):
             # numpy's Chebyshev algebra, step by step: chebint, - prim(lo), * i!, + left
-            prim = _chebint(self._fit(i, lo[:, None], hi[:, None], nodesets)) * 0.5 * (hi - lo)
-            prim[0] -= [_chebval(t, c) for t, c in zip((off + scl * lo).tolist(), prim.T.tolist())]
+            prim = _chebint(self._fit(i, lo, hi, nodesets)) * 0.5 * (hi - lo)
+            prim[0] -= _chebval_columns(off + scl * lo, prim)
             prim *= math.factorial(i)
             for j in range(3):
                 if j == 0:
@@ -307,60 +336,70 @@ class ZTable:
                     self._jump[(i, j)] = jump
                     left = self._z_end[(i, j - 1)] + jump
                 self._z_start[(i, j)] = left
-                prim[0, j] += left
+                prim[0, j::3] += left
                 self._z_end[(i, j)] = self._zval(prim, j, self.bounds[j + 1])
             self._coef.append(prim)
             value = self._z_end[(i, 2)] / math.factorial(i)
-            if not math.isfinite(value):
-                raise NumericalError(f"M_{i} is not finite at x = {self.x} "
+            finite = np.isfinite(value)
+            if not finite.all():
+                bad = np.atleast_1d(self.x)[np.argmin(finite)]
+                raise NumericalError(f"M_{i} is not finite at x = {bad} "
                                      f"(switching degree n = {self.field.config.n})")
             self._melnikov.append(value)
 
-    def _zval(self, coef: np.ndarray, j: int, t: float) -> float:
+    def _zval(self, coef: np.ndarray, j: int, t):
         off, scl = self._map
-        return _chebval(float(off[j] + scl[j] * t), coef[:, j].tolist())
+        if isinstance(self.x, float):  # Python floats: a 1-wide array costs several times more
+            return _chebval(float(off[j] + scl[j] * t), coef[:, j].tolist())
+        return _chebval(off[j::3] + scl[j::3] * t, coef[:, j::3])
 
     def _fit(self, i: int, lo: np.ndarray, hi: np.ndarray, nodesets: dict) -> np.ndarray:
-        """Chebyshev coefficients of K_i^0..K_i^2 on the unit window, one
-        column per sector, zero-padded at the high end.
+        """Chebyshev coefficients of K_i on the unit window, one column per
+        (point, sector) row, zero-padded at the high end.
 
-        The sectors whose last two coefficients are not below CHEB_REL_TOL
-        times their scale are fitted again, side by side, at twice the
-        degree; at CHEB_MAX_DEGREE the lowest-index one raises NumericalError.
+        The rows whose last two coefficients are not below CHEB_REL_TOL times
+        their scale are fitted again at twice the degree, and only they are
+        evaluated again; at CHEB_MAX_DEGREE the first of them raises
+        NumericalError.
         """
-        fits: list = [None] * 3
-        active, n = [0, 1, 2], CHEB_START_DEGREE
-        while active:
-            if n not in nodesets:
-                theta = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _cheb_points(n)
-                signs = np.array(SECTOR_SIGNS)[:, None]
-                nodesets[n] = (self.field.f_r_jets(signs, self.x, theta, self.order - 1), [],
-                               self._map[0][:, None] + self._map[1][:, None] * theta)
-            fs, zs, u = nodesets[n]
-            zs.extend(_chebval(u, self._coef[m - 1][:, :, None]) for m in range(len(zs) + 1, i))
-            rows = slice(None) if len(active) == 3 else active
-            vals = _chain_sum(i, fs, [z[rows] for z in zs],
-                              lambda f, lb: f.coefficient(lb)[rows] * math.factorial(lb))
+        off, scl = self._map
+        parts, active, n = [], np.arange(len(lo)), CHEB_START_DEGREE
+        while active.size:
+            key = (n, active.tobytes())
+            if key not in nodesets:
+                a, b = lo[active, None], hi[active, None]
+                theta = 0.5 * (b + a) + 0.5 * (b - a) * _cheb_points(n)
+                signs = np.tile(SECTOR_SIGNS, len(lo) // 3)[active, None]
+                r = np.repeat(np.atleast_1d(self.x), 3)[active, None]
+                nodesets[key] = (self.field.f_r_jets(signs, r, theta, self.order - 1), [],
+                                 off[active, None] + scl[active, None] * theta)
+            fs, zs, u = nodesets[key]
+            zs.extend(_chebval(u, self._coef[m - 1][:, active, None])
+                      for m in range(len(zs) + 1, i))
+            vals = _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb))
             coef = _dct2(vals) / n
             coef[:, 0] *= 0.5
-            for j, c in zip(active, coef):
-                scale = np.max(np.abs(c))
-                tail = np.max(np.abs(c[-2:]))
-                if scale == 0.0:
-                    fits[j] = np.zeros(2)
-                elif tail <= CHEB_REL_TOL * scale:
-                    fits[j] = c[:max(2, int(np.max(np.nonzero(np.abs(c) > 1e-16 * scale)[0])) + 1)]
-                elif n >= CHEB_MAX_DEGREE:
-                    raise NumericalError(
-                        f"sector integrand on [{self.bounds[j]}, {self.bounds[j + 1]}] did not "
-                        f"converge under Chebyshev refinement (degree {n}, tail {tail:.3e} "
-                        f"of scale {scale:.3e})")
-            active = [j for j in active if fits[j] is None]
+            mag = np.abs(coef)
+            scale, tail = mag.max(axis=1), mag[:, -2:].max(axis=1)
+            done = (scale == 0.0) | (tail <= CHEB_REL_TOL * scale)
+            if n >= CHEB_MAX_DEGREE and not done.all():
+                k = int(np.argmin(done))
+                raise NumericalError(
+                    f"sector integrand on [{lo[active[k]]}, {hi[active[k]]}] did not "
+                    f"converge under Chebyshev refinement (degree {n}, tail {tail[k]:.3e} "
+                    f"of scale {scale[k]:.3e})")
+            # keep each row through its last coefficient above 1e-16 of its scale,
+            # at least two; a zero row is [0, 0]
+            size = np.maximum(2, n - (mag[:, ::-1] > 1e-16 * scale[:, None]).argmax(axis=1))
+            size[scale == 0.0] = 2
+            coef[(np.arange(n) >= size[:, None]) | (scale[:, None] == 0.0)] = 0.0
+            parts.append((active[done], coef[done, :size[done].max(initial=2)]))
+            active = active[~done]
             n *= 2
-        coef = np.zeros((max(map(len, fits)), 3))
-        for j, c in enumerate(fits):
-            coef[:len(c), j] = c
-        return coef
+        block = np.zeros((max(c.shape[1] for _, c in parts), len(lo)))
+        for rows, c in parts:
+            block[:c.shape[1], rows] = c.T
+        return block
 
     # t-jets ------------------------------------------------------------------
 
@@ -429,7 +468,7 @@ class ZTable:
                 prod = 1.0
                 for m_idx, bm in enumerate(b, start=1):
                     if bm:
-                        prod *= self._alpha_q(m_idx, j) ** bm
+                        prod *= _pow(self._alpha_q(m_idx, j), bm)
                 val += pref * wgt * dt * prod
         self._w[key] = val
         return val
@@ -442,7 +481,10 @@ class ZTable:
         val = 0.0
         for l in range(1, q + 1):
             dl = theta_jet.derivative(l)
-            if dl == 0.0:
+            # no term where theta_j has no l-th derivative, rather than 0 * a w that may
+            # be inf; ``zero`` is a bool on floats (no numpy call), an array on a grid
+            zero = dl == 0.0
+            if zero is True or (zero is not False and zero.all()):
                 continue
             ssum = 0.0
             for u in compositions(q, l):
@@ -450,7 +492,9 @@ class ZTable:
                 for ur in u:
                     prod *= self._w_ij(ur, j)
                 ssum += prod
-            val += math.factorial(q) / math.factorial(l) * dl * ssum
+            term = math.factorial(q) / math.factorial(l) * dl * ssum
+            mixed = zero is not False and zero.any()
+            val = np.where(zero, val, val + term) if mixed else val + term
         self._alpha[key] = val
         return val
 
@@ -466,16 +510,17 @@ class ZTable:
         return math.factorial(i) * total
 
 
-def melnikov(config: SystemConfig, i: int, x: float) -> float:
-    """Melnikov function of order i at section coordinate x."""
-    if x <= 0.0:
-        raise DomainError(f"section coordinate must be positive, got {x}")
+def melnikov(config: SystemConfig, i: int, x):
+    """Melnikov function of order i at section coordinate x, a float or a 1-D
+    array (one recursion pass over the grid)."""
     return ZTable(config, x, i).melnikov(i)
 
 
-def melnikov_all(config: SystemConfig, x: float, upto: int | None = None) -> list[float]:
-    """[M_1(x), ..., M_upto(x)] sharing one recursion table."""
+def melnikov_all(config: SystemConfig, x, upto: int | None = None):
+    """[M_1(x), ..., M_upto(x)] sharing one recursion table: a list of floats
+    for a float x, an (upto, points) array for a 1-D array."""
     upto = config.k if upto is None else upto
     table = ZTable(config, x, upto)
-    return [table.melnikov(i) for i in range(1, upto + 1)]
+    values = [table.melnikov(i) for i in range(1, upto + 1)]
+    return np.array(values) if np.ndim(table.x) else values
 

@@ -226,7 +226,8 @@ def test_oracle_gate_fails_on_a_non_finite_gap(tmp_path, demo_config, monkeypatc
     # max() skips a NaN gap; the gate must not
     from melnlab import cli
 
-    monkeypatch.setattr(cli, "melnikov_all", lambda config, x, upto: [float("nan")] * upto)
+    monkeypatch.setattr(cli, "melnikov_all",
+                        lambda config, xs, upto: np.full((upto, len(xs)), np.nan))
     assert main(["melnikov", "--config", str(demo_config), "--interval", "0.8:1.2",
                  "--grid", "3", "--out", str(tmp_path / "o")]) == 2
 
@@ -253,11 +254,10 @@ def test_cheb_simplicity_probe_stays_in_the_domain(tmp_path):
 
 
 @pytest.mark.parametrize("points", [3, 7])
-def test_melnikov_one_table_per_point_and_one_pass_per_run(tmp_path, demo_config,
-                                                           monkeypatch, points):
-    # orders 1 and 2 share one recursion table per point, and one eps-jet
-    # pass of order 2 over the whole grid, seeded by one eps = 0 return per
-    # point, gives every oracle value
+def test_melnikov_one_table_and_one_pass_per_run(tmp_path, demo_config, monkeypatch, points):
+    # orders 1 and 2 share one recursion table over the whole grid, and one
+    # eps-jet pass of order 2 over the whole grid, seeded by one eps = 0
+    # return per point, gives every oracle value
     from melnlab import recursion, simulate
 
     builds = mock.Mock(wraps=recursion.ZTable)
@@ -269,7 +269,8 @@ def test_melnikov_one_table_per_point_and_one_pass_per_run(tmp_path, demo_config
     assert main(["melnikov", "--config", str(demo_config), "--orders", "1,2",
                  "--interval", "0.7:1.3", "--grid", f"{points}log",
                  "--out", str(tmp_path / "o")]) == 0
-    assert (builds.call_count, returns.call_count, passes.call_count) == (points, points, 1)
+    assert (builds.call_count, returns.call_count, passes.call_count) == (1, points, 1)
+    assert builds.call_args.args[1].shape == (points,)
     assert all(call.args[1] == 0.0 for call in returns.call_args_list)
 
 

@@ -257,8 +257,8 @@ def test_endpoint_tjets_stop_at_the_computed_degree(rng):
 
 def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
     # every order reads prefixes of one order-5 field evaluation per node
-    # count, on the nodes of all three sectors; none of that scratch outlives
-    # the build (the kept coefficient series of z_i are not scratch)
+    # set; none of that scratch outlives the build (the kept coefficient
+    # series of z_i are not scratch)
     cfg = random_config(rng, 3, 6)
     calls = []
     f_r_jets = PolarField.f_r_jets
@@ -285,15 +285,45 @@ def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
         calls.clear()
         table = ZTable(cfg, 1.1, 6)
         assert {order for order, _ in calls} == {5}
-        counts = [theta.size // 3 for _, theta in calls]
-        assert counts[0] == start and len(counts) == len(set(counts))
-        assert len(counts) > 1 or start == CHEB_START_DEGREE
-        for (_, theta), n in zip(calls, counts):
+        assert calls[0][1].shape == (3, start)
+        assert len(calls) > 1 or start == CHEB_START_DEGREE
+        keys = [theta.tobytes() for _, theta in calls]
+        assert len(keys) == len(set(keys))
+        for _, theta in calls:
             sectors = np.searchsorted(table.bounds, theta.ravel(), side="right") - 1
-            assert np.bincount(sectors, minlength=3).tolist() == [n, n, n]
+            assert set(np.bincount(sectors, minlength=3).tolist()) <= {0, theta.shape[1]}
         held = [a.size for name, v in vars(table).items() if name != "_coef"
                 for a in arrays(v)]
         assert all(size < start for size in held), held
+
+
+@pytest.mark.parametrize("x", [1.1, np.geomspace(0.6, 1.9, 5)])
+def test_a_refinement_evaluates_only_the_active_rows(rng, monkeypatch, x):
+    # from degree 8 some (point, sector) rows converge before others; each
+    # field evaluation covers exactly the rows of the fit block it feeds,
+    # that is (active rows) x n nodes, and the first one every row
+    monkeypatch.setattr(recursion, "CHEB_START_DEGREE", 8)
+    events = []
+    f_r_jets, dct2 = PolarField.f_r_jets, recursion._dct2
+
+    def field(self, sign, r, theta, order):
+        events.append(("field", np.shape(theta)))
+        return f_r_jets(self, sign, r, theta, order)
+
+    monkeypatch.setattr(PolarField, "f_r_jets", field)
+    monkeypatch.setattr(recursion, "_dct2", lambda v: events.append(("fit", v.shape)) or dct2(v))
+    cfg = random_config(rng, 3, 6)
+    got = melnikov_all(cfg, x, 6)
+    rows = 3 * np.size(x)
+    assert events[0] == ("field", (rows, 8))
+    for k, (kind, shape) in enumerate(events):
+        if kind == "field":
+            assert events[k + 1] == ("fit", shape)
+    refits = [shape for kind, shape in events if kind == "fit" and shape[1] > 8]
+    assert refits and min(a for a, _ in refits) < rows
+    # rows that refit alone keep the bits of their own float table
+    want = [melnikov_all(cfg, xp, 6) for xp in np.atleast_1d(x).tolist()]
+    assert np.array_equal(np.array(got).reshape(6, -1), np.array(want).T)
 
 
 # melnikov_all to order 6 and z_1, z_6 at each sector's midpoint for the
@@ -374,3 +404,63 @@ def test_switching_angle_triangles_are_built_once(rng, monkeypatch):
     monkeypatch.setattr(recursion, "endpoint_triangles", counted)
     table = ZTable(random_config(rng, 3, 4), 1.1, 4)
     assert sorted(built) == [table.bounds[1], table.bounds[2]]
+
+
+def test_pow_rounds_like_cpython_on_arrays(rng):
+    # numpy's power differs from CPython's in the last bit for some bases
+    bases = rng.standard_normal(2000) * np.exp(rng.uniform(-5.0, 5.0, 2000))
+    for p in (1, 2, 3, 4, 5):
+        assert recursion._pow(bases, p).tolist() == [b ** p for b in bases.tolist()]
+        assert recursion._pow(1.7, p) == 1.7 ** p
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_grid_equals_the_per_point_loop(n, seed):
+    # one pass over the grid gives each point the bits of its own float table
+    cfg = random_config(np.random.default_rng(seed), n, 6)
+    xs = np.geomspace(0.5, 2.0, 8)
+    for order in range(1, 7):
+        got = melnikov_all(cfg, xs, order)
+        want = np.array([melnikov_all(cfg, x, order) for x in xs.tolist()]).T
+        assert got.shape == (order, 8)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_one_point_grid_equals_the_float_call(rng):
+    cfg = random_config(rng, 3, 4)
+    for x in (0.6, 1.1, 1.9):
+        values = melnikov_all(cfg, x, 4)
+        assert isinstance(values, list) and all(type(v) is float for v in values)
+        assert melnikov_all(cfg, np.array([x]), 4).tolist() == [[v] for v in values]
+        assert melnikov(cfg, 3, [x]).tolist() == [melnikov(cfg, 3, x)]
+
+
+@pytest.mark.parametrize("bad", [0, 3, 7])
+@pytest.mark.parametrize("value", [0.0, -0.5])
+def test_a_bad_grid_point_raises_like_the_per_point_loop(rng, bad, value):
+    cfg = random_config(rng, 3, 2)
+    xs = np.geomspace(0.5, 2.0, 8)
+    xs[bad] = value
+    for call in (lambda x: melnikov(cfg, 2, x), lambda x: melnikov_all(cfg, x, 2)):
+        with pytest.raises(DomainError):
+            call(xs)
+        with pytest.raises(DomainError):
+            [call(x) for x in xs.tolist()]
+    for shape in ((0,), (2, 2)):
+        with pytest.raises(DomainError):
+            ZTable(cfg, np.ones(shape), 2)
+
+
+def test_grid_names_the_non_finite_point_quietly(rng):
+    # n = 1100: theta1_jet overflows at x = 2 only; the grid raises the per-point
+    # error, and no RuntimeWarning from inf * 0 in its array arithmetic
+    cfg = random_config(rng, 1100, 2)
+    xs = np.geomspace(1.5, 2.0, 4)
+    match = r"M_2 is not finite at x = 2\.0 \(switching degree n = 1100\)"
+    with pytest.raises(NumericalError, match=match):
+        [melnikov_all(cfg, x, 2) for x in xs.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=match):
+            melnikov_all(cfg, xs, 2)
