@@ -289,15 +289,16 @@ def _cancelling_block(n: int, coef) -> OrderCoefficients:
 
 def _m2_on_grid(n: int, rs: np.ndarray):
     """``m2(c1vec, c2)``: M_2 on the grid ``rs`` of the degree-n config with
-    blocks ``c1vec`` (12 numbers) and ``c2``, by one eps-jet pass per call
-    from eps = 0 event times computed once."""
+    order-1 block ``c1vec`` (12 numbers) and order-2 block ``c2``, from eps =
+    0 event times computed once.  A ``(B, 12)`` stack of order-1 blocks gives
+    the ``(B, len(rs))`` values of all B configs from one eps-jet pass."""
     from .simulate import center_event_times, extract_melnikov
 
     times = center_event_times(rs, n)
 
     def m2(c1vec, c2: OrderCoefficients = OrderCoefficients()) -> np.ndarray:
-        cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1vec), c2))
-        return extract_melnikov(rs, 2, cfg, times).values[1]
+        cfgs = [SystemConfig(n=n, k=2, orders=(_oc_from_vec(v), c2)) for v in np.atleast_2d(c1vec)]
+        return extract_melnikov(rs, 2, cfgs if np.ndim(c1vec) == 2 else cfgs[0], times).values[1]
 
     return m2
 
@@ -305,18 +306,19 @@ def _m2_on_grid(n: int, rs: np.ndarray):
 def _polarized_second_order(m2, null: np.ndarray) -> np.ndarray:
     """Grid values of M_2 polarized over a basis of v-kernel directions.
 
-    M_2 is quadratic in the order-1 block, so sampling it (``m2(c1vec)``
-    gives the grid values) at the basis directions and their pairwise sums
-    determines the full quadratic form; ``G[i, j, g]`` reconstructs M_2 at
-    grid point g for any kernel vector.
+    M_2 is quadratic in the order-1 block, so sampling it at the d basis
+    directions and their d(d-1)/2 pairwise sums determines the full quadratic
+    form; ``G[i, j, g]`` reconstructs M_2 at grid point g for any kernel
+    vector.  ``m2`` takes the ``(d + d(d-1)/2, 12)`` stack of all those
+    directions at once and returns one row of grid values per direction.
     """
     d = null.shape[0]
-    diag = [m2(v) for v in null]
-    G = np.zeros((d, d, len(diag[0])))
-    for j in range(d):
-        G[j, j] = diag[j]
-        for i in range(j):
-            G[i, j] = G[j, i] = 0.5 * (m2(null[i] + null[j]) - diag[i] - diag[j])
+    i, j = np.triu_indices(d, 1)
+    rows = m2(np.concatenate([null, null[i] + null[j]]))
+    diag = rows[:d]
+    G = np.zeros((d, d, rows.shape[1]))
+    G[np.arange(d), np.arange(d)] = diag
+    G[i, j] = G[j, i] = 0.5 * (rows[d:] - diag[i] - diag[j])
     return G
 
 

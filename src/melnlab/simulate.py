@@ -25,9 +25,10 @@ from functools import reduce
 import numpy as np
 
 from .config import OrderCoefficients, SystemConfig
-from .errors import DomainError, EscapeError, EventDegeneracyError, NumericalError
+from .errors import (ConfigurationError, DomainError, EscapeError, EventDegeneracyError,
+                     NumericalError)
 from .roots import brentq
-from .series import Jet, _exp, _sincos, _sinhcosh, _sqrt
+from .series import Jet, _exp, _lib, _sincos, _sinhcosh, _sqrt
 
 __all__ = ["PoincareResult", "LimitCycle", "CycleSearch", "integrate_return",
            "extract_melnikov", "center_event_times", "find_limit_cycles"]
@@ -99,6 +100,16 @@ def _value(c) -> float:
     return c.c[0] if isinstance(c, Jet) else c
 
 
+def _flat(c) -> list:
+    """The entries of an array as a flat list, or a number as a one-entry list."""
+    return c.ravel().tolist() if isinstance(c, np.ndarray) else [c]
+
+
+def _lead(config) -> SystemConfig:
+    """``config`` itself, or the first config of a stack."""
+    return config if isinstance(config, SystemConfig) else config[0]
+
+
 class _Zone:
     """Time-reversed affine field s' = A s + b of one region (polar angle increases).
 
@@ -109,15 +120,20 @@ class _Zone:
     and 1, tau for q = 0, with ``w = sqrt(|q|)``.  ``eq`` is the equilibrium
     s* (infinite when det A = 0).  ``eps`` may be a float or an eps-jet; the
     kind and the equilibrium check read the jet's value, and at eps = 0 every
-    zone is the center, a focus.
+    zone is the center, a focus.  A stack of configs enters as (B, 1)
+    coefficient columns: its kind must agree, and det A = 0 in any config
+    voids ``eq``.
     """
 
-    def __init__(self, config: SystemConfig, region: int, eps):
+    def __init__(self, config, region: int, eps):
         eps = eps if isinstance(eps, Jet) else float(eps)
+        stack = not isinstance(config, SystemConfig)
+        configs = config if stack else [config]
         a11, a12, a21, a22, b1, b2 = 0.0, 1.0, -1.0, 0.0, 0.0, 0.0
-        for i in range(1, config.k + 1):
-            oc = config.order(i)
-            (p0, p1, p2), (q0, q1, q2) = (oc.a, oc.b) if region > 0 else (oc.alpha, oc.beta)
+        for i in range(1, configs[0].k + 1):
+            blocks = [c.order(i) for c in configs]
+            rows = [oc.a + oc.b if region > 0 else oc.alpha + oc.beta for oc in blocks]
+            p0, p1, p2, q0, q1, q2 = np.array(rows).T[:, :, None] if stack else rows[0]
             w = eps ** i
             a11 += w * p1
             a12 += w * p2
@@ -132,11 +148,13 @@ class _Zone:
         self.mu = 0.5 * (a11 + a22)
         self.n11 = 0.5 * (a11 - a22)
         q = self.n11 * self.n11 + a12 * a21          # = -det N, free of mu^2 cancellation
-        q0 = _value(q)
-        self.kind = 1 if q0 > 0.0 else (-1 if q0 < 0.0 else 0)
+        kinds = {(v > 0.0) - (v < 0.0) for v in _flat(_value(q))}
+        if len(kinds) > 1:
+            raise ConfigurationError(f"the stack mixes field kinds in region {region:+d}")
+        self.kind = kinds.pop()
         self.w = _sqrt(self.kind * q)
         det = a11 * a22 - a12 * a21
-        self.eq = (math.inf, math.inf) if _value(det) == 0.0 else \
+        self.eq = (math.inf, math.inf) if 0.0 in _flat(_value(det)) else \
             ((a12 * b2 - a22 * b1) / det, (a21 * b1 - a11 * b2) / det)
 
     def velocity(self, x, y):
@@ -147,17 +165,18 @@ class _Zone:
 class _Flow:
     """Closed-form solution of one zone through ``start``.
 
-    The zone, the start and the elapsed time may be floats or jets, and the
-    start and the elapsed time arrays over a grid of orbits too (the
-    equilibrium check then reads the orbit that starts nearest the origin).
+    The zone, the start and the elapsed time may be floats, mpmath numbers
+    or jets, and arrays over a grid of orbits and a stack of configs; the
+    equilibrium check reads the farthest equilibrium of the stack and the
+    orbit that starts nearest the origin.
     """
 
     def __init__(self, zone: _Zone, start):
-        far = math.hypot(*map(_value, zone.eq))
-        near = float(np.min(np.hypot(*map(_value, start))))
-        if not far <= EQ_FAR * max(1.0, near):
+        far, near = (_flat(_lib(x).hypot(x, y))
+                     for x, y in (map(_value, zone.eq), map(_value, start)))
+        if not max(far) <= EQ_FAR * max(1.0, min(near)):
             raise NumericalError(f"the field of region {zone.region:+d} has no equilibrium "
-                                 f"near the orbit (|s*| = {far:.3e})")
+                                 f"near the orbit (|s*| = {float(max(far)):.3e})")
         self.zone = zone
         d0, d1 = start[0] - zone.eq[0], start[1] - zone.eq[1]
         _, a12, a21, _ = zone.A
@@ -262,18 +281,20 @@ def integrate_return(x0: float, eps: float, config: SystemConfig, *,
     )
 
 
-def _return_jet(times, config: SystemConfig, x0, eps, order: int):
+def _return_jet(times, config, x0, eps, order: int):
     """x_return along the legs ending at ``times`` with ``x0`` or ``eps`` carried as a jet.
 
     ``times`` holds the three event times ``integrate_return`` found, as
-    floats or as arrays over a grid of ``x0``.  Each leg refines its event time
-    by ``ceil(log2(order + 1)) + 1`` Newton steps ``tau <- tau - g/g'`` in jet
-    arithmetic: one step doubles the number of exact coefficients, and the
-    last one polishes them.  Returns the x-jet of the return point and, point
-    by point over the grid, the largest coefficient of the correction ``g/g'``
-    one more step would make on any leg.
+    floats or as arrays over a grid of ``x0``, for one config or a stack.
+    Each leg refines its event time by ``ceil(log2(order + 1)) + 1`` Newton
+    steps ``tau <- tau - g/g'`` in jet arithmetic: one step doubles the number
+    of exact coefficients, and the last one polishes them.  Returns the x-jet
+    of the return point and, point by point over the grid, the largest
+    coefficient of the correction ``g/g'`` one more step would make on any
+    leg.
     """
     steps = math.ceil(math.log2(order + 1)) + 1
+    n = _lead(config).n
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
     state, residual, t0 = (x0, 0.0), 0.0, 0.0
     for zone, label, t1 in zip((below, above, below), ("switch", "switch", "section"), times):
@@ -281,7 +302,7 @@ def _return_jet(times, config: SystemConfig, x0, eps, order: int):
         tau = t1 - t0
         for _ in range(steps + 1):     # the last correction is measured, not applied
             state = flow.at(tau)
-            step = _event(label, config.n, *state) / _event_rate(zone, label, config.n, *state)
+            step = _event(label, n, *state) / _event_rate(zone, label, n, *state)
             tau = tau - step
         residual = reduce(np.maximum, (np.abs(c) for c in step.c), residual)
         t0 = t1
@@ -293,7 +314,8 @@ class MelnikovEstimate:
     """M_1..M_i on a grid from one eps-jet pass, with the pass's error estimate.
 
     ``values[m - 1, g]`` is M_m at grid point g and ``error_estimate[g]`` the
-    pass's error estimate there.
+    pass's error estimate there; ``[m - 1, b, g]`` and ``[b, g]`` for config b
+    of a stack.
     """
 
     values: np.ndarray
@@ -314,9 +336,14 @@ class MelnikovEstimate:
         return bool(np.any(self.flagged_at(len(self.values))))
 
 
-def extract_melnikov(xs, i: int, config: SystemConfig, times: np.ndarray) -> MelnikovEstimate:
+def extract_melnikov(xs, i: int, config, times: np.ndarray) -> MelnikovEstimate:
     """M_1..M_i, the eps-Taylor coefficients of the displacement, on the grid
     ``xs`` from one eps-jet pass with ndarray coefficients.
+
+    One ``SystemConfig`` gives ``values`` of shape ``(i, G)`` and an
+    ``error_estimate`` of shape ``(G,)`` on the G points; a list of B configs
+    sharing n and k gives ``(i, B, G)`` and ``(B, G)``, each config's rows bit
+    for bit those of its own call.
 
     Every zone is affine with ``A(eps)``, ``b(eps)`` polynomial in eps, so
     the closed-form flow carries eps as a truncated Taylor series of order i
@@ -326,8 +353,14 @@ def extract_melnikov(xs, i: int, config: SystemConfig, times: np.ndarray) -> Mel
     step would make, and the estimate of M_m is flagged where it exceeds
     ``ORACLE_TOL`` times ``max(1, |M_m|)``.
     """
-    if i < 1 or i > config.k:
-        raise DomainError(f"order must be in 1..{config.k}, got {i}")
+    if not isinstance(config, SystemConfig):
+        config = tuple(config)
+        shapes = sorted({(c.n, c.k) for c in config})
+        if len(shapes) != 1:
+            raise ConfigurationError(f"a config stack needs configs of one (n, k), got {shapes}")
+    k = _lead(config).k
+    if i < 1 or i > k:
+        raise DomainError(f"order must be in 1..{k}, got {i}")
     x, residual = _return_jet(times, config, np.asarray(xs, dtype=float),
                               Jet.variable(0.0, i), i)
     return MelnikovEstimate(values=np.array(x.c[1:]), error_estimate=residual)

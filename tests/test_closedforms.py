@@ -182,21 +182,43 @@ def test_vanishing_order_configs_lower_orders_zero(rng):
     assert abs(melnikov(cfg4, 4, 1.1)) > 1e-6
 
 
+def _kernel_basis(n):
+    V = v_map_matrix(n)
+    return np.linalg.svd(V)[2][V.shape[0]:]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_polarized_form_on_jets_matches_the_recursion(n):
     # the quadratic form the searches run on, from eps-jet passes, against
     # the same polarization of recursion values
-    V = v_map_matrix(n)
-    null = np.linalg.svd(V)[2][V.shape[0]:]
+    null = _kernel_basis(n)
     rs = np.geomspace(0.5, 1.9, 4)
 
-    def m2_recursion(c1vec):
-        cfg = SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1vec), OrderCoefficients()))
-        return np.array([melnikov(cfg, 2, float(r)) for r in rs])
+    def m2_recursion(c1vecs):
+        return np.array([melnikov(SystemConfig(n=n, k=2, orders=(_oc_from_vec(v),
+                                                                 OrderCoefficients())), 2, rs)
+                         for v in c1vecs])
 
     jets = _polarized_second_order(_m2_on_grid(n, rs), null)
     want = _polarized_second_order(m2_recursion, null)
     assert np.max(np.abs(jets - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_polarization_is_the_per_direction_loop(n):
+    # one stacked pass over all d + d(d-1)/2 directions gives the bits of one
+    # pass per direction
+    null = _kernel_basis(n)
+    m2 = _m2_on_grid(n, np.geomspace(0.5, 1.9, 5))
+    d = null.shape[0]
+    diag = [m2(v) for v in null]
+    loop = np.zeros((d, d, 5))
+    for j in range(d):
+        loop[j, j] = diag[j]
+        for i in range(j):
+            loop[i, j] = loop[j, i] = 0.5 * (m2(null[i] + null[j]) - diag[i] - diag[j])
+    G = _polarized_second_order(m2, null)
+    assert np.array_equal(G.view(np.uint64), loop.view(np.uint64))
 
 
 def test_kernel_residual_jacobian_matches_central_difference(rng):

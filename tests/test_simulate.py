@@ -1,16 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_config
+from melnlab import simulate
 from melnlab.closedforms import m1_closed
 from melnlab.config import OrderCoefficients, SystemConfig
-from melnlab.errors import DomainError, EscapeError, NumericalError
+from melnlab.errors import ConfigurationError, DomainError, EscapeError, NumericalError
 from melnlab.geometry import switching_angles
 from melnlab.recursion import melnikov, melnikov_all
-from melnlab.simulate import (center_event_times, extract_melnikov, find_limit_cycles,
-                              integrate_return, return_derivative)
+from melnlab.series import Jet
+from melnlab.simulate import (_return_jet, _Zone, center_event_times, extract_melnikov,
+                              find_limit_cycles, integrate_return, return_derivative)
 from scipy.integrate import solve_ivp
 
 
@@ -273,6 +276,66 @@ def test_lower_orders_of_one_pass(rng):
         low = _extract(xs, i, cfg).value
         assert np.all(np.abs(est.values[i - 1] - low) <= 1e-13 * np.maximum(1.0, np.abs(low)))
         assert not np.any(est.flagged_at(i))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("i", [1, 2, 6])
+def test_stacked_pass_is_the_per_config_pass(rng, n, i):
+    # each config of a stack gets the bits of its own call, error estimate
+    # included
+    cfgs = [random_config(rng, n, 6) for _ in range(4)]
+    xs = np.geomspace(0.5, 2.0, 8)
+    times = center_event_times(xs, n)
+    stack = extract_melnikov(xs, i, cfgs, times)
+    assert stack.values.shape == (i, 4, 8) and stack.error_estimate.shape == (4, 8)
+    for b, cfg in enumerate(cfgs):
+        one = extract_melnikov(xs, i, cfg, times)
+        assert np.array_equal(stack.values[:, b].view(np.uint64), one.values.view(np.uint64))
+        assert np.array_equal(stack.error_estimate[b].view(np.uint64),
+                              one.error_estimate.view(np.uint64))
+
+
+def _zero_config(n, k):
+    return SystemConfig(n=n, k=k, orders=(OrderCoefficients(),) * k)
+
+
+@pytest.mark.parametrize("stack", [
+    [],
+    [_zero_config(2, 2), _zero_config(3, 2)],
+    [_zero_config(2, 2), _zero_config(2, 3)],
+], ids=["empty", "mixed-n", "mixed-k"])
+def test_bad_stacks_are_typed_errors_before_any_pass(monkeypatch, stack):
+    passes = []
+    monkeypatch.setattr(simulate, "_return_jet", lambda *args: passes.append(args))
+    xs = np.array([0.8, 1.2])
+    with pytest.raises(ConfigurationError, match="config stack"):
+        extract_melnikov(xs, 2, stack, center_event_times(xs, 2))
+    assert passes == []
+
+
+def test_a_stack_of_mixed_zone_kinds_is_a_typed_error():
+    # above the curve a saddle at eps = 0.6 (the DOP853 saddle case) beside
+    # the center, a focus
+    saddle = SystemConfig(n=2, k=1, orders=(
+        OrderCoefficients(a=(0.1, 2.0, 0.0), b=(0.0, 0.0, -2.0)),))
+    with pytest.raises(ConfigurationError, match="mixes field kinds"):
+        _Zone([saddle, _zero_config(2, 1)], +1, 0.6)
+    assert _Zone([saddle, saddle], +1, 0.6).kind == _Zone(saddle, +1, 0.6).kind == 1
+
+
+def test_forty_digit_pass_matches_the_float_pass(rng):
+    # the eps-jet pass on mpmath numbers, from the float event times: three
+    # jet-Newton steps per leg carry them to 40 digits
+    cfg = random_config(rng, 3, 2)
+    xs = np.array([1.1])
+    times = center_event_times(xs, 3)
+    want = extract_melnikov(xs, 2, cfg, times).values[:, 0]
+    with mpmath.workdps(40):
+        x, residual = _return_jet([mpmath.mpf(t) for t in times[:, 0]], cfg,
+                                  mpmath.mpf(1.1), Jet.variable(mpmath.mpf(0), 2), 2)
+    assert all(isinstance(c, mpmath.mpf) for c in x.c) and residual < 1e-30
+    for got, w in zip(x.c[1:], want):
+        assert abs(float(got) - w) <= 1e-13 * abs(w)
 
 
 @pytest.mark.parametrize("block, eps", [
