@@ -9,9 +9,9 @@ division reproduces term by term:
 
     F_i = -A_i + sum_{m<i} F_m * B_{i-m}.
 
-All evaluators accept floats, numpy arrays, or :class:`Jet` objects for the
-radius and angle arguments, so the same code path yields values, r-derivative
-jets, and t-derivative jets.
+All evaluators accept floats, numpy arrays, :class:`Jet` or
+:class:`TriangleJet` objects for the radius and angle arguments, so the same
+code path yields values, r-derivative jets, and mixed (r, t)-jets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import SystemConfig
 from .errors import DomainError
-from .series import Jet, _sincos, jet_sincos
+from .series import Jet, TriangleJet, _sincos, jet_sincos
 
 __all__ = ["PolarField", "cartesian_field", "endpoint_triangles"]
 
@@ -96,26 +96,31 @@ class PolarField:
         return self.f_all(sign, r, theta, upto=i)[i - 1]
 
     def f_r_jets(self, sign, r, theta, order: int) -> list[Jet]:
-        """[F_1, ..., F_{order+1}] (at most k) as jets in r of the given order.
+        """[F_1, ..., F_{order+1}] (at most k) as jets in r, F_i of order order+1-i.
 
         Coefficients follow theta's type; ``sign`` and ``r`` may be arrays
-        broadcast against theta.  An r-jet of order ``order`` feeds
-        the sector integrands of orders up to order+1, which read no higher F_i.
+        broadcast against theta.  The sector integrand of order i reads the
+        r-derivatives of F_q up to order i - q <= order + 1 - q, and no
+        F_q with q > order + 1; each coefficient has the bits it has in
+        ``f_all`` on a longer r-jet.
         """
-        rj = Jet.variable(r, order)
-        return self.f_all(sign, rj, theta, min(order + 1, self.k))
+        s, c = _sincos(theta)
+        return self._triangle_f(sign, [(Jet.variable(r, d), s, c) for d in range(order + 1)])
 
-    def f_nested_jets(self, sign: int, triangles: list[tuple]) -> list[Jet]:
-        """[F_1, ..., F_{degree+1}] (at most k) as r-jets whose coefficients are t-jets.
+    def f_nested_jets(self, sign: int, triangles: list[tuple]) -> list[TriangleJet]:
+        """[F_1, ..., F_{degree+1}] (at most k) as (r, t)-jets, F_i of total degree degree+1-i.
 
-        ``triangles`` is ``endpoint_triangles(r, t0, degree)``.  Entry i keeps
-        total degree ``degree + 1 - i``: its coefficient L, times L!, is the
-        t-jet of the L-th state derivative of F_i at (r, t0), truncated at
-        t-order ``degree + 1 - i - L``.  A_i is evaluated on triangles cut to
-        that degree and B_i on triangles one degree lower, so the division
-        yields each F_i exactly to its degree, every coefficient bit for bit
-        as in an untruncated expansion.
+        ``triangles`` is ``endpoint_triangles(r, t0, degree)``.  Coefficient
+        (L, p) of F_i, times L!, is the p-th t-coefficient of the L-th state
+        derivative of F_i at (r, t0), every one bit for bit as in an
+        untruncated nested expansion.
         """
+        return self._triangle_f(sign, triangles)
+
+    def _triangle_f(self, sign, triangles: list[tuple]) -> list:
+        """F_1..F_{degree+1} (at most k) from the arguments (r, sin, cos) cut to
+        each degree 0..degree: A_i is evaluated at degree ``degree + 1 - i`` and
+        B_i one degree lower, so the division yields F_i exactly to its degree."""
         degree = len(triangles) - 1
         upto = min(degree + 1, self.k)
         A = [_radial(self._side(sign, i), *triangles[degree + 1 - i]) for i in range(1, upto + 1)]
@@ -123,12 +128,13 @@ class PolarField:
         return _divide(A, B)
 
 
-def endpoint_triangles(r, t0, degree: int) -> list[tuple[Jet, Jet, Jet]]:
-    """(r, sin t, cos t) at (r, t0) as r-jets of t-jets, cut to each total degree.
+def endpoint_triangles(r, t0, degree: int) -> list[tuple[TriangleJet, TriangleJet, TriangleJet]]:
+    """(r, sin t, cos t) at (r, t0) as (r, t)-jets, cut to each total degree.
 
-    Entry d holds the three nested jets truncated to total degree d, for
-    d = 0..degree; they depend on the point only, not on the field's side.
-    ``r`` and ``t0`` are floats, or arrays over several endpoints.
+    Entry d holds the three triangles of total degree d, for d = 0..degree;
+    they depend on the point only, not on the field's side.  They are
+    computed once as r-jets of t-jets and flattened.  ``r`` and ``t0`` are
+    floats, or arrays over several endpoints.
     """
     def triangle(lead, first):
         return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
@@ -136,8 +142,7 @@ def endpoint_triangles(r, t0, degree: int) -> list[tuple[Jet, Jet, Jet]]:
 
     rsc = (triangle(Jet.constant(r, degree), 1.0),
            *jet_sincos(triangle(Jet.variable(t0, degree), 0.0)))
-    return [tuple(Jet([cm.truncate(d - L) for L, cm in enumerate(v.c[:d + 1])]) for v in rsc)
-            for d in range(degree + 1)]
+    return [tuple(TriangleJet.of_nested(v.truncate(d)) for v in rsc) for d in range(degree + 1)]
 
 
 def cartesian_field(config: SystemConfig, x: float, y: float, eps: float):

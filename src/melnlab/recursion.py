@@ -31,7 +31,7 @@ from .config import SystemConfig
 from .errors import DomainError, NumericalError, SequencingError
 from .geometry import SECTOR_SIGNS, TWO_PI, _theta1_newton, switching_angles
 from .polar import PolarField, endpoint_triangles
-from .series import Jet
+from .series import Jet, TriangleJet
 
 __all__ = ["ZTable", "melnikov", "melnikov_all"]
 
@@ -250,9 +250,9 @@ class ZTable:
         self._jump: dict[tuple[int, int], float] = {}
         self._w: dict[tuple[int, int], float] = {}
         self._alpha: dict[tuple[int, int], float] = {}
-        self._tjets: dict[tuple[int, int, str, int], Jet] = {}
-        self._nested: dict[tuple[int, str], list[Jet]] = {}
-        self._triangles: dict[int, list[tuple[Jet, Jet, Jet]]] = {}
+        self._tjets: dict[tuple[int, int, str], Jet] = {}
+        self._nested: dict[tuple[int, str], list[TriangleJet]] = {}
+        self._triangles: dict[int, list[tuple[TriangleJet, TriangleJet, TriangleJet]]] = {}
         self._melnikov: list = []
 
         # on floats an overflow (r^(n-1) at large n) or inf * 0 is silent; so on arrays
@@ -403,8 +403,8 @@ class ZTable:
 
     # t-jets ------------------------------------------------------------------
 
-    def _nested_jets(self, j: int, side: str) -> list[Jet]:
-        """F_1..F_{order-1} at a sector endpoint, F_q a mixed jet of total degree order-1-q.
+    def _nested_jets(self, j: int, side: str) -> list[TriangleJet]:
+        """F_1..F_{order-1} at a sector endpoint, F_q an (r, t)-jet of total degree order-1-q.
 
         Only the jump corrections read these (orders >= 2): ``_tjet_K`` reads
         F_q's r-coefficient L at t-order p with q + L + p <= order - 1.  The
@@ -423,28 +423,32 @@ class ZTable:
         """t-jet of the integrand K_i^j at a sector endpoint.
 
         The endpoint jet F_q holds total degree ``self.order - 1 - q`` only,
-        so a longer t-jet would be padded with zeros instead of computed.
+        so it has no longer t-jet to give.
         """
         assert i + order <= self.order - 1, (i, order, self.order)
         zs = [self._tjet_z(m, j, side, order) for m in range(1, i)]
         return _chain_sum(i, self._nested_jets(j, side), zs,
-                          lambda f, lb: (f.coefficient(lb) * math.factorial(lb)).truncate(order))
+                          lambda f, lb: f.tjet(lb, order) * math.factorial(lb))
 
     def _tjet_z(self, i: int, j: int, side: str, order: int) -> Jet:
-        """t-jet of z_i^j at a sector endpoint, order >= 0."""
-        key = (i, j, side, order)
-        if key in self._tjets:
-            return self._tjets[key]
-        value = self._z_start[(i, j)] if side == "L" else self._z_end[(i, j)]
-        if order == 0:
-            jet = Jet([value])
-        else:
-            kjet = self._tjet_K(i, j, side, order - 1)
-            fac = math.factorial(i)
-            coeffs = [value] + [fac * kjet.coefficient(p - 1) / p for p in range(1, order + 1)]
-            jet = Jet(coeffs)
-        self._tjets[key] = jet
-        return jet
+        """t-jet of z_i^j at a sector endpoint, 0 <= order <= self.order - i.
+
+        Built once, at the top order; a lower order is its truncation, as a
+        t-coefficient reads no higher one.
+        """
+        top = self.order - i
+        assert order <= top, (i, order, self.order)
+        key = (i, j, side)
+        if key not in self._tjets:
+            value = self._z_start[(i, j)] if side == "L" else self._z_end[(i, j)]
+            coeffs = [value]
+            if top:
+                kjet = self._tjet_K(i, j, side, top - 1)
+                fac = math.factorial(i)
+                coeffs += [fac * kjet.c[p - 1] / p for p in range(1, top + 1)]
+            self._tjets[key] = Jet(coeffs)
+        jet = self._tjets[key]
+        return jet if order == top else jet.truncate(order)
 
     def _tjet_delta(self, m: int, j: int, order: int) -> Jet:
         """t-jet of delta_m^j = (z_m^{j-1} - z_m^j)/m! at the j-th angle."""

@@ -5,17 +5,22 @@ function about a base point, up to a fixed truncation order.  All arithmetic
 is exact truncated-series algebra.  Coefficients may be floats, numpy arrays
 (for vectorized evaluation over a grid), or nested :class:`Jet` instances
 (for mixed partial expansions, e.g. a t-jet whose coefficients are r-jets).
+
+A :class:`TriangleJet` is a bivariate jet cut to a total degree, on one flat
+coefficient list: the same values as a nested jet of that shape, without a
+jet object per coefficient.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Jet",
+    "Jet", "TriangleJet",
     "jet_sin", "jet_cos", "jet_sincos", "jet_atan", "jet_exp", "jet_log", "jet_sqrt",
 ]
 
@@ -266,6 +271,147 @@ class Jet:
                 s = term if s is None else s + term
             out.append(s / (m * u0))
         return Jet(out)
+
+
+def _offset(degree: int, L: int) -> int:
+    """Index of coefficient (L, 0) in a triangle of the given total degree."""
+    return L * (2 * degree + 3 - L) // 2
+
+
+def _terms(oa: int, ob: int, p: int) -> tuple:
+    """Terms ``a[oa + q] * b[ob + p - q]``, q = 0..p, of coefficient p of a
+    t-product of two rows at flat offsets oa and ob: (first a index, first b
+    index, the other (a index, b index) pairs)."""
+    pairs = tuple((oa + q, ob + p - q) for q in range(p + 1))
+    return (*pairs[0], pairs[1:])
+
+
+# index plans per pair of degrees, built on first use
+@lru_cache(maxsize=64)
+def _sum_plan(da: int, db: int) -> tuple[tuple[int, int], ...]:
+    """Per coefficient (L, p) of a sum: its index in a and in b."""
+    d = min(da, db)
+    return tuple((_offset(da, L) + p, _offset(db, L) + p)
+                 for L in range(d + 1) for p in range(d + 1 - L))
+
+
+@lru_cache(maxsize=64)
+def _product_plan(da: int, db: int) -> tuple:
+    """Per coefficient (m, p): the t-product terms of a_j b_{m-j}, j = 0..m."""
+    d = min(da, db)
+    return tuple(tuple(_terms(_offset(da, j), _offset(db, m - j), p) for j in range(m + 1))
+                 for m in range(d + 1) for p in range(d + 1 - m))
+
+
+@lru_cache(maxsize=64)
+def _quotient_plan(da: int, db: int) -> tuple:
+    """Per coefficient (m, p) of a / b: its index in a, the t-product terms of
+    b_j out_{m-j}, j = 1..m, and the pairs (b_0[q], out_m[p-q]), q = 1..p."""
+    d = min(da, db)
+    return tuple((_offset(da, m) + p,
+                  tuple(_terms(_offset(db, j), _offset(d, m - j), p) for j in range(1, m + 1)),
+                  tuple((q, _offset(d, m) + p - q) for q in range(1, p + 1)))
+                 for m in range(d + 1) for p in range(d + 1 - m))
+
+
+class TriangleJet:
+    """Bivariate jet in (r, t) cut to total degree ``degree``, on one flat list.
+
+    Coefficient (L, p), of r^L t^p with L + p <= degree, is
+    ``c[L * (2 * degree + 3 - L) // 2 + p]``: the t-coefficients of r-order 0,
+    then of r-order 1, and so on.  It holds the values of a nested :class:`Jet`
+    whose r-coefficient L is a t-jet of order degree - L, and ``+ - * /``
+    compute each coefficient by the same operations in the same order as the
+    nested jet does (a product sums over q within each t-product a_j b_{m-j},
+    then over j), so the results are equal bit for bit; mixed degrees keep
+    the lower one.  Products and quotients run from index plans cached per
+    pair of degrees (truncated Taylor arithmetic on triangular storage, as in
+    Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+    """
+
+    __slots__ = ("c", "degree")
+    __array_priority__ = 200.0  # keep ndarray * TriangleJet from vectorizing
+
+    def __init__(self, coeffs: list, degree: int):
+        size = _offset(degree, degree + 1)
+        if len(coeffs) != size:
+            raise ValueError(f"a degree-{degree} triangle needs {size} coefficients, "
+                             f"got {len(coeffs)}")
+        self.c = coeffs
+        self.degree = degree
+
+    @staticmethod
+    def of_nested(jet: Jet) -> "TriangleJet":
+        """The triangle of degree ``jet.order`` of a jet of t-jets."""
+        d = jet.order
+        return TriangleJet([x for L, cm in enumerate(jet.c) for x in cm.c[:d + 1 - L]], d)
+
+    def tjet(self, L: int, order: int) -> Jet:
+        """r-coefficient L as a t-jet of the given order, at most degree - L."""
+        if not 0 <= order <= self.degree - L:
+            raise ValueError(f"r-coefficient {L} of a degree-{self.degree} triangle "
+                             f"has no t-order {order}")
+        start = _offset(self.degree, L)
+        return Jet._of(self.c[start:start + order + 1])
+
+    def __repr__(self):
+        return f"TriangleJet({self.c!r}, {self.degree})"
+
+    def __add__(self, other):
+        if isinstance(other, TriangleJet):
+            a, b = self.c, other.c
+            if self.degree == other.degree:
+                return TriangleJet([x + y for x, y in zip(a, b)], self.degree)
+            return TriangleJet([a[i] + b[k] for i, k in _sum_plan(self.degree, other.degree)],
+                               min(self.degree, other.degree))
+        c = list(self.c)
+        c[0] = c[0] + other
+        return TriangleJet(c, self.degree)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TriangleJet([-cm for cm in self.c], self.degree)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, TriangleJet) else -1.0 * other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, TriangleJet):
+            return TriangleJet([cm * other for cm in self.c], self.degree)
+        a, b = self.c, other.c
+        out = []
+        for groups in _product_plan(self.degree, other.degree):
+            acc = None
+            for ia, ib, rest in groups:
+                s = a[ia] * b[ib]
+                for ia, ib in rest:
+                    s = s + a[ia] * b[ib]
+                acc = s if acc is None else acc + s
+            out.append(acc)
+        return TriangleJet(out, min(self.degree, other.degree))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, TriangleJet):
+            return TriangleJet([cm / other for cm in self.c], self.degree)
+        a, b = self.c, other.c
+        out = []
+        for ia, groups, tail in _quotient_plan(self.degree, other.degree):
+            s = a[ia]
+            for ib, io, rest in groups:
+                t = b[ib] * out[io]
+                for ib, io in rest:
+                    t = t + b[ib] * out[io]
+                s = s + -t
+            for ib, io in tail:
+                s = s - b[ib] * out[io]
+            out.append(s / b[0])
+        return TriangleJet(out, min(self.degree, other.degree))
 
 
 def jet_sin(u: Jet) -> Jet:

@@ -113,7 +113,8 @@ def test_f_r_jets_match_finite_differences(rng):
     cfg = random_config(rng, 3, 3)
     field = PolarField(cfg)
     r0, th, h = 1.2, 1.1, 1e-5
-    jets = field.f_r_jets(-1, r0, th, 2)
+    # F_3 comes at r-order order + 1 - 3, so order 4 gives it a second derivative
+    jets = field.f_r_jets(-1, r0, th, 4)
     for i in (1, 2, 3):
         up = field.f(i, -1, r0 + h, th)
         dn = field.f(i, -1, r0 - h, th)
@@ -129,19 +130,24 @@ def _same(a, b) -> bool:
     if isinstance(a, Jet):
         return isinstance(b, Jet) and len(a.c) == len(b.c) and all(
             _same(x, y) for x, y in zip(a.c, b.c))
-    return np.array_equal(a, b)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
+    # F_i comes at r-order order + 1 - i, all that the sector integrands read;
+    # each of its coefficients has the bits of the full-order f_all jet's
     cfg = random_config(rng, 3, 5)
     field = PolarField(cfg)
     for theta in (0.9, np.linspace(0.1, 6.0, 9)):
+        full = field.f_all(sign, Jet.variable(1.3, cfg.k), theta)
         for order in range(cfg.k):
-            full = field.f_all(sign, Jet.variable(1.3, order), theta)
             part = field.f_r_jets(sign, 1.3, theta, order)
             assert len(part) == order + 1
-            assert all(_same(a, b) for a, b in zip(part, full))
+            for i, (a, b) in enumerate(zip(part, full), start=1):
+                assert a.order == order + 1 - i
+                assert _same(a, b.truncate(order + 1 - i))
         for i in range(1, cfg.k + 1):
             assert _same(field.f(i, sign, 1.3, theta), field.f_all(sign, 1.3, theta)[i - 1])
 
@@ -169,6 +175,6 @@ def test_nested_jets_keep_the_total_degree_triangle_exactly(rng, degree):
     assert len(tri) == degree + 1
     # entry i keeps total degree degree + 1 - i, the most the recursion reads
     for i, (got, want) in enumerate(zip(tri, rect), start=1):
-        assert len(got.c) == degree + 2 - i
+        assert got.degree == degree + 1 - i
         for L in range(degree + 2 - i):
-            assert got.c[L].c == want.c[L].c[:degree + 2 - i - L]
+            assert _same(got.tjet(L, degree + 1 - i - L), want.c[L].truncate(degree + 1 - i - L))

@@ -15,7 +15,7 @@ from melnlab.errors import DomainError, NumericalError, SequencingError
 from melnlab.geometry import switching_angles
 from melnlab.polar import PolarField, endpoint_triangles
 from melnlab.recursion import CHEB_START_DEGREE, ZTable, _dct2, melnikov, melnikov_all
-from melnlab.series import Jet
+from melnlab.series import Jet, TriangleJet
 
 
 def melfun_quadrature(config, r):
@@ -247,12 +247,53 @@ PINNED_ORDER6 = (
 )
 
 
+# the two sides of both switching angles, as (sector, side)
+ENDPOINT_SIDES = ((0, "R"), (1, "L"), (1, "R"), (2, "L"))
+
+
 def test_endpoint_tjets_stop_at_the_computed_degree(rng):
-    # an order-3 table keeps endpoint jets of total degree 1: i + t-order <= 2
+    # an order-3 table keeps endpoint jets of total degree 1: i + t-order <= 2;
+    # the t-jet of z_i is built once, at t-order 3 - i, and read truncated
     table = ZTable(random_config(rng, 2, 3), 1.0, 3)
+    assert {key: jet.order for key, jet in table._tjets.items()} == {
+        (i, j, side): 3 - i for i in (1, 2) for j, side in ENDPOINT_SIDES}
     assert table._tjet_K(2, 1, "L", 0).order == 0
     with pytest.raises(AssertionError):
         table._tjet_K(2, 1, "L", 1)
+    with pytest.raises(AssertionError):
+        table._tjet_z(2, 1, "L", 2)
+    assert table._tjet_z(1, 1, "L", 1).c == table._tjets[(1, 1, "L")].c[:2]
+
+
+def test_endpoint_jets_are_built_once_per_side(rng, monkeypatch):
+    # an order-6 float table evaluates the field's (r, t)-jets once per side of
+    # a switching angle and makes one chain sum per (i, j, side), i = 1..5: the
+    # t-jet of K_i at its top order 5 - i, which every lower order truncates
+    tjets, chain_sums, nested = [], [], []
+    tjet_K, chain_sum, f_nested_jets = ZTable._tjet_K, recursion._chain_sum, \
+        PolarField.f_nested_jets
+
+    def counted_tjet_K(self, i, j, side, order):
+        tjets.append((i, j, side, order))
+        return tjet_K(self, i, j, side, order)
+
+    def counted_chain_sum(i, fs, zs, dF):
+        if isinstance(fs[0], TriangleJet):
+            chain_sums.append(i)
+        return chain_sum(i, fs, zs, dF)
+
+    def counted_nested(self, sign, triangles):
+        nested.append(sign)
+        return f_nested_jets(self, sign, triangles)
+
+    monkeypatch.setattr(ZTable, "_tjet_K", counted_tjet_K)
+    monkeypatch.setattr(recursion, "_chain_sum", counted_chain_sum)
+    monkeypatch.setattr(PolarField, "f_nested_jets", counted_nested)
+    ZTable(random_config(rng, 3, 6), 1.1, 6)
+    assert sorted(tjets) == sorted((i, j, side, 5 - i) for i in range(1, 6)
+                                   for j, side in ENDPOINT_SIDES)
+    assert len(chain_sums) == 20
+    assert sorted(nested) == [-1, -1, 1, 1]
 
 
 def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
@@ -273,7 +314,7 @@ def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):
         elif isinstance(value, dict):
             for v in value.values():
                 yield from arrays(v)
-        elif isinstance(value, Jet):
+        elif isinstance(value, (Jet, TriangleJet)):
             yield from arrays(value.c)
         elif isinstance(value, (list, tuple)):
             for v in value:
@@ -375,10 +416,16 @@ def test_unconverged_fit_names_the_lowest_failing_sector(monkeypatch, side, sect
 
 
 def test_order6_values_are_pinned(rng):
+    # bit for bit, by the float call and by one grid call per config
     configs = {n: random_config(rng, n, 6) for n in (3, 5)}
     for n, x, want in PINNED_ORDER6:
-        got = melnikov_all(configs[n], x, 6)
-        assert got == pytest.approx(list(want), rel=1e-14, abs=0.0)
+        assert [v.hex() for v in melnikov_all(configs[n], x, 6)] == [w.hex() for w in want]
+    for n, cfg in configs.items():
+        xs = [x for m, x, _ in PINNED_ORDER6 if m == n]
+        want = [w for m, _, w in PINNED_ORDER6 if m == n]
+        got = melnikov_all(cfg, np.array(xs), 6).T.tolist()
+        assert [[v.hex() for v in row] for row in got] == \
+            [[w.hex() for w in row] for row in want]
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 16, 17, 33, 97, 1000, 64, 128, 256, 512, 1024])

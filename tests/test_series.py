@@ -3,12 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melnlab import series
-from melnlab.series import (Jet, jet_atan, jet_cos, jet_exp, jet_log, jet_sin, jet_sincos,
-                            jet_sqrt)
+from melnlab.series import (Jet, TriangleJet, jet_atan, jet_cos, jet_exp, jet_log, jet_sin,
+                            jet_sincos, jet_sqrt)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 positive = st.floats(min_value=0.2, max_value=3.0, allow_nan=False)
@@ -241,3 +241,69 @@ def test_nested_jets_truncated_to_total_degree_are_exact(fv, gv, degree):
     assert _coeffs(ft / gt) == _coeffs(_triangle(f / g, degree))
     for whole, part in zip(jet_sincos(f), jet_sincos(ft)):
         assert _coeffs(part) == _coeffs(_triangle(whole, degree))
+
+
+# A TriangleJet holds a nested jet's triangle on one flat list; every
+# operation must give the nested jet's bits, the signs of zeros included.
+# Scaled by pi, the simple floats hypothesis favours round in most sums, so
+# a sum taken in another order shows.
+zero_or_finite = st.one_of(st.sampled_from([0.0, -0.0]), finite.map(lambda v: math.pi * v))
+away_from_zero = st.one_of(positive, positive.map(lambda v: -v)).map(lambda v: math.pi * v)
+
+
+@st.composite
+def triangle_operands(draw):
+    """(f, g, z, s): triangles of degree 0..5 with float or array coefficients,
+    g's leading coefficient and s away from zero, z any scalar."""
+    width = draw(st.sampled_from([None, 3]))
+
+    def coefficient(values):
+        return draw(values) if width is None else np.array([draw(values) for _ in range(width)])
+
+    def triangle(lead):
+        degree = draw(st.integers(min_value=0, max_value=5))
+        size = (degree + 1) * (degree + 2) // 2
+        return TriangleJet([coefficient(lead)] + [coefficient(zero_or_finite)
+                                                  for _ in range(size - 1)], degree)
+
+    return (triangle(zero_or_finite), triangle(away_from_zero),
+            coefficient(zero_or_finite), coefficient(away_from_zero))
+
+
+def _normal_operands(width, df: int, dg: int):
+    """triangle_operands' shape from normal deviates, for an example that
+    always runs: every coefficient rounds, and a few are zeros of each sign."""
+    rng = np.random.default_rng(df * 10 + dg)
+
+    def values(n):
+        v = rng.standard_normal((n, width or 1))
+        v[rng.choice(n, n // 4)] *= 0.0
+        return [np.array(row) if width else float(row[0]) for row in v]
+
+    f = TriangleJet(values((df + 1) * (df + 2) // 2), df)
+    g = TriangleJet(values((dg + 1) * (dg + 2) // 2), dg)
+    g.c[0] = abs(g.c[0]) + 1.0
+    z, s = values(2)
+    return f, g, z, abs(s) + 1.0
+
+
+def _nest(t: TriangleJet) -> Jet:
+    return Jet([t.tjet(L, t.degree - L) for L in range(t.degree + 1)])
+
+
+@given(triangle_operands())
+@example(_normal_operands(None, 5, 5))
+@example(_normal_operands(None, 3, 5))
+@example(_normal_operands(3, 5, 4))
+@settings(max_examples=150, deadline=None)
+def test_triangle_jets_equal_nested_jets_bit_for_bit(operands):
+    f, g, z, s = operands
+    nf, ng = _nest(f), _nest(g)
+    cases = [(f + g, nf + ng), (g + f, ng + nf), (f - g, nf - ng), (-f, -nf),
+             (f * g, nf * ng), (g * f, ng * nf), (f / g, nf / ng),
+             (f + z, nf + z), (z + f, z + nf), (f - z, nf - z), (z - f, z - nf),
+             (f * z, nf * z), (z * f, z * nf), (f / s, nf / s)]
+    for flat, nested in cases:
+        assert flat.degree == nested.order
+        want = TriangleJet.of_nested(nested)
+        assert [_bits(c) for c in flat.c] == [_bits(c) for c in want.c]
