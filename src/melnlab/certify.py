@@ -14,7 +14,6 @@ one, anything else falls back to the general bound
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ from .roots import brentq
 __all__ = [
     "ZeroRecord", "ZeroReport", "AccuracyVerdict", "wronskian", "wronskian_scaled",
     "isolate_zeros", "certify_family", "theorem3_bound", "prop4_witness",
-    "prop5_witness", "Prop4Result", "Prop5Result",
+    "prop5_witness", "Prop5Result",
 ]
 
 SIMPLICITY_FLOOR = 1e-9
@@ -231,43 +230,37 @@ class ZeroReport:
         }
 
 
-def _grid(a: float, b: float, m: int) -> np.ndarray:
-    if a > 0:
-        return np.geomspace(a, b, m)
-    return np.linspace(a, b, m)
-
-
 def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
                   initial: int = 4096) -> ZeroReport:
     """Sign-change scan with local refinement, bisection, and simplicity check.
 
-    ``f`` maps float -> float (vectorized input is used when possible).  A
+    Needs ``0 < a < b`` (the scan grid is log-spaced) and a vectorized ``f``:
+    a 1-D array of points in, an array of the same shape out (a result of
+    another shape is a DomainError); bisection also calls it on floats.  A
     bracket whose ends do not repeat the scan's sign change, on floats or on
     one-point arrays, is skipped and flagged.  The count is a lower bound;
     ``exhaustive`` is set only if no bracket was skipped and |f| clears a
     floor, relative to a windowed local magnitude, between brackets.
     """
-    if not (b > a):
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not (0 < a < b):
+        raise DomainError(f"need 0 < a < b, got [{a}, {b}]")
     flags: list[str] = []
     used = 0
     rounds: list[int] = []
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
-        try:
-            vals = np.asarray(f(xs), dtype=float)
-            if vals.shape != xs.shape:
-                raise TypeError
-            return vals
-        except (TypeError, ValueError):
-            return np.array([float(f(float(xi))) for xi in xs])
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise DomainError(f"f maps {xs.shape} points to shape {vals.shape}; "
+                              "it must be vectorized")
+        return vals
 
     def feval(xs: np.ndarray) -> np.ndarray:
         nonlocal used
         used += len(xs)
         return evaluate(xs)
 
-    xs = _grid(a, b, min(initial, max(budget // 2, 16)))
+    xs = np.geomspace(a, b, min(initial, max(budget // 2, 16)))
     ys = feval(xs)
     rounds.append(len(xs))
     scale = float(np.max(np.abs(ys))) if np.any(np.isfinite(ys)) else 0.0
@@ -412,9 +405,6 @@ class AccuracyVerdict:
             "wronskian_reports": [r.to_dict() for r in self.reports],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def certify_family(fams: list[BasisFunction], a: float, b: float, *,
                    name: str = "family") -> AccuracyVerdict:
@@ -472,53 +462,19 @@ PROP4_COEFFS = (
 PROP4_WINDOW = (1e-6, 50.0)
 
 
-@dataclass(frozen=True)
-class Prop4Result:
-    coefficients: tuple[float, ...]
-    report: ZeroReport
-    sensitivity_note: str | None
-
-    @property
-    def count(self) -> int:
-        return self.report.simple_count
-
-
-def _prop4_function(coeffs):
+def prop4_witness() -> ZeroReport:
+    """Zeros on PROP4_WINDOW of the printed 8-zero element of F7^{1,2} at x^2,
+    with the printed coefficients PROP4_COEFFS as they stand (never retuned)."""
     fams = family("F7", 1, lam=2.0)
 
     def g(x):
         xs = np.asarray(x, dtype=float) ** 2
         acc = fams[6](xs)
-        for c, bf in zip(coeffs, fams[:6]):
+        for c, bf in zip(PROP4_COEFFS, fams[:6]):
             acc = acc + c * bf(xs)
         return acc
 
-    return g
-
-
-def prop4_witness() -> Prop4Result:
-    """Certify the printed 8-zero element of the k=1, lam=2 family.
-
-    If the printed coefficients fail to deliver eight simple zeros at double
-    precision, the shortest coefficient is scanned inside +-1e-6 and the
-    sensitivity is reported instead of silently retuned.
-    """
-    g = _prop4_function(PROP4_COEFFS)
-    rep = isolate_zeros(g, *PROP4_WINDOW, budget=WITNESS_BUDGET, initial=8192)
-    if rep.simple_count == 8:
-        return Prop4Result(PROP4_COEFFS, rep, None)
-    base = list(PROP4_COEFFS)
-    for delta in np.linspace(-1e-6, 1e-6, 41):
-        trial = base.copy()
-        trial[1] += float(delta)
-        rep2 = isolate_zeros(_prop4_function(trial), *PROP4_WINDOW,
-                             budget=WITNESS_BUDGET, initial=8192)
-        if rep2.simple_count == 8:
-            note = (f"printed coefficients yielded {rep.simple_count} zeros; "
-                    f"a1 adjusted by {delta:+.3e} to recover 8")
-            return Prop4Result(tuple(trial), rep2, note)
-    return Prop4Result(PROP4_COEFFS, rep,
-                       f"8 simple zeros not recovered (best count {rep.simple_count})")
+    return isolate_zeros(g, *PROP4_WINDOW, budget=WITNESS_BUDGET, initial=8192)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .basis import family, family_G, family_H_pencil, family_H8, family_J0
-from .certify import certify_family, prop4_witness, prop5_witness, wronskian_scaled
+from .certify import (PROP4_COEFFS, certify_family, prop4_witness, prop5_witness,
+                      wronskian_scaled)
 from .closedforms import (config_from_v, cov_r_of_x, fit_to_span, m1_closed, q_basis,
                           sign_pattern_search, structural_span, table3_structure_config)
 from .config import config_to_dict, load_config
@@ -229,15 +230,13 @@ def _case_m2_n3_structure(seed):
 
 
 def _case_prop4():
-    res = prop4_witness()
-    ok = res.count == 8
-    lines = [f"{res.count} simple zeros on (0, 50); expected 8: {'PASS' if ok else 'FAIL'}"]
-    if res.sensitivity_note:
-        lines.append(f"sensitivity: {res.sensitivity_note}")
-    artifacts = {"coefficients": list(res.coefficients),
-                 "zeros": [z.location for z in res.report.zeros],
-                 "report": res.report.to_dict(),
-                 "sensitivity_note": res.sensitivity_note}
+    report = prop4_witness()
+    count = report.simple_count
+    ok = count == 8
+    lines = [f"{count} simple zeros on (0, 50); expected 8: {'PASS' if ok else 'FAIL'}"]
+    artifacts = {"coefficients": list(PROP4_COEFFS),
+                 "zeros": [z.location for z in report.zeros],
+                 "report": report.to_dict()}
     return ok, lines, artifacts
 
 
@@ -323,13 +322,13 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 2
 
 
-def _write_manifest(out: Path, args, interval=None, orders=None):
+def _write_manifest(out: Path, args, **parsed):
+    """Every parsed option of the command, with ``parsed`` (the interval and
+    orders as read from their text) in place of the raw strings."""
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "manifest.json", {
-        "command": args.command, "config_path": getattr(args, "config", None),
-        "interval": interval, "grid": getattr(args, "grid", None), "orders": orders,
-        "case": getattr(args, "case", None), "out_dir": str(out), "seed": args.seed,
-        "version": __version__})
+    manifest = {key: value for key, value in vars(args).items() if key != "func"}
+    write_json(out / "manifest.json",
+               {**manifest, **parsed, "out_dir": str(out), "version": __version__})
 
 
 def build_parser() -> argparse.ArgumentParser:

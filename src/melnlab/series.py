@@ -3,12 +3,15 @@
 A :class:`Jet` stores the Taylor coefficients ``c[m] = f^(m)(x0)/m!`` of a
 function about a base point, up to a fixed truncation order.  All arithmetic
 is exact truncated-series algebra.  Coefficients may be floats, numpy arrays
-(for vectorized evaluation over a grid), or nested :class:`Jet` instances
-(for mixed partial expansions, e.g. a t-jet whose coefficients are r-jets).
+(for vectorized evaluation over a grid), mpmath numbers, or nested
+:class:`Jet` instances (for mixed partial expansions, e.g. an r-jet whose
+coefficients are t-jets).
 
 A :class:`TriangleJet` is a bivariate jet cut to a total degree, on one flat
 coefficient list: the same values as a nested jet of that shape, without a
-jet object per coefficient.
+jet object per coefficient.  Nested jets now only build the endpoint
+triangles (``polar.endpoint_triangles``) and serve the tests as the
+reference that :class:`TriangleJet` must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -31,15 +34,6 @@ def _zero_like(c):
     if isinstance(c, np.ndarray):
         return np.zeros_like(c)
     return 0.0
-
-
-def _magnitude(c) -> float:
-    """Scalar magnitude of a coefficient, recursing through nesting."""
-    if isinstance(c, Jet):
-        return max(_magnitude(cm) for cm in c.c)
-    if isinstance(c, np.ndarray):
-        return float(np.max(np.abs(c))) if c.size else 0.0
-    return abs(float(c))
 
 
 def _lib(c):
@@ -125,12 +119,6 @@ class Jet:
     @property
     def order(self) -> int:
         return len(self.c) - 1
-
-    def __len__(self):
-        return len(self.c)
-
-    def __getitem__(self, m):
-        return self.c[m]
 
     def coefficient(self, m: int):
         """m-th Taylor coefficient (zero beyond the truncation order)."""
@@ -241,20 +229,13 @@ class Jet:
 
     def compose(self, inner: "Jet") -> "Jet":
         """Series composition self(inner); the inner jet must have zero value."""
-        if _magnitude(inner.c[0]) != 0.0:
+        if inner.c[0] != 0.0:
             raise ValueError("composition requires inner jet with zero constant term")
         n = inner.order
         out = Jet.constant(self.c[-1], n)
         for m in range(len(self.c) - 2, -1, -1):
             out = out * inner + self.c[m]
         return out
-
-    def __call__(self, dv):
-        """Evaluate the polynomial at offset ``dv`` from the base point."""
-        acc = self.c[-1]
-        for m in range(len(self.c) - 2, -1, -1):
-            acc = acc * dv + self.c[m]
-        return acc
 
     # -- elementary functions (u = self) --------------------------------------
 

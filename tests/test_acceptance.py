@@ -122,9 +122,7 @@ def test_ac06_prop4_witness():
     from melnlab.cli import _case_prop4
 
     ok, lines, artifacts = _case_prop4()
-    note = artifacts.get("sensitivity_note")
-    report(6, ok, f"printed coefficients give {len(artifacts['zeros'])} simple zeros "
-                  f"on (0, 50); sensitivity note: {note or 'not needed'}")
+    report(6, ok, f"printed coefficients give {len(artifacts['zeros'])} simple zeros on (0, 50)")
 
 
 def test_ac07_prop5_staging():

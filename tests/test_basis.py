@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from melnlab.basis import family, family_G, family_H8, family_H_pencil, family_J0, u
+from melnlab.basis import (BasisFunction, family, family_G, family_H8, family_H_pencil,
+                          family_J0, jet_derivative, u)
 from melnlab.errors import DomainError
+from melnlab.series import Jet
 
 
 def test_simple_generators():
@@ -114,6 +116,19 @@ def test_domain_guard():
         u(18, 0)
     with pytest.raises(DomainError):
         family("F2", -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jet_derivative(Jet([1.0, 2.0]), 2),
+    lambda: u(4, 1).derivative(1).substituted_power(2),
+    lambda: BasisFunction.combine([1.0], [u(4, 1).derivative(1)], "D[u4]"),
+    lambda: u(25, 1),
+    lambda: family("F8", 1),
+], ids=["derivative-above-jet-order", "substitute-a-derivative", "combine-a-derivative",
+        "generator-25", "unknown-family"])
+def test_bad_request_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("bf", [u(15, 2), u(21, 1).derivative(5), family_H8(2)[3]],

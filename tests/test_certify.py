@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melnlab.basis import family, family_G, family_H_pencil, family_J0, u
-from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, _derivative_matrices,
+from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, PROP4_COEFFS, _derivative_matrices,
                              _equilibrate, _precise_det, _rho, _wronskian_logs,
-                             certify_family, isolate_zeros, prop5_witness,
+                             certify_family, isolate_zeros, prop4_witness, prop5_witness,
                              theorem3_bound, wronskian, wronskian_scaled)
 from melnlab.errors import DomainError
+from melnlab.reports import dumps_json
 
 XS = np.geomspace(0.1, 10.0, 50)
 
@@ -328,6 +329,23 @@ def test_certify_accuracy_one_family():
     assert verdict.nu == (0, 0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: wronskian(family("F1", 1), 1.0, 3),
+    lambda: prop5_witness(1),
+    lambda: isolate_zeros(lambda x: x - 1.0, 0.0, 2.0),
+    lambda: isolate_zeros(lambda x: x + 1.0, -2.0, 2.0),
+    lambda: isolate_zeros(lambda x: x - 1.0, 2.0, 0.5),
+    lambda: isolate_zeros(lambda x: x - 1.0, math.nan, 2.0),
+    lambda: isolate_zeros(lambda x: 1.0, 0.5, 2.0),
+    lambda: isolate_zeros(lambda x: np.stack([x, x]), 0.5, 2.0),
+], ids=["wronskian-order-past-the-family", "prop5-at-k1", "isolate-from-0",
+        "isolate-from-negative", "isolate-reversed", "isolate-from-nan",
+        "isolate-scalar-result", "isolate-stacked-result"])
+def test_bad_request_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize("a, b", [(0.1, math.inf), (0.1, math.nan), (math.nan, 10.0),
                                   (0.0, 10.0), (10.0, 0.1)])
 def test_certify_rejects_an_interval_outside_0_a_b_inf(a, b):
@@ -350,6 +368,25 @@ def test_certify_f51_needs_no_extended_precision():
     assert verdict.fallbacks == (0,) * 8
 
 
+def test_prop4_zeros_are_accurate_to_1e10():
+    # each zero against a 50-digit root of the printed F7^{1,2}(x^2)
+    # combination near it; the worst measured is 1.1e-11 relative, at x = 8
+    import mpmath
+
+    report = prop4_witness()
+    assert report.count == report.simple_count == 8
+    fams = family("F7", 1, lam=2.0)
+    with mpmath.workdps(50):
+        weights = [mpmath.mpf(c) for c in PROP4_COEFFS] + [1]
+
+        def g(x):
+            return sum(w * bf(x * x) for w, bf in zip(weights, fams, strict=True))
+
+        for z in report.zeros:
+            root = mpmath.findroot(g, mpmath.mpf(z.location))
+            assert abs(z.location - root) <= 1e-10 * root
+
+
 def test_staged_witness_generalizes_to_k3():
     from melnlab.certify import prop5_witness
 
@@ -363,7 +400,7 @@ def test_staged_witness_generalizes_to_k3():
 
 def test_verdict_json_round(tmp_path):
     verdict = certify_family(family("F1", 1), 0.5, 2.0, name="F1^1")
-    text = verdict.to_json()
+    text = dumps_json(verdict.to_dict())
     assert '"classification"' in text
     assert len(verdict.fallbacks) == 3
     assert json.loads(text)["fallbacks"] == list(verdict.fallbacks)

@@ -1,3 +1,4 @@
+import argparse
 import json
 from types import SimpleNamespace
 from unittest import mock
@@ -7,7 +8,8 @@ import pytest
 
 from conftest import random_block
 from melnlab.basis import family, family_G, family_H8, family_H_pencil, family_J0
-from melnlab.cli import CASES, CEILING_TRIALS, FAMILIES, _ceiling_scan, _sign_changes, main
+from melnlab.cli import (CASES, CEILING_TRIALS, FAMILIES, _ceiling_scan, _sign_changes,
+                         build_parser, main)
 from melnlab.closedforms import q_basis, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
 from melnlab.recursion import melnikov
@@ -112,6 +114,42 @@ def test_reproduce_m1_n1(tmp_path):
     assert len(report["artifacts"]["n1_realization"]["zeros"]) == 1
 
 
+def _options(command):
+    """Destinations of every option the parser accepts for ``command``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_manifest_holds_every_option(tmp_path, demo_config, monkeypatch):
+    monkeypatch.setitem(CASES, "m1_n1", lambda seed: (True, [], {}))
+    runs = {
+        "melnikov": ["--config", str(demo_config), "--orders", "2,1", "--grid", "3"],
+        "cheb": ["--family", "F1", "--interval", "0.5:2"],
+        "reproduce": ["--case", "m1_n1"],
+    }
+    manifests = {}
+    for command, argv in runs.items():
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0
+        manifests[command] = json.loads((out / "manifest.json").read_text())
+        assert manifests[command]["command"] == command
+        assert _options(command) <= set(manifests[command])
+    # the interval and orders as parsed, not as typed
+    assert manifests["melnikov"]["interval"] == [0.5, 2.0]
+    assert manifests["melnikov"]["orders"] == [2, 1]
+    assert manifests["cheb"]["interval"] == [0.5, 2.0]
+
+
+def test_cheb_manifests_differ_by_family(tmp_path):
+    manifests = []
+    for name in ("F1", "F2"):
+        out = tmp_path / name
+        main(["cheb", "--family", name, "--interval", "0.5:2", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifests.append({**manifest, "out": None, "out_dir": None})
+    assert manifests[0] != manifests[1]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_m1_n1_realizes_one_simple_zero(seed):
     ok, lines, artifacts = CASES["m1_n1"](seed)
@@ -191,10 +229,16 @@ def test_sign_changes_match_the_product_of_signs():
     # F1^1 has a W_2 zero in [0.1, 10], so an ECT verdict on [0.1, inf) is wrong
     ["cheb", "--family", "F1", "--interval", "0.1:inf"],
     ["cheb", "--family", "F1", "--interval", "0.1:nan"],
+    ["melnikov", "--interval", "0.5-2"],
+    ["cheb", "--family", "F1", "--interval", "0.1:1:10"],
+    ["melnikov", "--grid", "1log"],
+    ["melnikov", "--orders", "0"],
+    ["melnikov", "--orders", "1,3"],
 ], ids=["empty-order", "repeated-order", "F7-k0", "unknown-family", "F7-without-lam",
         "F2-negative-k", "melnikov-negative-seed", "cheb-negative-seed", "reproduce-negative-seed", "grid-open-paren",
         "grid-close-paren", "grid-trailing-paren", "grid-parenthesized-kind",
-        "melnikov-infinite-end", "cheb-infinite-end", "cheb-nan-end"])
+        "melnikov-infinite-end", "cheb-infinite-end", "cheb-nan-end", "interval-without-colon",
+        "interval-with-three-ends", "grid-of-one-point", "order-zero", "order-above-k"])
 def test_bad_input_is_a_configuration_error(tmp_path, demo_config, argv):
     if argv[0] == "melnikov":
         argv = argv + ["--config", str(demo_config)]

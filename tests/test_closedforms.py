@@ -13,7 +13,7 @@ from melnlab.closedforms import (LM_MAX_STEPS, _cancelling_block, _kernel_residu
                                  q_values, sign_pattern_search, structural_span,
                                  table3_structure_config, v_coefficients, v_map_matrix,
                                  vanishing_order_config)
-from melnlab.errors import ConfigurationError
+from melnlab.errors import ConfigurationError, DomainError
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.geometry import crossing_abscissa
 from melnlab.recursion import melnikov
@@ -37,6 +37,17 @@ def test_v_map_roundtrip_even():
 def test_config_from_v_checks_the_length_against_n(n, v):
     with pytest.raises(ConfigurationError):
         config_from_v(v, n)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda cfg: m1_closed(cfg, 0.0), DomainError),
+    (lambda cfg: cov_r_of_x(0.0, 2), DomainError),
+    (lambda cfg: fit_to_span([(x, 1.0) for x in (0.5, 1.0, 1.5)], 3, 2), ConfigurationError),
+    (lambda cfg: vanishing_order_config(2, 5), ConfigurationError),
+], ids=["m1-at-radius-0", "abscissa-0", "too-few-samples", "vanishing-order-5"])
+def test_bad_input_is_a_typed_error(rng, call, error):
+    with pytest.raises(error):
+        call(random_config(rng, 2, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -47,3 +47,27 @@ def test_missing_orders_zero_filled():
     assert cfg.order(1).is_zero()
     assert cfg.order(2).a == (1.0, 0.0, 0.0)
     assert cfg.order(3).is_zero()
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return load_config(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: OrderCoefficients(a=(1.0, 2.0)),
+    lambda tmp: SystemConfig(n=2, k=2, orders=(OrderCoefficients(),)),
+    lambda tmp: SystemConfig(n=2, k=2, orders=(OrderCoefficients(),) * 2).order(3),
+    lambda tmp: config_from_dict({"n": 2, "k": 1, "orders": [{"i": "1"}]}),
+    lambda tmp: config_from_dict({"n": 2}),
+    lambda tmp: config_from_dict({"n": 2, "k": 1, "orders": {"i": 1}}),
+    lambda tmp: config_from_dict({"n": 2, "k": 1, "orders": [[1.0, 0.0, 0.0]]}),
+    lambda tmp: _load_text(tmp, '{"n": 2,'),
+    lambda tmp: _load_text(tmp, "[2, 1]"),
+], ids=["short-triple", "too-few-blocks", "order-above-k", "non-integer-order-index",
+        "missing-k", "orders-not-a-list", "order-entry-not-an-object", "invalid-json",
+        "json-not-an-object"])
+def test_bad_config_is_a_configuration_error(tmp_path, make):
+    with pytest.raises(ConfigurationError):
+        make(tmp_path)

@@ -45,6 +45,15 @@ def test_domain_errors():
         switching_angles(1e-9, 3)  # below the admissible radius floor
 
 
+@pytest.mark.parametrize("call", [
+    lambda: switching_angles(1.0, 0),
+    lambda: theta1_jet(1.0, 2, -1),
+], ids=["degree-zero", "negative-jet-order"])
+def test_bad_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_region_classification_random_sample(rng):
     # sign of y - x^n must agree with the sector labels everywhere
     for n in (1, 2, 3, 4):

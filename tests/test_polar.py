@@ -31,6 +31,13 @@ def test_zero_config_gives_zero_field():
         assert field.f(i, -1, 0.4, 5.1) == 0.0
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_order_outside_the_config_is_a_domain_error(i):
+    field = PolarField(SystemConfig(n=2, k=2, orders=(OrderCoefficients(),) * 2))
+    with pytest.raises(DomainError):
+        field.f(i, +1, 1.0, 0.5)
+
+
 def test_first_order_matches_explicit_formula(rng):
     cfg = random_config(rng, 3, 2)
     field = PolarField(cfg)

@@ -185,6 +185,18 @@ def test_sequencing_and_domain_errors(rng, monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda table: table.z(1, 3, 0.5),
+    lambda table: table.w(1, 0),
+    lambda table: table.alpha(1, 3),
+    lambda table: table.jump(2, 0),
+], ids=["sector-3", "w-at-switch-0", "alpha-at-switch-3", "jump-at-switch-0"])
+def test_bad_sector_or_switch_index_is_a_domain_error(rng, call):
+    table = ZTable(random_config(rng, 2, 2), 1.0, 2)
+    with pytest.raises(DomainError):
+        call(table)
+
+
 def test_non_finite_melnikov_value_raises(rng):
     # at n = 1100 and x = 2, theta1_jet's r^(n-1) overflows while cos^n
     # underflows, and inf * 0 puts a NaN into M_2 through the jump terms

@@ -370,6 +370,14 @@ def test_eps_bound_and_domain_checks(rng):
         integrate_return(-1.0, 0.0, cfg)
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_extract_at_an_order_outside_the_config_is_a_domain_error(rng, i):
+    cfg = random_config(rng, 2, 2)
+    xs = [0.8, 1.2]
+    with pytest.raises(DomainError):
+        extract_melnikov(xs, i, cfg, center_event_times(xs, cfg.n))
+
+
 def test_seeds_and_melnikov_zeros_must_pair_up(rng):
     # zip would drop the unpaired seeds without a word
     cfg = random_config(rng, 2, 1)
