@@ -141,8 +141,6 @@ class BasisFunction:
         return jet_derivative(base, self.deriv_order)
 
     def derivative(self, m: int) -> "BasisFunction":
-        if m == 0:
-            return self
         return BasisFunction(label=f"D{m + self.deriv_order}[{self.label}]"
                              if self.deriv_order else f"D{m}[{self.label}]",
                              fn=self.fn, deriv_order=self.deriv_order + m)

@@ -100,42 +100,59 @@ def _precise_logdet(fams: list[BasisFunction], x: float, s: int) -> tuple[float,
 def _equilibrate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(A, r, c): A[k] ~ M[k] / (r[k] c[k]^T), rows and columns of max-norm ~1."""
     A = M.copy()
+    absA = np.empty_like(A)
     r = np.ones(M.shape[:2])
     c = np.ones(M.shape[:2])
     for _ in range(2):
-        rn = np.max(np.abs(A), axis=2)
+        rn = _max_over(np.abs(A, out=absA), 2)
         rn[rn == 0.0] = 1.0
         A /= rn[:, :, None]
         r *= rn
-        cn = np.max(np.abs(A), axis=1)
+        cn = _max_over(np.abs(A, out=absA), 1)
         cn[cn == 0.0] = 1.0
         A /= cn[:, None, :]
         c *= cn
     return A, r, c
 
 
+def _max_over(a: np.ndarray, axis: int) -> np.ndarray:
+    """np.max(a, axis=axis) as elementwise maxima of the slices along that
+    (short) axis: the same bits, NaN included, without a slow short reduction."""
+    slices = np.moveaxis(a, axis, 0)
+    out = slices[0].copy()
+    for sl in slices[1:]:
+        np.maximum(out, sl, out=out)
+    return out
+
+
 def _rho(A: np.ndarray, s: int) -> np.ndarray:
     """Relative error bound of each double-precision det A (nonsingular A)."""
-    kappa = np.einsum("kij,kji->k", np.abs(A), np.abs(np.linalg.inv(A)))
+    inv = np.linalg.inv(A)
+    kappa = np.einsum("kij,kji->k", np.abs(A), np.abs(inv, out=inv))
     return CERT_C * (s + 1) * _UNIT_ROUNDOFF * kappa
 
 
-def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int):
+def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=None):
     """Certified W_s on a grid: (sign, log|det A|, log|W_s|, cells recomputed).
 
     A is the equilibrated Wronskian matrix, so det A has the sign and zeros
     of W_s at magnitude ~1.  Cells whose double-precision determinant is
     non-finite or fails the CERT_REL_MAX certificate are recomputed by
-    _precise_logdet; no per-cell matrix outlives the call.
+    _precise_logdet; no per-cell matrix outlives the call.  ``stack`` may
+    give _derivative_matrices(fams, xs, n) for an n >= s: a jet's coefficient
+    m reads only coefficients <= m, so its leading blocks are W_s's matrices
+    bit for bit.
     """
     if s >= len(fams):
         raise DomainError(f"family has {len(fams)} members; s={s} out of range")
+    M = _derivative_matrices(fams, xs, s) if stack is None else stack[:, : s + 1, : s + 1]
     with np.errstate(all="ignore"):
-        A, r, c = _equilibrate(_derivative_matrices(fams, xs, s))
+        A, r, c = _equilibrate(M)
         logscale = np.sum(np.log(r), axis=1) + np.sum(np.log(c), axis=1)
         sign, mag = np.linalg.slogdet(A)
         certified = np.isfinite(mag) & np.isfinite(logscale)
-        certified[certified] = _rho(A[certified], s) <= CERT_REL_MAX
+        cells = A if certified.all() else A[certified]
+        certified[certified] = _rho(cells, s) <= CERT_REL_MAX
         logw = mag + logscale
         uncertain = np.flatnonzero(~certified)
         for i in uncertain:
@@ -172,9 +189,9 @@ def wronskian_scaled(fams: list[BasisFunction], x, s: int):
     return _scaled_wronskian(fams, x, s)[0]
 
 
-def _scaled_wronskian(fams: list[BasisFunction], x, s: int):
+def _scaled_wronskian(fams: list[BasisFunction], x, s: int, stack=None):
     """(wronskian_scaled(fams, x, s), number of cells recomputed at PRECISE_DPS)."""
-    sign, mag, _, recomputed = _wronskian_logs(fams, _on_grid(x), s)
+    sign, mag, _, recomputed = _wronskian_logs(fams, _on_grid(x), s, stack)
     value = sign * np.exp(np.clip(mag, -300.0, 300.0))
     return (value if np.ndim(x) else float(value[0])), recomputed
 
@@ -420,9 +437,17 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     reports: list[ZeroReport] = []
     fallbacks = [0] * (n + 1)
     exhaustive = True
+    # every s scans the same grid, the first array ws receives: its
+    # derivative matrices are built once, at order n, and W_s reads their
+    # leading blocks; refinement grids and bisection points build their own
+    grid = stack = None
     for s in range(n + 1):
         def ws(x, _s=s):
-            vals, recomputed = _scaled_wronskian(fams, x, _s)
+            nonlocal grid, stack
+            if stack is None:
+                grid, stack = x, _derivative_matrices(fams, x, n)
+            on_grid = np.shape(x) == grid.shape and np.array_equal(x, grid)
+            vals, recomputed = _scaled_wronskian(fams, x, _s, stack if on_grid else None)
             fallbacks[_s] += recomputed
             return vals
 

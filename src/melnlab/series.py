@@ -17,6 +17,7 @@ reference that :class:`TriangleJet` must equal bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -201,19 +202,18 @@ class Jet:
         return Jet.constant(other, self.order) / self
 
     def __pow__(self, p):
-        if isinstance(p, int):
-            if p < 0:
-                return 1.0 / (self ** (-p))
-            out = Jet.constant(_zero_like(self.c[0]) + 1.0, self.order)
-            base = self
-            while p:
-                if p & 1:
-                    out = out * base
-                p >>= 1
-                if p:
-                    base = base * base
-            return out
-        return self.power(float(p))
+        p = operator.index(p)  # a TypeError for a real exponent: that is power()'s
+        if p < 0:
+            return 1.0 / (self ** (-p))
+        out = Jet.constant(_zero_like(self.c[0]) + 1.0, self.order)
+        base = self
+        while p:
+            if p & 1:
+                out = out * base
+            p >>= 1
+            if p:
+                base = base * base
+        return out
 
     # -- calculus ------------------------------------------------------------
 

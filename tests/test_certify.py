@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from melnlab import certify
 from melnlab.basis import family, family_G, family_H_pencil, family_J0, u
 from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, PROP4_COEFFS, _derivative_matrices,
                              _equilibrate, _precise_det, _rho, _wronskian_logs,
                              certify_family, isolate_zeros, prop4_witness, prop5_witness,
                              theorem3_bound, wronskian, wronskian_scaled)
+from melnlab.cli import FAMILIES
 from melnlab.errors import DomainError
 from melnlab.reports import dumps_json
 
@@ -186,6 +189,78 @@ def test_certificate_is_sound(name, k):
                 dev = abs(sign[i] * mpmath.exp(float(mag[i])) / ref - 1)
             assert mpmath.sign(ref) == sign[i], (name, k, s, xs[i])
             assert dev <= rho[i], (name, k, s, xs[i], float(dev), rho[i])
+
+
+def _equilibrate_by_reduction(M):
+    """The short-axis np.max form of _equilibrate, kept as its reference."""
+    A = M.copy()
+    r = np.ones(M.shape[:2])
+    c = np.ones(M.shape[:2])
+    for _ in range(2):
+        rn = np.max(np.abs(A), axis=2)
+        rn[rn == 0.0] = 1.0
+        A /= rn[:, :, None]
+        r *= rn
+        cn = np.max(np.abs(A), axis=1)
+        cn[cn == 0.0] = 1.0
+        A /= cn[:, None, :]
+        c *= cn
+    return A, r, c
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_equilibrate_matches_the_reduction_form_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    shape = (400, size, size)
+    M = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    M[rng.random(400) < 0.2, rng.integers(size), :] = 0.0       # zero rows
+    M[rng.random(400) < 0.2, :, rng.integers(size)] = -0.0      # zero columns
+    special = rng.random(shape) < 0.05
+    M[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], np.count_nonzero(special))
+    with np.errstate(all="ignore"):
+        got, want = _equilibrate(M), _equilibrate_by_reduction(M)
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+FAMILY_ARGS = [(name, 2) for name in FAMILIES] + [("F5", 1)]
+
+
+@pytest.mark.parametrize("name,k", FAMILY_ARGS)
+def test_leading_blocks_of_a_derivative_stack_are_the_lower_stacks(name, k):
+    # certify_family builds the scan grid's stack once, at the top order,
+    # and W_s reads its leading (s+1)x(s+1) blocks
+    fams = FAMILIES[name](argparse.Namespace(k=k, lam=1.0 if name == "F7" else None,
+                                             alpha=None, beta=None))
+    n = len(fams) - 1
+    for xs in (np.geomspace(0.1, 10.0, 513), np.array([1.7])):
+        full = _derivative_matrices(fams, xs, n)
+        for s in range(n + 1):
+            assert full[:, : s + 1, : s + 1].tobytes() == _derivative_matrices(fams, xs, s).tobytes()
+
+
+def test_certify_family_builds_one_stack_on_the_scan_grid(monkeypatch):
+    built = []
+    build = certify._derivative_matrices
+
+    def counted(fams, xs, s):
+        built.append((len(xs), s))
+        return build(fams, xs, s)
+
+    monkeypatch.setattr(certify, "_derivative_matrices", counted)
+    certify_family(family("F5", 1), 0.1, 10.0)
+    assert [b for b in built if b[0] == 2048] == [(2048, 7)]
+
+
+@pytest.mark.parametrize("name,k,nu", [("F5", 1, [0] * 8), ("F1", 1, [0, 0, 1])])
+def test_shared_stack_gives_the_per_s_verdict(monkeypatch, name, k, nu):
+    shared = dumps_json(certify_family(family(name, k), 0.1, 10.0).to_dict())
+    scaled = certify._scaled_wronskian
+    monkeypatch.setattr(certify, "_scaled_wronskian",
+                        lambda fams, x, s, stack=None: scaled(fams, x, s))
+    per_s = dumps_json(certify_family(family(name, k), 0.1, 10.0).to_dict())
+    assert json.loads(shared)["nu"] == nu
+    assert shared == per_s
 
 
 @pytest.mark.parametrize("name,k", [("F2", 2), ("F3", 1), ("F5", 1), ("J0", None)])

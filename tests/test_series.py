@@ -141,6 +141,13 @@ def test_integer_power_skips_the_unused_square(monkeypatch, p):
                                                       rel=1e-14, abs=1e-14)
 
 
+def test_power_takes_integer_exponents_only():
+    z = Jet([0.7, -1.3, 0.4, 2.1])
+    with pytest.raises(TypeError):
+        z ** 0.5
+    assert _bits(z ** np.int64(2)) == _bits(z ** 2)
+
+
 def test_compose_requires_zero_constant_term():
     g = jet_sin(Jet.variable(0.4, 4))
     with pytest.raises(ValueError):
