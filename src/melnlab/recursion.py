@@ -178,25 +178,32 @@ def _pow(a, p: int):
     return np.array([v ** p for v in a.tolist()]) if isinstance(a, np.ndarray) else a ** p
 
 
-def _chain_sum(i: int, fs, zs, dF):
+def _chain_sum(i: int, fs, zs, dF, monomials: dict):
     """Integrand K_i = F_i + sum over l < i and partitions b of l of
     wgt * dF(F_{i-l}, |b|) * prod_m z_m^{b_m}.
 
     ``fs[q-1]`` is F_q as an r-jet, ``zs[m-1]`` is z_m, and ``dF(f, lb)`` is
-    the lb-th r-derivative of f.  Each z_m is raised to each power once.
+    the lb-th r-derivative of f.  ``monomials`` keeps each partition's
+    monomial prod_m z_m^{b_m} under b, and each power z_m^{b_m} under
+    (-m, b_m), which no partition (its entries are >= 0) can equal, for
+    every order that reads the same z_m: each is built once, by the
+    operations of the order that first needs it.  A longer z_m gives the
+    same leading coefficients, so the z_m may be longer than K_i needs.
     """
-    powers = {}
     acc = dF(fs[i - 1], 0)
     for l in range(1, i):
         fm = fs[i - l - 1]
         for b, lb, wgt in partitions(l):
-            prod = None
-            for m, bm in enumerate(b, start=1):
-                if bm == 0:
-                    continue
-                if (m, bm) not in powers:
-                    powers[(m, bm)] = zs[m - 1] ** bm
-                prod = powers[(m, bm)] if prod is None else prod * powers[(m, bm)]
+            prod = monomials.get(b)
+            if prod is None:
+                for m, bm in enumerate(b, start=1):
+                    if bm == 0:
+                        continue
+                    power = monomials.get((-m, bm))
+                    if power is None:
+                        power = monomials[(-m, bm)] = zs[m - 1] ** bm
+                    prod = power if prod is None else prod * power
+                monomials[b] = prod
             acc = acc + wgt * dF(fm, lb) * prod
     return acc
 
@@ -252,6 +259,7 @@ class ZTable:
         self._alpha: dict[tuple[int, int], float] = {}
         self._tjets: dict[tuple[int, int, str], Jet] = {}
         self._nested: dict[tuple[int, str], list[TriangleJet]] = {}
+        self._monomials: dict[tuple[int, str], dict] = {}  # see _tjet_K
         self._triangles: dict[int, list[tuple[TriangleJet, TriangleJet, TriangleJet]]] = {}
         self._melnikov: list = []
 
@@ -320,9 +328,11 @@ class ZTable:
         lo, hi = np.array(self.bounds[:3]).T.ravel(), np.array(self.bounds[1:]).T.ravel()
         # numpy's Chebyshev domain map (``mapparms``) of each row onto [-1, 1]
         self._map = off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
-        # (node count, rows) -> field r-jets, z_m values and mapped nodes; every
-        # order reads prefixes of one evaluation.  Freed on return.
-        nodesets: dict[tuple[int, bytes], tuple[list[Jet], list[np.ndarray], np.ndarray]] = {}
+        # (node count, rows) -> field r-jets, z_m values, mapped nodes and the
+        # chain-rule monomials of the z_m; every order reads prefixes of one
+        # evaluation.  Freed on return.
+        nodesets: dict[tuple[int, bytes],
+                       tuple[list[Jet], list[np.ndarray], np.ndarray, dict]] = {}
         for i in range(1, self.order + 1):
             # numpy's Chebyshev algebra, step by step: chebint, - prim(lo), * i!, + left
             prim = _chebint(self._fit(i, lo, hi, nodesets)) * 0.5 * (hi - lo)
@@ -372,11 +382,12 @@ class ZTable:
                 signs = np.tile(SECTOR_SIGNS, len(lo) // 3)[active, None]
                 r = np.repeat(np.atleast_1d(self.x), 3)[active, None]
                 nodesets[key] = (self.field.f_r_jets(signs, r, theta, self.order - 1), [],
-                                 off[active, None] + scl[active, None] * theta)
-            fs, zs, u = nodesets[key]
+                                 off[active, None] + scl[active, None] * theta, {})
+            fs, zs, u, monomials = nodesets[key]
             zs.extend(_chebval(u, self._coef[m - 1][:, active, None])
                       for m in range(len(zs) + 1, i))
-            vals = _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb))
+            vals = _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb),
+                              monomials)
             coef = _dct2(vals) / n
             coef[:, 0] *= 0.5
             mag = np.abs(coef)
@@ -423,12 +434,15 @@ class ZTable:
         """t-jet of the integrand K_i^j at a sector endpoint.
 
         The endpoint jet F_q holds total degree ``self.order - 1 - q`` only,
-        so it has no longer t-jet to give.
+        so it has no longer t-jet to give.  The chain-rule monomials come from
+        the top-order t-jets of the z_m, so every order i at this endpoint
+        shares them.
         """
         assert i + order <= self.order - 1, (i, order, self.order)
-        zs = [self._tjet_z(m, j, side, order) for m in range(1, i)]
+        zs = [self._tjet_z(m, j, side, self.order - m) for m in range(1, i)]
         return _chain_sum(i, self._nested_jets(j, side), zs,
-                          lambda f, lb: f.tjet(lb, order) * math.factorial(lb))
+                          lambda f, lb: f.tjet(lb, order) * math.factorial(lb),
+                          self._monomials.setdefault((j, side), {}))
 
     def _tjet_z(self, i: int, j: int, side: str, order: int) -> Jet:
         """t-jet of z_i^j at a sector endpoint, 0 <= order <= self.order - i.

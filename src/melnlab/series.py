@@ -12,6 +12,13 @@ coefficient list: the same values as a nested jet of that shape, without a
 jet object per coefficient.  Nested jets now only build the endpoint
 triangles (``polar.endpoint_triangles``) and serve the tests as the
 reference that :class:`TriangleJet` must equal bit for bit.
+
+Products and quotients of two jets, or of two triangles, call straight-line
+kernels: Python source of integer indices only, rendered once per result
+size from index plans and compiled, which saves an interpreted loop step per
+term.  A kernel does the operations of its plan's loop in the same order and
+parenthesization, so the bits are those of the loop for every coefficient
+type.
 """
 
 from __future__ import annotations
@@ -171,17 +178,10 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        a = self.c
         if isinstance(other, Jet):
-            b = other.c
-            out = []
-            for m in range(min(len(a), len(b))):
-                s = a[0] * b[m]
-                for j in range(1, m + 1):
-                    s = s + a[j] * b[m - j]
-                out.append(s)
-            return Jet._of(out)
-        return Jet._of([cm * other for cm in a])
+            a, b = self.c, other.c
+            return Jet._of(_jet_product(min(len(a), len(b)))(a, b))
+        return Jet._of([cm * other for cm in self.c])
 
     __rmul__ = __mul__
 
@@ -189,14 +189,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet._of([cm / other for cm in self.c])
         a, b = self.c, other.c
-        g0 = b[0]
-        out = []
-        for m in range(min(len(a), len(b))):
-            s = a[m]
-            for j in range(1, m + 1):
-                s = s - b[j] * out[m - j]
-            out.append(s / g0)
-        return Jet._of(out)
+        return Jet._of(_jet_quotient(min(len(a), len(b)))(a, b))
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order) / self
@@ -254,6 +247,33 @@ class Jet:
         return Jet(out)
 
 
+def _compile(name: str, lines: list[str]):
+    """The function ``kernel`` that the source ``lines`` define, compiled as
+    file ``<name>``, which tracebacks and profiles show."""
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+@lru_cache(maxsize=None)
+def _jet_product(n: int):
+    """Coefficients 0..n-1 of a * b: a[0] b[m] + a[1] b[m-1] + ... + a[m] b[0],
+    summed left to right."""
+    coeffs = (" + ".join(f"a[{j}] * b[{m - j}]" for j in range(m + 1)) for m in range(n))
+    return _compile(f"jet product {n}", ["def kernel(a, b):", f"    return [{', '.join(coeffs)}]"])
+
+
+@lru_cache(maxsize=None)
+def _jet_quotient(n: int):
+    """Coefficients 0..n-1 of a / b: out[m] = (a[m] - b[1] out[m-1] - ... - b[m] out[0]) / b[0]."""
+    lines = ["def kernel(a, b):", "    b0 = b[0]"]
+    for m in range(n):
+        terms = [f"a[{m}]"] + [f"b[{j}] * o{m - j}" for j in range(1, m + 1)]
+        lines.append(f"    o{m} = ({' - '.join(terms)}) / b0")
+    lines.append(f"    return [{', '.join(f'o{m}' for m in range(n))}]")
+    return _compile(f"jet quotient {n}", lines)
+
+
 def _offset(degree: int, L: int) -> int:
     """Index of coefficient (L, 0) in a triangle of the given total degree."""
     return L * (2 * degree + 3 - L) // 2
@@ -261,38 +281,59 @@ def _offset(degree: int, L: int) -> int:
 
 def _terms(oa: int, ob: int, p: int) -> tuple:
     """Terms ``a[oa + q] * b[ob + p - q]``, q = 0..p, of coefficient p of a
-    t-product of two rows at flat offsets oa and ob: (first a index, first b
-    index, the other (a index, b index) pairs)."""
-    pairs = tuple((oa + q, ob + p - q) for q in range(p + 1))
-    return (*pairs[0], pairs[1:])
+    t-product of two rows at flat offsets oa and ob, as (a index, b index) pairs."""
+    return tuple((oa + q, ob + p - q) for q in range(p + 1))
 
 
-# index plans per pair of degrees, built on first use
-@lru_cache(maxsize=64)
-def _sum_plan(da: int, db: int) -> tuple[tuple[int, int], ...]:
-    """Per coefficient (L, p) of a sum: its index in a and in b."""
-    d = min(da, db)
-    return tuple((_offset(da, L) + p, _offset(db, L) + p)
-                 for L in range(d + 1) for p in range(d + 1 - L))
+@lru_cache(maxsize=None)
+def _cut_plan(degree: int, d: int) -> tuple[int, ...]:
+    """Flat indices, in a triangle of the given degree, of the coefficients of
+    its cut to degree d <= degree."""
+    return tuple(_offset(degree, L) + p for L in range(d + 1) for p in range(d + 1 - L))
 
 
-@lru_cache(maxsize=64)
-def _product_plan(da: int, db: int) -> tuple:
+def _product_plan(d: int) -> tuple:
     """Per coefficient (m, p): the t-product terms of a_j b_{m-j}, j = 0..m."""
-    d = min(da, db)
-    return tuple(tuple(_terms(_offset(da, j), _offset(db, m - j), p) for j in range(m + 1))
+    return tuple(tuple(_terms(_offset(d, j), _offset(d, m - j), p) for j in range(m + 1))
                  for m in range(d + 1) for p in range(d + 1 - m))
 
 
-@lru_cache(maxsize=64)
-def _quotient_plan(da: int, db: int) -> tuple:
-    """Per coefficient (m, p) of a / b: its index in a, the t-product terms of
-    b_j out_{m-j}, j = 1..m, and the pairs (b_0[q], out_m[p-q]), q = 1..p."""
-    d = min(da, db)
-    return tuple((_offset(da, m) + p,
-                  tuple(_terms(_offset(db, j), _offset(d, m - j), p) for j in range(1, m + 1)),
+def _quotient_plan(d: int) -> tuple:
+    """Per coefficient (m, p) of a / b: the t-product terms of b_j out_{m-j},
+    j = 1..m, and the pairs (b_0[q], out_m[p-q]), q = 1..p."""
+    return tuple((tuple(_terms(_offset(d, j), _offset(d, m - j), p) for j in range(1, m + 1)),
                   tuple((q, _offset(d, m) + p - q) for q in range(1, p + 1)))
                  for m in range(d + 1) for p in range(d + 1 - m))
+
+
+@lru_cache(maxsize=None)
+def _triangle_product(d: int):
+    """a * b on degree-d triangles: per coefficient, each t-product summed over
+    q, then the t-products summed over j, both left to right."""
+    def tproduct(terms):
+        return "(" + " + ".join(f"a[{ia}] * b[{ib}]" for ia, ib in terms) + ")"
+
+    coeffs = (" + ".join(map(tproduct, groups)) for groups in _product_plan(d))
+    return _compile(f"triangle product {d}",
+                    ["def kernel(a, b):", f"    return [{', '.join(coeffs)}]"])
+
+
+@lru_cache(maxsize=None)
+def _triangle_quotient(d: int):
+    """a / b on degree-d triangles: from a's coefficient, add the negated
+    t-product b_j out_{m-j} for j = 1..m, subtract b_0[q] out_m[p-q] for
+    q = 1..p, and divide by b[0]."""
+    plan = _quotient_plan(d)
+    lines = ["def kernel(a, b):", "    b0 = b[0]"]
+    for k, (groups, tail) in enumerate(plan):
+        s = f"a[{k}]"
+        for terms in groups:
+            s += " + -(" + " + ".join(f"b[{ib}] * o{io}" for ib, io in terms) + ")"
+        for ib, io in tail:
+            s += f" - b[{ib}] * o{io}"
+        lines.append(f"    o{k} = ({s}) / b0")
+    lines.append(f"    return [{', '.join(f'o{k}' for k in range(len(plan)))}]")
+    return _compile(f"triangle quotient {d}", lines)
 
 
 class TriangleJet:
@@ -304,10 +345,13 @@ class TriangleJet:
     whose r-coefficient L is a t-jet of order degree - L, and ``+ - * /``
     compute each coefficient by the same operations in the same order as the
     nested jet does (a product sums over q within each t-product a_j b_{m-j},
-    then over j), so the results are equal bit for bit; mixed degrees keep
-    the lower one.  Products and quotients run from index plans cached per
-    pair of degrees (truncated Taylor arithmetic on triangular storage, as in
-    Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+    then over j), so the results are equal bit for bit.  Mixed degrees keep
+    the lower one: the higher-degree operand is first cut to it, which drops
+    no coefficient the result reads (j + q <= m + p <= degree).  Products and
+    quotients run kernels rendered once per degree from index plans
+    (truncated Taylor arithmetic on triangular storage, as in Griewank &
+    Walther, *Evaluating Derivatives*, ch. 13): straight-line code with the
+    plan's operations in the plan's order, hence the same bits.
     """
 
     __slots__ = ("c", "degree")
@@ -338,13 +382,14 @@ class TriangleJet:
     def __repr__(self):
         return f"TriangleJet({self.c!r}, {self.degree})"
 
+    def _cut(self, d: int) -> list:
+        """The coefficients of this triangle cut to degree d <= degree."""
+        return self.c if d == self.degree else [self.c[k] for k in _cut_plan(self.degree, d)]
+
     def __add__(self, other):
         if isinstance(other, TriangleJet):
-            a, b = self.c, other.c
-            if self.degree == other.degree:
-                return TriangleJet([x + y for x, y in zip(a, b)], self.degree)
-            return TriangleJet([a[i] + b[k] for i, k in _sum_plan(self.degree, other.degree)],
-                               min(self.degree, other.degree))
+            d = min(self.degree, other.degree)
+            return TriangleJet([x + y for x, y in zip(self._cut(d), other._cut(d))], d)
         c = list(self.c)
         c[0] = c[0] + other
         return TriangleJet(c, self.degree)
@@ -363,36 +408,16 @@ class TriangleJet:
     def __mul__(self, other):
         if not isinstance(other, TriangleJet):
             return TriangleJet([cm * other for cm in self.c], self.degree)
-        a, b = self.c, other.c
-        out = []
-        for groups in _product_plan(self.degree, other.degree):
-            acc = None
-            for ia, ib, rest in groups:
-                s = a[ia] * b[ib]
-                for ia, ib in rest:
-                    s = s + a[ia] * b[ib]
-                acc = s if acc is None else acc + s
-            out.append(acc)
-        return TriangleJet(out, min(self.degree, other.degree))
+        d = min(self.degree, other.degree)
+        return TriangleJet(_triangle_product(d)(self._cut(d), other._cut(d)), d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TriangleJet):
             return TriangleJet([cm / other for cm in self.c], self.degree)
-        a, b = self.c, other.c
-        out = []
-        for ia, groups, tail in _quotient_plan(self.degree, other.degree):
-            s = a[ia]
-            for ib, io, rest in groups:
-                t = b[ib] * out[io]
-                for ib, io in rest:
-                    t = t + b[ib] * out[io]
-                s = s + -t
-            for ib, io in tail:
-                s = s - b[ib] * out[io]
-            out.append(s / b[0])
-        return TriangleJet(out, min(self.degree, other.degree))
+        d = min(self.degree, other.degree)
+        return TriangleJet(_triangle_quotient(d)(self._cut(d), other._cut(d)), d)
 
 
 def jet_sin(u: Jet) -> Jet:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from melnlab import recursion
+from melnlab import closedforms, recursion
 from melnlab.closedforms import (LM_MAX_STEPS, _cancelling_block, _kernel_residual,
                                  _levenberg_marquardt, _m2_on_grid, _oc_from_vec,
                                  _polarized_second_order, config_from_v, cov_r_of_x,
@@ -13,7 +13,7 @@ from melnlab.closedforms import (LM_MAX_STEPS, _cancelling_block, _kernel_residu
                                  q_values, sign_pattern_search, structural_span,
                                  table3_structure_config, v_coefficients, v_map_matrix,
                                  vanishing_order_config)
-from melnlab.errors import ConfigurationError, DomainError
+from melnlab.errors import ConfigurationError, DomainError, NumericalError
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.geometry import crossing_abscissa
 from melnlab.recursion import melnikov
@@ -304,3 +304,13 @@ def test_searches_leave_the_recursion_to_verify(monkeypatch):
     assert builds.call_count == 1
     assert builds.call_args.args[1].tolist() == [0.8, 1.3] and builds.call_args.args[2] == 3
     assert max(abs(melnikov(cfg, i, r)) for i in (1, 2) for r in (0.8, 1.3)) < 1e-11
+
+
+@pytest.mark.parametrize("starts, search", [
+    ("STRUCTURE_STARTS", table3_structure_config),
+    ("ORDER3_STARTS", lambda n: vanishing_order_config(n, 3)),
+], ids=["structure", "order3"])
+def test_searches_out_of_starts_raise_numerical_error(monkeypatch, starts, search):
+    monkeypatch.setattr(closedforms, starts, 0)
+    with pytest.raises(NumericalError, match=r"failed \(n = 3, seed 0, 0 starts\)"):
+        search(3)

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from conftest import random_config
 from melnlab import recursion
 from melnlab.closedforms import m1_closed, v_zero_coefficients
+from melnlab.combinatorics import partitions
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError, NumericalError, SequencingError
 from melnlab.geometry import switching_angles
@@ -280,32 +282,67 @@ def test_endpoint_tjets_stop_at_the_computed_degree(rng):
 def test_endpoint_jets_are_built_once_per_side(rng, monkeypatch):
     # an order-6 float table evaluates the field's (r, t)-jets once per side of
     # a switching angle and makes one chain sum per (i, j, side), i = 1..5: the
-    # t-jet of K_i at its top order 5 - i, which every lower order truncates
-    tjets, chain_sums, nested = [], [], []
-    tjet_K, chain_sum, f_nested_jets = ZTable._tjet_K, recursion._chain_sum, \
-        PolarField.f_nested_jets
+    # t-jet of K_i at its top order 5 - i, which every lower order truncates.
+    # The orders that read the same z_m share one dict of chain-rule
+    # monomials: each is built once per node set and once per endpoint side.
+    tjets, chain_sums, nested, node_sets, built = [], [], [], [], []
+    tjet_K, chain_sum, f_nested_jets, f_r_jets = ZTable._tjet_K, recursion._chain_sum, \
+        PolarField.f_nested_jets, PolarField.f_r_jets
+
+    class Recorded(dict):
+        """Stand-in for one dict the recursion shares: records each entry built."""
+
+        def __init__(self, endpoint):
+            super().__init__()
+            self.endpoint, self.top = endpoint, 0
+
+        def __setitem__(self, key, value):
+            built.append((id(self), key))
+            super().__setitem__(key, value)
+
+    stand_ins = {}
 
     def counted_tjet_K(self, i, j, side, order):
         tjets.append((i, j, side, order))
         return tjet_K(self, i, j, side, order)
 
-    def counted_chain_sum(i, fs, zs, dF):
-        if isinstance(fs[0], TriangleJet):
+    def counted_chain_sum(i, fs, zs, dF, monomials):
+        endpoint = isinstance(fs[0], TriangleJet)
+        if endpoint:
             chain_sums.append(i)
-        return chain_sum(i, fs, zs, dF)
+        stand_in = stand_ins.setdefault(id(monomials), Recorded(endpoint))
+        stand_in.top = max(stand_in.top, i)
+        return chain_sum(i, fs, zs, dF, stand_in)
 
     def counted_nested(self, sign, triangles):
         nested.append(sign)
         return f_nested_jets(self, sign, triangles)
 
+    def counted_r_jets(self, sign, r, theta, order):
+        node_sets.append(theta.shape)
+        return f_r_jets(self, sign, r, theta, order)
+
     monkeypatch.setattr(ZTable, "_tjet_K", counted_tjet_K)
     monkeypatch.setattr(recursion, "_chain_sum", counted_chain_sum)
     monkeypatch.setattr(PolarField, "f_nested_jets", counted_nested)
+    monkeypatch.setattr(PolarField, "f_r_jets", counted_r_jets)
     ZTable(random_config(rng, 3, 6), 1.1, 6)
     assert sorted(tjets) == sorted((i, j, side, 5 - i) for i in range(1, 6)
                                    for j, side in ENDPOINT_SIDES)
     assert len(chain_sums) == 20
     assert sorted(nested) == [-1, -1, 1, 1]
+
+    # no entry is built twice, and the partitions' monomials (keys >= 0;
+    # powers are keyed by -m) are those of l < the highest order read
+    assert len(set(built)) == len(built)
+    monomials = Counter(ident for ident, key in built if min(key) >= 0)
+    for stand_in in stand_ins.values():
+        assert monomials[id(stand_in)] == sum(len(partitions(l)) for l in range(1, stand_in.top))
+    endpoint = [stand_in for stand_in in stand_ins.values() if stand_in.endpoint]
+    assert len(stand_ins) - len(endpoint) == len(node_sets)
+    # the 11 partitions of 1..4 once per side, where a chain sum per order built 21
+    assert len(endpoint) == 4
+    assert sum(monomials[id(stand_in)] for stand_in in endpoint) == 4 * 11
 
 
 def test_field_is_evaluated_once_per_node_set(rng, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -314,3 +315,118 @@ def test_triangle_jets_equal_nested_jets_bit_for_bit(operands):
         assert flat.degree == nested.order
         want = TriangleJet.of_nested(nested)
         assert [_bits(c) for c in flat.c] == [_bits(c) for c in want.c]
+
+
+# The loops that the generated product and quotient kernels replaced, kept as
+# their reference: a kernel must give its loop's bits for every coefficient
+# type, signed zeros, infinities and NaNs included.  A float NaN compares as
+# NaN, not by its sign bit: of two NaN operands x86 returns one, and which one
+# CPython's float add passes first differs between its generic and its
+# specialized instruction, so the same loop changes that bit as it warms up.
+
+
+def _loop_jet_product(a: list, b: list) -> list:
+    out = []
+    for m in range(min(len(a), len(b))):
+        s = a[0] * b[m]
+        for j in range(1, m + 1):
+            s = s + a[j] * b[m - j]
+        out.append(s)
+    return out
+
+
+def _loop_jet_quotient(a: list, b: list) -> list:
+    g0 = b[0]
+    out = []
+    for m in range(min(len(a), len(b))):
+        s = a[m]
+        for j in range(1, m + 1):
+            s = s - b[j] * out[m - j]
+        out.append(s / g0)
+    return out
+
+
+def _row(degree: int, L: int) -> int:
+    """Flat index of coefficient (L, 0) in a triangle of the given degree."""
+    return L * (2 * degree + 3 - L) // 2
+
+
+def _loop_triangle_product(a: list, da: int, b: list, db: int) -> list:
+    d = min(da, db)
+    out = []
+    for m in range(d + 1):
+        for p in range(d + 1 - m):
+            acc = None
+            for j in range(m + 1):
+                oa, ob = _row(da, j), _row(db, m - j)
+                s = a[oa] * b[ob + p]
+                for q in range(1, p + 1):
+                    s = s + a[oa + q] * b[ob + p - q]
+                acc = s if acc is None else acc + s
+            out.append(acc)
+    return out
+
+
+def _loop_triangle_quotient(a: list, da: int, b: list, db: int) -> list:
+    d = min(da, db)
+    out = []
+    for m in range(d + 1):
+        for p in range(d + 1 - m):
+            s = a[_row(da, m) + p]
+            for j in range(1, m + 1):
+                ob, oo = _row(db, j), _row(d, m - j)
+                t = b[ob] * out[oo + p]
+                for q in range(1, p + 1):
+                    t = t + b[ob + q] * out[oo + p - q]
+                s = s + -t
+            for q in range(1, p + 1):
+                s = s - b[q] * out[_row(d, m) + p - q]
+            out.append(s / b[0])
+    return out
+
+
+KINDS = ("float", "ndarray", "mpf", "jet")
+SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan)
+# no specials, where every term rounds and any other order of the sums
+# shows; and a quarter specials, which most results turn into inf or NaN
+RATES = (0.0, 0.25)
+
+
+def _coefficients(kind: str, rng, count: int, divisor: bool, rate: float) -> list:
+    """``count`` coefficients of the given kind from pi-scaled normal
+    deviates, each entry replaced by a signed zero, an infinity or a NaN at
+    the given rate; a divisor's leading coefficient is finite and away from
+    zero."""
+    values = rng.standard_normal((count, 3)) * math.pi
+    special = rng.random(values.shape) < rate
+    values[special] = rng.choice(SPECIALS, special.sum())
+    if divisor:
+        values[0] = np.abs(rng.standard_normal(3)) + 1.0
+    make = {"float": lambda v: float(v[0]), "ndarray": np.array,
+            "mpf": lambda v: mpmath.mpf(float(v[0])), "jet": lambda v: Jet(v.tolist())}[kind]
+    return [make(v) for v in values]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_jet_kernels_equal_the_loops_bit_for_bit(kind):
+    rng = np.random.default_rng(KINDS.index(kind))
+    with np.errstate(all="ignore"):
+        for la, lb, rate in itertools.product(range(1, 11), range(1, 11), RATES):
+            a = _coefficients(kind, rng, la, divisor=False, rate=rate)
+            b = _coefficients(kind, rng, lb, divisor=True, rate=rate)
+            assert _bits(Jet(a) * Jet(b)) == _bits(Jet(_loop_jet_product(a, b)))
+            assert _bits(Jet(a) / Jet(b)) == _bits(Jet(_loop_jet_quotient(a, b)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_triangle_kernels_equal_the_loops_bit_for_bit(kind):
+    rng = np.random.default_rng(10 + KINDS.index(kind))
+    with np.errstate(all="ignore"):
+        for da, db, rate in itertools.product(range(6), range(6), RATES):
+            a = _coefficients(kind, rng, (da + 1) * (da + 2) // 2, divisor=False, rate=rate)
+            b = _coefficients(kind, rng, (db + 1) * (db + 2) // 2, divisor=True, rate=rate)
+            f, g = TriangleJet(a, da), TriangleJet(b, db)
+            for got, want in ((f * g, _loop_triangle_product(a, da, b, db)),
+                              (f / g, _loop_triangle_quotient(a, da, b, db))):
+                assert got.degree == min(da, db)
+                assert [_bits(c) for c in got.c] == [_bits(c) for c in want]

@@ -432,6 +432,23 @@ def test_one_return_per_newton_iterate(monkeypatch):
     assert len(returns) == len(set(returns))
 
 
+def test_escaping_and_stalled_seeds_leave_a_diagnostic(monkeypatch):
+    # a seed outside the annulus R_ESCAPE, and a seed whose Newton run hits
+    # the iteration cap before its step falls to NEWTON_TOL, each leave one
+    # note and no cycle; under the default cap the second seed converges
+    from melnlab.closedforms import config_from_v
+
+    cfg = config_from_v((-1.0, 0.55, 0.0), 3)
+    assert len(find_limit_cycles(1e-4, cfg, [1.2]).cycles) == 1
+    outside = 2.0 * simulate.R_ESCAPE[1]
+    monkeypatch.setattr(simulate, "NEWTON_MAX_ITER", 1)
+    search = find_limit_cycles(1e-4, cfg, [outside, 1.2])
+    assert search.cycles == ()
+    escaped, stalled = search.diagnostics
+    assert escaped.startswith(f"seed {outside}: section coordinate {outside} outside the annulus")
+    assert stalled == f"seed 1.2: Newton step did not fall to {simulate.NEWTON_TOL} max(1, |x|)"
+
+
 def test_cycles_stop_on_the_newton_step():
     # the three-zero n = 2 config, shrunk so that the displacement eps * M_1
     # is tiny: a cycle returned must be the fixed point, not merely a point
