@@ -25,7 +25,7 @@ from .roots import brentq
 
 __all__ = [
     "ZeroRecord", "ZeroReport", "AccuracyVerdict", "wronskian", "wronskian_scaled",
-    "isolate_zeros", "certify_family", "theorem3_bound", "prop4_witness",
+    "scaled_wronskians", "isolate_zeros", "certify_family", "theorem3_bound", "prop4_witness",
     "prop5_witness", "Prop5Result",
 ]
 
@@ -187,6 +187,14 @@ def wronskian_scaled(fams: list[BasisFunction], x, s: int):
     ``x`` is a point or an array of points.
     """
     return _scaled_wronskian(fams, x, s)[0]
+
+
+def scaled_wronskians(fams: list[BasisFunction], xs) -> list[np.ndarray]:
+    """``wronskian_scaled(fams, xs, s)`` on the grid ``xs`` for every s, bit for
+    bit: one stack of derivative matrices, whose leading blocks every W_s reads."""
+    xs = _on_grid(xs)
+    stack = _derivative_matrices(fams, xs, len(fams) - 1)
+    return [_scaled_wronskian(fams, xs, s, stack)[0] for s in range(len(fams))]
 
 
 def _scaled_wronskian(fams: list[BasisFunction], x, s: int, stack=None):

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 numerical-quality failure, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .basis import family, family_G, family_H_pencil, family_H8, family_J0
 from .certify import (PROP4_COEFFS, certify_family, prop4_witness, prop5_witness,
-                      wronskian_scaled)
+                      scaled_wronskians)
 from .closedforms import (config_from_v, cov_r_of_x, fit_to_span, m1_closed, q_basis,
                           sign_pattern_search, structural_span, table3_structure_config)
 from .config import config_to_dict, load_config
@@ -160,8 +161,8 @@ def cmd_cheb(args) -> int:
     verdict = certify_family(fams, interval[0], interval[1], name=name)
     write_json(out / "verdict.json", verdict.to_dict())
     xs = np.geomspace(interval[0], interval[1], 400)
-    for s in range(len(fams)):
-        rows = list(zip(xs.tolist(), wronskian_scaled(fams, xs, s).tolist()))
+    for s, ws in enumerate(scaled_wronskians(fams, xs)):
+        rows = list(zip(xs.tolist(), ws.tolist()))
         write_csv(out / f"wronskian_{s}.csv", ["x", f"W{s}_scaled"], rows)
     write_gnuplot(out / "plot.gp", f"scaled Wronskians of {name}",
                   [(f"wronskian_{s}.csv", 1, 2, f"W{s}") for s in range(len(fams))])
@@ -365,9 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: ``reproduce`` runs ``main`` once per case."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")

@@ -9,11 +9,14 @@ increases, so the computed return map's Taylor coefficients in eps are
 exactly the Melnikov functions of the polar-time formulation.  Only the
 switching times at y = x^n and the return time to the section
 S = {y = 0, x > 0} are solved for: a vectorized scan brackets the first sign
-change of the event function in the right direction, and ``brentq`` refines
-it to about 1e-15.  The same flow evaluated on jets, from those event
-times, gives the eps-Taylor coefficients of the return map (the Melnikov
-functions) and its exact derivative in x0.  With ndarray coefficients one
-such pass covers a whole grid of section points.
+change of the event function in the right direction.  One return
+(``integrate_return``) refines the bracket with ``brentq`` to about 1e-15;
+the eps = 0 event times of a whole grid (``center_event_times``) run each leg
+once over all points, with Newton steps safeguarded by bisection per point.
+The two refiners share the scan and the end-of-leg checks.  The same flow
+evaluated on jets, from those event times, gives the eps-Taylor coefficients
+of the return map (the Melnikov functions) and its exact derivative in x0.
+With ndarray coefficients one such pass covers a whole grid of section points.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .config import OrderCoefficients, SystemConfig
 from .errors import (ConfigurationError, DomainError, EscapeError, EventDegeneracyError,
                      NumericalError)
-from .roots import brentq
+from .roots import MAXITER, RTOL, brentq
 from .series import Jet, _exp, _lib, _sincos, _sinhcosh, _sqrt
 
 __all__ = ["PoincareResult", "LimitCycle", "CycleSearch", "integrate_return",
@@ -208,27 +211,52 @@ def _event_rate(zone: _Zone, label: str, n: int, x, y):
     return fy - n * x ** (n - 1) * fx if label == "switch" else fy
 
 
+def _outside(r) -> np.ndarray:
+    """The entries of ``r`` (a number or an array) outside the annulus R_ESCAPE, NaN included."""
+    r = np.atleast_1d(r)
+    return r[~((R_ESCAPE[0] <= r) & (r <= R_ESCAPE[1]))]
+
+
+def _first_crossing(flow: _Flow, n: int, direction: int, label: str):
+    """Index j of the first scan step [_SCAN[j], _SCAN[j + 1]] over which the
+    event function changes sign in ``direction``, for one orbit or per row of
+    a (G, 1) column of orbits."""
+    xs, ys = flow.at(_SCAN)
+    gs = _event(label, n, xs, ys)
+    before, after = gs[..., :-1], gs[..., 1:]
+    hits = (before < 0.0) & (after >= 0.0) if direction > 0 else (before > 0.0) & (after <= 0.0)
+    found = hits.any(axis=-1)
+    if not np.all(found):
+        escaped = _outside(np.hypot(xs[..., -1], ys[..., -1])[~found])
+        if escaped.size:
+            raise EscapeError(f"trajectory left the annulus during the {label} leg "
+                              f"(r={escaped[0]:.3e})")
+        raise NumericalError(f"no terminating event on the {label} leg "
+                             f"within {LEG_WINDOW:.6g} time units of its start")
+    return np.argmax(hits, axis=-1)
+
+
+def _check_contact(zone: _Zone, n: int, label: str, x, y) -> None:
+    """Raise unless the event contact at (x, y) is transversal and inside the annulus."""
+    rate = np.abs(_event_rate(zone, label, n, x, y))
+    flat = rate[rate < TANGENCY_FLOOR]
+    if flat.size:
+        raise EventDegeneracyError(
+            f"event contact is tangential (|g'|={flat[0]:.2e} < {TANGENCY_FLOOR})")
+    escaped = _outside(np.hypot(x, y))
+    if escaped.size:
+        raise EscapeError(f"trajectory left the annulus (r={escaped[0]:.3e})")
+
+
 def _leg(zone: _Zone, n: int, state, direction: int, label: str):
     """(duration, end point) of the flow of ``zone`` from ``state`` to the
     first event crossing in ``direction``.
 
     The first sign change of the event function in the scan brackets the
-    event time.
+    event time, and ``brentq`` refines it.
     """
     flow = _Flow(zone, state)
-    xs, ys = flow.at(_SCAN)
-    gs = _event(label, n, xs, ys)
-    if direction > 0:
-        hits = np.flatnonzero((gs[:-1] < 0.0) & (gs[1:] >= 0.0))
-    else:
-        hits = np.flatnonzero((gs[:-1] > 0.0) & (gs[1:] <= 0.0))
-    if hits.size == 0:
-        r_end = math.hypot(xs[-1], ys[-1])
-        if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
-            raise EscapeError(f"trajectory left the annulus during the {label} leg (r={r_end:.3e})")
-        raise NumericalError(f"no terminating event on the {label} leg "
-                             f"within {LEG_WINDOW:.6g} time units of its start")
-    j = int(hits[0])
+    j = int(_first_crossing(flow, n, direction, label))
 
     def g_tau(tau):
         return _event(label, n, *flow.at(tau))
@@ -240,42 +268,77 @@ def _leg(zone: _Zone, n: int, state, direction: int, label: str):
     else:                          # scalar and array rounding disagree at an end
         tau = lo if abs(g_lo) < abs(g_hi) else hi
     x, y = flow.at(tau)
-    trans = _event_rate(zone, label, n, x, y)
-    if abs(trans) < TANGENCY_FLOOR:
-        raise EventDegeneracyError(
-            f"event contact is tangential (|g'|={abs(trans):.2e} < {TANGENCY_FLOOR})")
-    r_end = math.hypot(x, y)
-    if not (R_ESCAPE[0] <= r_end <= R_ESCAPE[1]):
-        raise EscapeError(f"trajectory left the annulus (r={r_end:.3e})")
+    _check_contact(zone, n, label, x, y)
     return tau, (float(x), float(y))
 
 
-def integrate_return(x0: float, eps: float, config: SystemConfig, *,
-                     eps_max: float = EPS_MAX_DEFAULT) -> PoincareResult:
-    """One full return of the section map through the two crossings.
+def _grid_leg(zone: _Zone, n: int, state, direction: int, label: str):
+    """``_leg`` for a (G, 1) column of start states: (G, 1) durations and end points.
+
+    Each row refines its scan bracket by Newton steps ``tau -= g/g'``,
+    bisecting instead where a step leaves the closed bracket, and is frozen
+    once its step falls to ``EVENT_XTOL + RTOL |tau|``: a row's iterates then
+    depend on its own values alone, so it gets the bits of a 1-point call.
+    """
+    flow = _Flow(zone, state)
+    j = _first_crossing(flow, n, direction, label)[:, None]
+    lo, hi = _SCAN[j], _SCAN[j + 1]
+    tau, active = 0.5 * (lo + hi), np.ones(j.shape, dtype=bool)
+    for _ in range(MAXITER):
+        x, y = flow.at(tau)
+        g = _event(label, n, x, y)
+        behind = direction * g < 0.0
+        lo, hi = np.where(behind, tau, lo), np.where(behind, hi, tau)
+        new = tau - g / _event_rate(zone, label, n, x, y)
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - tau) <= EVENT_XTOL + RTOL * np.abs(tau)
+        tau = np.where(active, new, tau)
+        active &= ~done
+        if not active.any():
+            break
+    else:
+        raise NumericalError(f"the {label} leg's event time did not converge "
+                             f"in {MAXITER} steps")
+    x, y = flow.at(tau)
+    _check_contact(zone, n, label, x, y)
+    return tau, (x, y)
+
+
+def _legs(x0, config, eps, leg):
+    """Event times and end points of the three legs of one return from ``x0``,
+    a float for ``leg=_leg`` or a (G, 1) column for ``leg=_grid_leg``.
 
     Legs run region '-' to the first switching contact, '+' to the second,
     then '-' back to the section, matching the sector pattern of y - x^n
     along circles around the origin.
     """
-    if not R_ESCAPE[0] <= x0 <= R_ESCAPE[1]:
-        raise DomainError(f"section coordinate {x0} outside the annulus "
+    outside = _outside(x0)
+    if outside.size:
+        raise DomainError(f"section coordinate {outside[0]} outside the annulus "
                           f"[{R_ESCAPE[0]:g}, {R_ESCAPE[1]:g}]")
-    if abs(eps) > eps_max:
-        raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
     below, above = _Zone(config, -1, eps), _Zone(config, +1, eps)
-    state, t, times, points = (float(x0), 0.0), 0.0, [], []
+    state, t, times, points = (x0, 0.0), 0.0, [], []
     for zone, direction, label in ((below, +1, "switch"), (above, -1, "switch"),
                                    (below, +1, "section")):
-        tau, state = _leg(zone, config.n, state, direction, label)
-        t += tau
+        tau, state = leg(zone, config.n, state, direction, label)
+        t = t + tau
         times.append(t)
         points.append(state)
-    x_ret = state[0]
-    if x_ret <= 0.0:
-        raise NumericalError(f"return point has non-positive abscissa {x_ret}")
+    x_ret = np.atleast_1d(state[0])
+    backward = x_ret[x_ret <= 0.0]
+    if backward.size:
+        raise NumericalError(f"return point has non-positive abscissa {backward[0]}")
+    return times, points
+
+
+def integrate_return(x0: float, eps: float, config: SystemConfig, *,
+                     eps_max: float = EPS_MAX_DEFAULT) -> PoincareResult:
+    """One full return of the section map through the two crossings (see ``_legs``)."""
+    if abs(eps) > eps_max:
+        raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
+    times, points = _legs(float(x0), config, eps, _leg)
     return PoincareResult(
-        x0=x0, eps=eps, x_return=x_ret, event_times=tuple(times),
+        x0=x0, eps=eps, x_return=points[-1][0], event_times=tuple(times),
         crossing_angles=tuple(math.atan2(y, x) % (2.0 * math.pi) for x, y in points[:2]),
         crossing_points=tuple(points[:2]),
     )
@@ -369,10 +432,14 @@ def extract_melnikov(xs, i: int, config, times: np.ndarray) -> MelnikovEstimate:
 def center_event_times(xs, n: int) -> np.ndarray:
     """(3, len(xs)) event times of the eps = 0 return from each point of ``xs``.
 
-    At eps = 0 both zones are the center, so they serve every config of degree n.
+    At eps = 0 both zones are the center, so they serve every config of
+    degree n.  The legs run once over the whole grid (``_grid_leg``): one
+    scan, then Newton steps safeguarded by bisection per point.  Column g
+    has the bits of the 1-point call ``center_event_times(xs[g:g + 1], n)``.
     """
     center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
-    return np.array([integrate_return(float(x), 0.0, center).event_times for x in xs]).T
+    times, _ = _legs(np.asarray(xs, dtype=float).reshape(-1, 1), center, 0.0, _grid_leg)
+    return np.concatenate(times, axis=1).T
 
 
 def return_derivative(result: PoincareResult, config: SystemConfig) -> float:

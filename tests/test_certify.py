@@ -12,7 +12,7 @@ from melnlab.basis import family, family_G, family_H_pencil, family_J0, u
 from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, PROP4_COEFFS, _derivative_matrices,
                              _equilibrate, _precise_det, _rho, _wronskian_logs,
                              certify_family, isolate_zeros, prop4_witness, prop5_witness,
-                             theorem3_bound, wronskian, wronskian_scaled)
+                             scaled_wronskians, theorem3_bound, wronskian, wronskian_scaled)
 from melnlab.cli import FAMILIES
 from melnlab.errors import DomainError
 from melnlab.reports import dumps_json
@@ -267,9 +267,11 @@ def test_shared_stack_gives_the_per_s_verdict(monkeypatch, name, k, nu):
 def test_scalar_and_batched_wronskians_identical(name, k):
     fams = certified_family(name, k)
     xs = np.geomspace(0.1, 10.0, 64)
+    every_s = scaled_wronskians(fams, xs)
     for s in range(len(fams)):
         scaled = [wronskian_scaled(fams, float(x), s) for x in xs]
         assert wronskian_scaled(fams, xs, s).tobytes() == np.array(scaled).tobytes()
+        assert every_s[s].tobytes() == np.array(scaled).tobytes()
         value, well = wronskian(fams, xs, s)
         pointwise = [wronskian(fams, float(x), s) for x in xs]
         assert value.tobytes() == np.array([v for v, _ in pointwise]).tobytes()

@@ -8,12 +8,14 @@ from conftest import random_config
 from melnlab import simulate
 from melnlab.closedforms import m1_closed
 from melnlab.config import OrderCoefficients, SystemConfig
-from melnlab.errors import ConfigurationError, DomainError, EscapeError, NumericalError
+from melnlab.errors import (ConfigurationError, DomainError, EscapeError, EventDegeneracyError,
+                            NumericalError)
 from melnlab.geometry import switching_angles
 from melnlab.recursion import melnikov, melnikov_all
 from melnlab.series import Jet
-from melnlab.simulate import (_return_jet, _Zone, center_event_times, extract_melnikov,
-                              find_limit_cycles, integrate_return, return_derivative)
+from melnlab.simulate import (EVENT_XTOL, _return_jet, _Zone, center_event_times,
+                              extract_melnikov, find_limit_cycles, integrate_return,
+                              return_derivative)
 from scipy.integrate import solve_ivp
 
 
@@ -186,6 +188,98 @@ def test_far_equilibrium_is_a_typed_error(delta):
         OrderCoefficients(a=(0.1, 2.0, 0.0), b=(0.0, 0.0, -2.0 * (1.0 - delta))),))
     with pytest.raises(NumericalError, match="no equilibrium near the orbit"):
         integrate_return(1.0, 0.5, cfg, eps_max=1.0)
+
+
+# the two ways through the three legs, each from one section point: the
+# scalar return (brentq per leg) and the grid pass of center_event_times
+# (Newton safeguarded by bisection), here on any config
+ROUTES = {
+    "scalar": lambda x0, eps, cfg: integrate_return(x0, eps, cfg, eps_max=2.0),
+    "grid": lambda x0, eps, cfg: simulate._legs(np.array([[x0]]), cfg, eps, simulate._grid_leg),
+}
+CENTER = SystemConfig(n=2, k=1, orders=(OrderCoefficients(),))
+
+
+def test_grid_legs_raise_the_scalar_legs_errors():
+    # the saddle of test_leg_without_event_is_a_typed_error, and the
+    # expanding focus of test_escape_is_a_typed_error, on the grid route
+    saddle = SystemConfig(n=1, k=1, orders=(
+        OrderCoefficients(alpha=(-2.0, 2.0, -1.0), beta=(0.0, 1.0, -2.0)),))
+    focus = SystemConfig(n=1, k=1, orders=(
+        OrderCoefficients(alpha=(0.0, -0.5, 0.0), beta=(0.0, 0.0, -0.5)),))
+    with pytest.raises(NumericalError, match="no terminating event on the switch leg"):
+        ROUTES["grid"](2.0, 1.0, saddle)
+    with pytest.raises(EscapeError, match=r"left the annulus \(r=1.003e\+04\)"):
+        ROUTES["grid"](9990.0, 1e-2, focus)
+    assert ROUTES["grid"](9000.0, 1e-2, focus)[1][-1][0] > 9000.0
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_escape_during_a_leg_is_a_typed_error(monkeypatch, route):
+    # the saddle's orbit from (2, 0) settles on its equilibrium (1, 0) without
+    # an event; with the annulus starting at r = 1.5 the scan's end has left it
+    saddle = SystemConfig(n=1, k=1, orders=(
+        OrderCoefficients(alpha=(-2.0, 2.0, -1.0), beta=(0.0, 1.0, -2.0)),))
+    monkeypatch.setattr(simulate, "R_ESCAPE", (1.5, 1e4))
+    with pytest.raises(EscapeError, match=r"during the switch leg \(r=1.000e\+00\)"):
+        ROUTES[route](2.0, 1.0, saddle)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_tangential_contact_is_a_typed_error(monkeypatch, route):
+    # on the unit circle |g'| at the first contact is about 1.3
+    monkeypatch.setattr(simulate, "TANGENCY_FLOOR", 10.0)
+    with pytest.raises(EventDegeneracyError, match=r"tangential \(\|g'\|=1.\d+e\+00 < 10.0\)"):
+        ROUTES[route](1.0, 0.0, CENTER)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_backward_return_is_a_typed_error(monkeypatch, route):
+    # with the sign of the section's event function flipped, the last leg
+    # ends where y falls through 0, on the negative x axis
+    event, rate = simulate._event, simulate._event_rate
+    monkeypatch.setattr(simulate, "_event", lambda label, n, x, y:
+                        -y if label == "section" else event(label, n, x, y))
+    monkeypatch.setattr(simulate, "_event_rate", lambda zone, label, n, x, y:
+                        (-1.0 if label == "section" else 1.0) * rate(zone, label, n, x, y))
+    with pytest.raises(NumericalError, match="non-positive abscissa -1.0"):
+        ROUTES[route](1.0, 0.0, CENTER)
+
+
+def test_grid_errors_name_the_offending_point(monkeypatch):
+    # one point outside the annulus fails the whole grid before any leg
+    legs = []
+    monkeypatch.setattr(simulate, "_grid_leg", lambda *args: legs.append(args))
+    with pytest.raises(DomainError, match="section coordinate 20000.0 outside the annulus"):
+        center_event_times([0.5, 2e4, 1.0], 2)
+    assert legs == []
+
+
+def test_unconverged_grid_leg_is_a_typed_error(monkeypatch):
+    # one refinement step from the middle of a scan step does not converge
+    monkeypatch.setattr(simulate, "MAXITER", 1)
+    with pytest.raises(NumericalError, match="event time did not converge in 1 steps"):
+        center_event_times([0.5, 1.0], 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_times_are_the_pointwise_returns(n):
+    # the grid pass and the scalar returns stop within EVENT_XTOL of one
+    # event time; the third is a full turn; a column has its 1-point bits.
+    # Up to x = 30 the switch events of n = 6..8 bend so sharply that Newton
+    # steps from mid-bracket leave the bracket: unbisected, they converge to
+    # another contact or not at all
+    xs = np.geomspace(1e-3, 30.0, 41)
+    center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
+    times = center_event_times(xs, n)
+    want = np.array([integrate_return(float(x), 0.0, center).event_times for x in xs]).T
+    assert times.shape == (3, len(xs))
+    assert np.all(np.abs(times - want) <= 2 * EVENT_XTOL + 4 * np.spacing(want))
+    assert np.all(np.abs(times[2] - 2 * math.pi)
+                  <= 2 * EVENT_XTOL + 4 * np.spacing(2 * math.pi))
+    for g in range(len(xs)):
+        one = center_event_times(xs[g:g + 1], n)
+        assert np.array_equal(one[:, 0].view(np.uint64), times[:, g].view(np.uint64))
 
 
 def test_displacement_smooth_in_eps(rng):
