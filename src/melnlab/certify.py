@@ -260,12 +260,14 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     """Sign-change scan with local refinement, bisection, and simplicity check.
 
     Needs ``0 < a < b`` (the scan grid is log-spaced) and a vectorized ``f``:
-    a 1-D array of points in, an array of the same shape out (a result of
-    another shape is a DomainError); bisection also calls it on floats.  A
-    bracket whose ends do not repeat the scan's sign change, on floats or on
-    one-point arrays, is skipped and flagged.  The count is a lower bound;
-    ``exhaustive`` is set only if no bracket was skipped and |f| clears a
-    floor, relative to a windowed local magnitude, between brackets.
+    it is only ever called on a 1-D float array and must return an array of
+    the same shape (a result of another shape is a DomainError).  Bisection
+    calls it on one-point arrays, and each zero's slope and residual come
+    from one three-point call; ``budget_used`` is the number of points ``f``
+    received.  A bracket whose ends do not repeat the scan's sign change is
+    skipped and flagged.  The count is a lower bound; ``exhaustive`` is set
+    only if no bracket was skipped and |f| clears a floor, relative to a
+    windowed local magnitude, between brackets.
     """
     if not (0 < a < b):
         raise DomainError(f"need 0 < a < b, got [{a}, {b}]")
@@ -273,17 +275,14 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     used = 0
     rounds: list[int] = []
 
-    def evaluate(xs: np.ndarray) -> np.ndarray:
+    def feval(xs: np.ndarray) -> np.ndarray:
+        nonlocal used
+        used += len(xs)
         vals = np.asarray(f(xs), dtype=float)
         if vals.shape != xs.shape:
             raise DomainError(f"f maps {xs.shape} points to shape {vals.shape}; "
                               "it must be vectorized")
         return vals
-
-    def feval(xs: np.ndarray) -> np.ndarray:
-        nonlocal used
-        used += len(xs)
-        return evaluate(xs)
 
     xs = np.geomspace(a, b, min(initial, max(budget // 2, 16)))
     ys = feval(xs)
@@ -332,10 +331,6 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     else:
         unresolved = suspicious_cells(xs, ys)
 
-    def fscalar(t: float) -> float:
-        out = f(t)
-        return float(np.asarray(out).reshape(-1)[0]) if np.ndim(out) else float(out)
-
     zeros: list[ZeroRecord] = []
     sign_change = np.where(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
     for idx in sign_change:
@@ -346,24 +341,17 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         # absolute 1e-15 above 1e-3, relative below, so that brackets near
         # tiny zeros are still refined; the floor keeps xtol positive
         xtol = max(min(1e-15, BISECT_RTOL * max(abs(lo), abs(hi))), math.ulp(0.0))
-        # f on a float may take another path than the scan's array and find ends
-        # of one sign at rounding-level values; then bisect through the scan's call
-        for fone in (fscalar, lambda t: float(evaluate(np.array([t]))[0])):
-            try:
-                root = brentq(fone, lo, hi, xtol=xtol, rtol=BISECT_RTOL)
-                break
-            except ValueError:
-                pass
-        else:
+        try:
+            root = brentq(lambda t: feval(np.array([t]))[0], lo, hi, xtol=xtol,
+                          rtol=BISECT_RTOL)
+        except ValueError:
             flags.append("bracket-end-not-reproducible")
             continue
-        used += 60
         # central difference, cut at the bracket ends: f may be undefined beyond
         h = max(abs(root), 1.0) * 1e-6
         x_minus, x_plus = max(root - h, lo), min(root + h, hi)
         width = 2.0 * h if (x_minus, x_plus) == (root - h, root + h) else x_plus - x_minus
-        f_plus, f_minus = fone(x_plus), fone(x_minus)
-        used += 2
+        f_minus, f_root, f_plus = feval(np.array([x_minus, root, x_plus])).tolist()
         deriv = (f_plus - f_minus) / width
         bracket_mag = max(abs(float(ys[idx])), abs(float(ys[idx + 1])))
         # absolute floor for order-one scales; the secant comparison rescues
@@ -373,7 +361,7 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         simple = (abs(deriv) >= SIMPLICITY_FLOOR * max(1.0, bracket_mag)
                   or abs(deriv) >= 1e-3 * secant)
         zeros.append(ZeroRecord(location=root, simple=simple, bracket=(lo, hi),
-                                residual=abs(fone(root)), derivative=deriv))
+                                residual=abs(f_root), derivative=deriv))
     zeros.sort(key=lambda z: z.location)
 
     # exhaustive only when every dip away from the located brackets resolved
@@ -447,7 +435,9 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     exhaustive = True
     # every s scans the same grid, the first array ws receives: its
     # derivative matrices are built once, at order n, and W_s reads their
-    # leading blocks; refinement grids and bisection points build their own
+    # leading blocks; refinement grids, the one-point arrays of bisection and
+    # each zero's three-point slope call build their own, and every point of
+    # every array counts in the report's budget_used
     grid = stack = None
     for s in range(n + 1):
         def ws(x, _s=s):

@@ -198,11 +198,13 @@ class Jet:
         p = operator.index(p)  # a TypeError for a real exponent: that is power()'s
         if p < 0:
             return 1.0 / (self ** (-p))
-        out = Jet.constant(_zero_like(self.c[0]) + 1.0, self.order)
+        if p == 0:
+            return Jet.constant(_zero_like(self.c[0]) + 1.0, self.order)
+        out = None
         base = self
         while p:
             if p & 1:
-                out = out * base
+                out = base if out is None else out * base
             p >>= 1
             if p:
                 base = base * base

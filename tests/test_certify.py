@@ -302,21 +302,22 @@ def test_isolate_w2_of_f11():
     assert rep.zeros[0].location == pytest.approx((1.0 / 15.0) ** 0.25, abs=1e-9)
 
 
+EIGHT_ROOTS = (0.13, 0.5, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+
+
+def _eight_zeros(x):
+    """A polynomial whose magnitude spans ~30 decades over (1e-6, 50)."""
+    out = np.ones_like(x)
+    for r in EIGHT_ROOTS:
+        out = out * (x - r)
+    return out * (1.0 + x**8)
+
+
 def test_isolate_handles_wide_dynamic_range():
-    # zeros of a polynomial whose magnitude spans ~30 decades over the window
-    roots = [0.13, 0.5, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for r in roots:
-            out = out * (x - r)
-        return out * (1.0 + x**8)
-
-    rep = isolate_zeros(f, 1e-6, 50.0, initial=8192)
-    assert rep.count == len(roots)
+    rep = isolate_zeros(_eight_zeros, 1e-6, 50.0, initial=8192)
+    assert rep.count == len(EIGHT_ROOTS)
     assert rep.exhaustive
-    for z, r in zip(rep.zeros, roots):
+    for z, r in zip(rep.zeros, EIGHT_ROOTS):
         assert z.location == pytest.approx(r, rel=1e-9)
         assert z.simple
 
@@ -368,6 +369,52 @@ def test_budget_flagging():
     rep = isolate_zeros(lambda x: np.sin(50.0 / x), 0.01, 1.0, budget=300, initial=128)
     assert rep.budget_used <= 1000
     assert not rep.exhaustive or rep.count > 0
+
+
+def _recorded(f):
+    """(g, calls): g is f, and calls lists the argument of every call to g."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def test_f_is_called_on_1d_float_arrays_only():
+    # the scan and refinement grids, one-point arrays while bisecting, then
+    # one three-point call (x - h, root, x + h) per zero for slope and residual
+    f, calls = _recorded(_eight_zeros)
+    rep = isolate_zeros(f, 1e-6, 50.0, initial=8192)
+    assert rep.count == 8 and rep.exhaustive
+    assert all(type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64 for x in calls)
+    rounds = len(rep.grid_rounds)
+    assert [len(x) for x in calls[:rounds]] == list(rep.grid_rounds)
+    assert {len(x) for x in calls[rounds:]} == {1, 3}
+    triples = [x for x in calls[rounds:] if len(x) == 3]
+    assert sorted(x[1] for x in triples) == [z.location for z in rep.zeros]
+    for x, z in zip(sorted(triples, key=lambda x: x[1]), rep.zeros):
+        assert z.residual == abs(_eight_zeros(x)[1])
+
+
+@pytest.mark.parametrize("f, a, b, kw, flag", [
+    (_eight_zeros, 1e-6, 50.0, {"initial": 8192}, None),
+    (lambda x: np.sin(50.0 / x), 0.01, 1.0, {"budget": 300, "initial": 128},
+     "budget-exhausted-during-bisection"),
+    (lambda x: x - 1.0 if np.size(x) > 1 else np.ones_like(x), 0.5, 2.0, {},
+     "bracket-end-not-reproducible"),
+], ids=["eight-zeros", "budget-exhausted", "bracket-skipped"])
+def test_budget_used_counts_every_point_f_receives(f, a, b, kw, flag):
+    g, calls = _recorded(f)
+    rep = isolate_zeros(g, a, b, **kw)
+    assert rep.budget_used == sum(len(x) for x in calls)
+    assert flag is None or flag in rep.flags
+
+
+def test_unknown_structural_generator_is_a_domain_error():
+    with pytest.raises(DomainError, match="generator 17"):
+        certify._poly_u_structural(17, 2)
 
 
 # -- classification -----------------------------------------------------------

@@ -121,8 +121,9 @@ def test_ndarray_coefficients_and_priority():
 
 @pytest.mark.parametrize("p", range(1, 9))
 def test_integer_power_skips_the_unused_square(monkeypatch, p):
-    # square-and-multiply: one product per bit of p and one square between
-    # bits, none after the top bit; the value is the repeated product's
+    # square-and-multiply from the base: one product per set bit of p after
+    # the first and one square between bits, none after the top bit, so
+    # z ** 1 is z; the value is the repeated product's
     z = Jet([0.7, -1.3, 0.4, 2.1])
     want = z
     for _ in range(p - 1):
@@ -137,9 +138,16 @@ def test_integer_power_skips_the_unused_square(monkeypatch, p):
 
     monkeypatch.setattr(Jet, "__mul__", counted)
     got = z ** p
-    assert muls == bin(p).count("1") + p.bit_length() - 1
+    assert muls == bin(p).count("1") + p.bit_length() - 2
     assert [float(c) for c in got.c] == pytest.approx([float(c) for c in want.c],
                                                       rel=1e-14, abs=1e-14)
+
+
+def test_zeroth_power_is_the_unit_jet(monkeypatch):
+    z = Jet([np.array([0.7, -2.0]), np.array([-1.3, 0.5])])
+    monkeypatch.setattr(Jet, "__mul__", lambda self, other: pytest.fail("no product"))
+    assert _bits(z ** 0) == _bits(Jet([np.ones(2), np.zeros(2)]))
+    assert (z ** 1) is z
 
 
 def test_power_takes_integer_exponents_only():

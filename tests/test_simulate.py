@@ -282,6 +282,25 @@ def test_grid_times_are_the_pointwise_returns(n):
         assert np.array_equal(one[:, 0].view(np.uint64), times[:, g].view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_even_n_contacts_at_large_radius_are_right_or_a_typed_error(n):
+    # near the y axis the two crossings of y = x^n close in below one scan
+    # step, so from x of about 31.6 (n = 8) to 501 (n = 2) some start points
+    # find no switch event; each must raise, never return wrong times
+    center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
+    routes = (lambda x: integrate_return(x, 0.0, center).event_times,
+              lambda x: center_event_times(np.array([x]), n)[:, 0])
+    for x in np.geomspace(1e-3, 1e3, 61).tolist():
+        want = (*switching_angles(x, n), 2 * math.pi)
+        for route in routes:
+            try:
+                times = route(x)
+            except NumericalError:
+                assert x > 30.0, x
+                continue
+            assert np.all(np.abs(np.subtract(times, want)) <= 1e-12), (x, times, want)
+
+
 def test_displacement_smooth_in_eps(rng):
     # sampled displacement fits a low-degree polynomial in eps to ~1e-10
     cfg = random_config(rng, 2, 2, scale=0.5)
