@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Certify the headline ordered families and print the verdict table.
 
-The fallbacks column counts, per prefix Wronskian W_s, the grid cells whose
-double-precision value failed its certificate and was recomputed at
-extended precision.
+The fallbacks column counts, per prefix Wronskian W_s, the cells whose
+double-precision value failed its certificate and was recomputed at 50
+digits: scan cells, read for their signs, at the sign tier (rho <= 1e-2),
+and refinement, bisection and slope points at the value tier
+(rho <= 1e-10); see melnlab.certify._wronskian_logs.
 
 Usage: python scripts/certify_families.py [--interval A:B] [--out OUTDIR]
 """

@@ -55,6 +55,19 @@ def jet_derivative(jet: Jet, m: int) -> Jet:
     return Jet(coeffs)
 
 
+# u1..u11 are pure powers of x: u_ident^k = x^(a k + b) for (a, b) = _POWERS[ident]
+_POWERS = {1: (0, 0), 2: (0, 1), 3: (2, -2), 4: (2, 0), 5: (2, 1), 6: (4, -2),
+           7: (4, 0), 8: (4, 1), 9: (6, -2), 10: (6, 0), 11: (6, 1)}
+
+
+def _exponent(ident: int, k: int) -> int | None:
+    """p with u_ident^k = x^p, or None for a generator that is no pure power."""
+    if ident not in _POWERS:
+        return None
+    a, b = _POWERS[ident]
+    return a * k + b
+
+
 def _u_expr(ident: int, k: int, lam: float | None, x):
     """Evaluate generator ``ident`` at x (float, array, or jet)."""
     K = k
@@ -62,24 +75,8 @@ def _u_expr(ident: int, k: int, lam: float | None, x):
         return _one(x)
     if ident == 2:
         return x
-    if ident == 3:
-        return _pow(x, 2 * K - 2)
-    if ident == 4:
-        return _pow(x, 2 * K)
-    if ident == 5:
-        return _pow(x, 2 * K + 1)
-    if ident == 6:
-        return _pow(x, 4 * K - 2)
-    if ident == 7:
-        return _pow(x, 4 * K)
-    if ident == 8:
-        return _pow(x, 4 * K + 1)
-    if ident == 9:
-        return _pow(x, 6 * K - 2)
-    if ident == 10:
-        return _pow(x, 6 * K)
-    if ident == 11:
-        return _pow(x, 6 * K + 1)
+    if ident in _POWERS:
+        return _pow(x, _exponent(ident, K))
     if ident == 12:
         return x * (1.0 + _pow(x, 4 * K))
     if ident == 13:
@@ -124,6 +121,8 @@ class BasisFunction:
     label: str
     fn: Callable
     deriv_order: int = 0
+    # p when the member is the generator x^p (u1..u11), else None
+    _power: int | None = None
 
     def __call__(self, x):
         if self.deriv_order == 0:
@@ -180,7 +179,8 @@ def u(ident: int, k: int, lam: float | None = None) -> BasisFunction:
     if ident == 24 and lam is None:
         raise DomainError("u_24 requires the lam parameter")
     label = f"u{ident}^{k}" if ident != 24 else f"u24^{{{k},{lam}}}"
-    return BasisFunction(label=label, fn=lambda x: _u_expr(ident, k, lam, x))
+    return BasisFunction(label=label, fn=lambda x: _u_expr(ident, k, lam, x),
+                         _power=_exponent(ident, k))
 
 
 _FAMILY_IDS = {

@@ -52,6 +52,9 @@ PRECISE_DPS = 50
 # 1e-9 tolerance; every other cell is recomputed at PRECISE_DPS digits.
 CERT_C = 16.0
 CERT_REL_MAX = 1e-10
+# The bound of the sign tier: a zero count reads a scan cell only for its
+# sign, which any relative error below 1 keeps (see _wronskian_logs).
+SIGN_REL_MAX = 1e-2
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
@@ -132,16 +135,57 @@ def _rho(A: np.ndarray, s: int) -> np.ndarray:
     return CERT_C * (s + 1) * _UNIT_ROUNDOFF * kappa
 
 
-def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=None):
+def _rho_cofactor(A: np.ndarray, mag: np.ndarray, s: int) -> np.ndarray:
+    """Upper bound on _rho(A, s) from the row norms of A and mag = log|det A|.
+
+    (A^-1)_ji is the cofactor C_ij over det A, and Hadamard's inequality
+    bounds |C_ij| by the product of the 2-norms of the rows other than a_i, so
+    kappa <= (prod_k ||a_k||_2 / |det A|) * sum_i ||a_i||_1 / ||a_i||_2.
+    """
+    absA = np.abs(A)
+    l1 = np.einsum("kij->ki", absA)
+    l2 = np.sqrt(np.einsum("kij,kij->ki", absA, absA))
+    hadamard = np.exp(np.einsum("ki->k", np.log(l2)) - mag)
+    return CERT_C * (s + 1) * _UNIT_ROUNDOFF * hadamard * np.einsum("ki->k", l1 / l2)
+
+
+def _has_subnormal(M: np.ndarray) -> np.ndarray:
+    """Cells of a matrix stack with an entry in the subnormal range."""
+    tiny = (np.abs(M) < np.finfo(float).tiny) & (M != 0.0)
+    return tiny.reshape(len(M), -1).any(axis=1)
+
+
+def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=None,
+                    sign_only: bool = False):
     """Certified W_s on a grid: (sign, log|det A|, log|W_s|, cells recomputed).
 
     A is the equilibrated Wronskian matrix, so det A has the sign and zeros
-    of W_s at magnitude ~1.  Cells whose double-precision determinant is
-    non-finite or fails the CERT_REL_MAX certificate are recomputed by
-    _precise_logdet; no per-cell matrix outlives the call.  ``stack`` may
-    give _derivative_matrices(fams, xs, n) for an n >= s: a jet's coefficient
-    m reads only coefficients <= m, so its leading blocks are W_s's matrices
+    of W_s at magnitude ~1.  A cell's double-precision determinant is taken
+    when it is finite and meets its tier's bound; every other cell is
+    recomputed by _precise_logdet, and the count returned covers both tiers.
+    No per-cell matrix outlives the call.  ``stack`` may give
+    _derivative_matrices(fams, xs, n) for an n >= s: a jet's coefficient m
+    reads only coefficients <= m, so its leading blocks are W_s's matrices
     bit for bit.
+
+    Every cell is held to rho <= CERT_REL_MAX (the value tier) unless
+    ``sign_only`` is set, for a grid whose values are read for their signs:
+    there a cell is taken at rho <= SIGN_REL_MAX (the sign tier), and the
+    cofactor bound rho_H = _rho_cofactor is tried first, so that only the
+    cells it does not clear pay for an inverse.  rho_H >= rho holds in exact
+    arithmetic, and held on all 22,767 finite cells of the 17 families of
+    the soundness tests at 256 points.  rho_H is computed with the double
+    det A', not the exact det A.  The true relative error delta =
+    |det A' / det A - 1| is at most rho, so at most the exact-det rho_H,
+    which is rho_H |det A'| / |det A| <= rho_H (1 + delta); hence delta <=
+    rho_H / (1 - rho_H), at most 1.011 SIGN_REL_MAX, and the sign holds.  Two
+    kinds of cell keep the value tier on such a grid:
+    - a cell whose derivative matrix holds a subnormal entry, where the
+      entries are not accurate to a few ulps and a noise sign would pass;
+    - the cells within 2 SIGN_REL_MAX of the largest log|det A|, promoted
+      until the largest is a value-tier cell.  log(1 + delta) stays below that
+      margin, so the grid's largest |det A|, the scale of isolate_zeros, is
+      bit for bit the value tier's.
     """
     if s >= len(fams):
         raise DomainError(f"family has {len(fams)} members; s={s} out of range")
@@ -150,15 +194,31 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
         A, r, c = _equilibrate(M)
         logscale = np.sum(np.log(r), axis=1) + np.sum(np.log(c), axis=1)
         sign, mag = np.linalg.slogdet(A)
-        certified = np.isfinite(mag) & np.isfinite(logscale)
-        cells = A if certified.all() else A[certified]
-        certified[certified] = _rho(cells, s) <= CERT_REL_MAX
         logw = mag + logscale
-        uncertain = np.flatnonzero(~certified)
-        for i in uncertain:
-            sign[i], logw[i] = _precise_logdet(fams, float(xs[i]), s)
-            mag[i] = logw[i] - logscale[i]
-    return sign, mag, logw, len(uncertain)
+        finite = np.isfinite(mag) & np.isfinite(logscale)
+        loose = finite & ~_has_subnormal(M) if sign_only else np.zeros(len(xs), dtype=bool)
+        certified = np.zeros(len(xs), dtype=bool)
+        cells = A if loose.all() else A[loose]
+        certified[loose] = _rho_cofactor(cells, mag[loose], s) <= SIGN_REL_MAX
+        rest = finite & ~certified
+        cells = A if rest.all() else A[rest]
+        certified[rest] = _rho(cells, s) <= np.where(loose[rest], SIGN_REL_MAX, CERT_REL_MAX)
+
+        def recompute(cells):
+            for i in cells:
+                sign[i], logw[i] = _precise_logdet(fams, float(xs[i]), s)
+                mag[i] = logw[i] - logscale[i]
+            return len(cells)
+
+        recomputed = recompute(np.flatnonzero(~certified))
+        pending = loose & certified
+        while pending.any():
+            top = np.flatnonzero(pending & (mag >= np.max(mag) - 2 * SIGN_REL_MAX))
+            if len(top) == 0:
+                break
+            pending[top] = False
+            recomputed += recompute(top[_rho(A[top], s) > CERT_REL_MAX])
+    return sign, mag, logw, recomputed
 
 
 def _on_grid(x) -> np.ndarray:
@@ -197,14 +257,19 @@ def scaled_wronskians(fams: list[BasisFunction], xs) -> list[np.ndarray]:
     return [_scaled_wronskian(fams, xs, s, stack)[0] for s in range(len(fams))]
 
 
-def _scaled_wronskian(fams: list[BasisFunction], x, s: int, stack=None):
+def _scaled_wronskian(fams: list[BasisFunction], x, s: int, stack=None,
+                      sign_only: bool = False):
     """(wronskian_scaled(fams, x, s), number of cells recomputed at PRECISE_DPS)."""
-    sign, mag, _, recomputed = _wronskian_logs(fams, _on_grid(x), s, stack)
+    sign, mag, _, recomputed = _wronskian_logs(fams, _on_grid(x), s, stack, sign_only)
     value = sign * np.exp(np.clip(mag, -300.0, 300.0))
     return (value if np.ndim(x) else float(value[0])), recomputed
 
 
 # -- zero isolation --------------------------------------------------------------
+
+
+class _BudgetExhausted(Exception):
+    """The next evaluation of f would take isolate_zeros past its budget."""
 
 
 @dataclass(frozen=True)
@@ -264,8 +329,10 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     the same shape (a result of another shape is a DomainError).  Bisection
     calls it on one-point arrays, and each zero's slope and residual come
     from one three-point call; ``budget_used`` is the number of points ``f``
-    received.  A bracket whose ends do not repeat the scan's sign change is
-    skipped and flagged.  The count is a lower bound; ``exhaustive`` is set
+    received.  Bisection stops, flagged, before a call that would take
+    ``budget_used`` past ``budget``; a zero whose slope call would do so is
+    not reported.  A bracket whose ends do not repeat the scan's sign change
+    is skipped and flagged.  The count is a lower bound; ``exhaustive`` is set
     only if no bracket was skipped and |f| clears a floor, relative to a
     windowed local magnitude, between brackets.
     """
@@ -331,27 +398,33 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     else:
         unresolved = suspicious_cells(xs, ys)
 
+    def feval_within_budget(xs: np.ndarray) -> np.ndarray:
+        if used + len(xs) > budget:
+            raise _BudgetExhausted
+        return feval(xs)
+
     zeros: list[ZeroRecord] = []
     sign_change = np.where(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
     for idx in sign_change:
-        if used >= budget:
-            flags.append("budget-exhausted-during-bisection")
-            break
         lo, hi = float(xs[idx]), float(xs[idx + 1])
         # absolute 1e-15 above 1e-3, relative below, so that brackets near
         # tiny zeros are still refined; the floor keeps xtol positive
         xtol = max(min(1e-15, BISECT_RTOL * max(abs(lo), abs(hi))), math.ulp(0.0))
         try:
-            root = brentq(lambda t: feval(np.array([t]))[0], lo, hi, xtol=xtol,
-                          rtol=BISECT_RTOL)
+            root = brentq(lambda t: feval_within_budget(np.array([t]))[0], lo, hi,
+                          xtol=xtol, rtol=BISECT_RTOL)
+            # central difference, cut at the bracket ends: f may be undefined beyond
+            h = max(abs(root), 1.0) * 1e-6
+            x_minus, x_plus = max(root - h, lo), min(root + h, hi)
+            f_minus, f_root, f_plus = feval_within_budget(
+                np.array([x_minus, root, x_plus])).tolist()
         except ValueError:
             flags.append("bracket-end-not-reproducible")
             continue
-        # central difference, cut at the bracket ends: f may be undefined beyond
-        h = max(abs(root), 1.0) * 1e-6
-        x_minus, x_plus = max(root - h, lo), min(root + h, hi)
+        except _BudgetExhausted:
+            flags.append("budget-exhausted-during-bisection")
+            break
         width = 2.0 * h if (x_minus, x_plus) == (root - h, root + h) else x_plus - x_minus
-        f_minus, f_root, f_plus = feval(np.array([x_minus, root, x_plus])).tolist()
         deriv = (f_plus - f_minus) / width
         bracket_mag = max(abs(float(ys[idx])), abs(float(ys[idx + 1])))
         # absolute floor for order-one scales; the secant comparison rescues
@@ -405,9 +478,11 @@ class AccuracyVerdict:
     # per s, the cells whose Wronskian needed extended precision
     fallbacks: tuple[int, ...] = field(default_factory=tuple)
     reports: tuple[ZeroReport, ...] = field(default_factory=tuple, repr=False)
+    # why no Wronskian was computed (two members are the same power of x)
+    note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "family": self.family_name,
             "interval": list(self.interval),
             "nu": list(self.nu),
@@ -417,6 +492,9 @@ class AccuracyVerdict:
             "fallbacks": list(self.fallbacks),
             "wronskian_reports": [r.to_dict() for r in self.reports],
         }
+        if self.note is not None:
+            out["note"] = self.note
+        return out
 
 
 def certify_family(fams: list[BasisFunction], a: float, b: float, *,
@@ -424,20 +502,32 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     """Count zeros of every prefix Wronskian on [a, b] and classify.
 
     Verdicts are never guessed: if any zero report fails its exhaustiveness
-    check the classification downgrades to 'inconclusive'.
+    check the classification downgrades to 'inconclusive'.  A family with two
+    members that are the same power of x ends 'inconclusive' at once, with a
+    ``note`` that names them: every W_s from the second on vanishes
+    identically.
     """
     if not (0.0 < a < b < math.inf):
         raise DomainError(f"certification interval must satisfy 0 < a < b < inf, got [{a}, {b}]")
+    powers = [bf._power for bf in fams]
+    for j, p in enumerate(powers):
+        if p is not None and p in powers[:j]:
+            note = (f"{fams[powers.index(p)].label} and {fams[j].label} are both x^{p}, "
+                    "so the family is linearly dependent")
+            return AccuracyVerdict(family_name=name, interval=(a, b), nu=(),
+                                   classification="inconclusive", zero_bound=None,
+                                   exhaustive=False, note=note)
     n = len(fams) - 1
     nu: list[int] = []
     reports: list[ZeroReport] = []
     fallbacks = [0] * (n + 1)
     exhaustive = True
     # every s scans the same grid, the first array ws receives: its
-    # derivative matrices are built once, at order n, and W_s reads their
-    # leading blocks; refinement grids, the one-point arrays of bisection and
-    # each zero's three-point slope call build their own, and every point of
-    # every array counts in the report's budget_used
+    # derivative matrices are built once, at order n, W_s reads their leading
+    # blocks, and the scan reads its cells for their signs (the sign tier of
+    # _wronskian_logs); refinement grids, the one-point arrays of bisection
+    # and each zero's three-point slope call build their own at the value
+    # tier, and every point of every array counts in the report's budget_used
     grid = stack = None
     for s in range(n + 1):
         def ws(x, _s=s):
@@ -445,7 +535,8 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
             if stack is None:
                 grid, stack = x, _derivative_matrices(fams, x, n)
             on_grid = np.shape(x) == grid.shape and np.array_equal(x, grid)
-            vals, recomputed = _scaled_wronskian(fams, x, _s, stack if on_grid else None)
+            vals, recomputed = _scaled_wronskian(fams, x, _s, stack if on_grid else None,
+                                                 sign_only=on_grid)
             fallbacks[_s] += recomputed
             return vals
 

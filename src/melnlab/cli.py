@@ -159,7 +159,10 @@ def cmd_cheb(args) -> int:
     _write_manifest(out, args, interval=interval)
 
     verdict = certify_family(fams, interval[0], interval[1], name=name)
-    write_json(out / "verdict.json", verdict.to_dict())
+    record = verdict.to_dict()
+    write_json(out / "verdict.json", record)
+    if "note" in record:
+        raise NumericalError(f"family certification inconclusive: {record['note']}")
     xs = np.geomspace(interval[0], interval[1], 400)
     for s, ws in enumerate(scaled_wronskians(fams, xs)):
         rows = list(zip(xs.tolist(), ws.tolist()))

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from melnlab import certify
 from melnlab.basis import family, family_G, family_H_pencil, family_J0, u
-from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, PROP4_COEFFS, _derivative_matrices,
-                             _equilibrate, _precise_det, _rho, _wronskian_logs,
-                             certify_family, isolate_zeros, prop4_witness, prop5_witness,
-                             scaled_wronskians, theorem3_bound, wronskian, wronskian_scaled)
+from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, PROP4_COEFFS, SIGN_REL_MAX,
+                             _derivative_matrices, _equilibrate, _has_subnormal, _precise_det,
+                             _rho, _rho_cofactor, _wronskian_logs, certify_family,
+                             isolate_zeros, prop4_witness, prop5_witness, scaled_wronskians,
+                             theorem3_bound, wronskian, wronskian_scaled)
 from melnlab.cli import FAMILIES
 from melnlab.errors import DomainError
 from melnlab.reports import dumps_json
@@ -162,25 +163,48 @@ def certified_family(name, k):
     return family(name, k)
 
 
+def _certificates(fams, xs, s):
+    """(M, A, sign, mag, rho, rho_H) of W_s on xs; rho and rho_H are inf where
+    the double det A is not finite."""
+    M = _derivative_matrices(fams, xs, s)
+    with np.errstate(all="ignore"):
+        A, _, _ = _equilibrate(M)
+        sign, mag = np.linalg.slogdet(A)
+        rho, rho_h = np.full(len(xs), np.inf), np.full(len(xs), np.inf)
+        finite = np.isfinite(mag)
+        rho[finite] = _rho(A[finite], s)
+        rho_h[finite] = _rho_cofactor(A[finite], mag[finite], s)
+    return M, A, sign, mag, rho, rho_h
+
+
 @pytest.mark.parametrize("name,k", CERTIFIED_FAMILIES)
 def test_certificate_is_sound(name, k):
-    """Every cell the double path accepts matches 50 digits within its rho."""
+    """Every cell the double path accepts matches 50 digits within its bound:
+    rho at the value tier; at the sign tier rho_H / (1 - rho_H) where the
+    cofactor bound clears the cell, else rho."""
     import mpmath
 
     fams = certified_family(name, k)
     xs = np.geomspace(0.1, 10.0, 64)
     for s in range(len(fams)):
-        A, r, c = _equilibrate(_derivative_matrices(fams, xs, s))
-        sign, mag = np.linalg.slogdet(A)
-        rho = np.full(len(xs), np.inf)
-        finite = np.isfinite(mag)
-        rho[finite] = _rho(A[finite], s)
-        accepted = rho <= CERT_REL_MAX
-        got_sign, got_mag, _, recomputed = _wronskian_logs(fams, xs, s)
-        assert recomputed == np.count_nonzero(~accepted)
-        assert np.array_equal(got_sign[accepted], sign[accepted])
-        assert np.array_equal(got_mag[accepted], mag[accepted])
-        for i in np.flatnonzero(accepted):
+        M, A, sign, mag, rho, rho_h = _certificates(fams, xs, s)
+        r, c = _equilibrate(M)[1:]
+        value_bound = np.where(rho <= CERT_REL_MAX, rho, np.inf)
+        sign_bound = np.where(rho_h <= SIGN_REL_MAX, rho_h / (1 - np.minimum(rho_h, 0.5)),
+                              np.where(rho <= SIGN_REL_MAX, rho, np.inf))
+        sign_bound[_has_subnormal(M)] = np.inf
+        value = _wronskian_logs(fams, xs, s)
+        loose = _wronskian_logs(fams, xs, s, sign_only=True)
+        accepted = value_bound < np.inf
+        assert value[3] == np.count_nonzero(~accepted)
+        assert loose[3] <= value[3]
+        assert np.array_equal(value[0][accepted], sign[accepted])
+        assert np.array_equal(value[1][accepted], mag[accepted])
+        # a sign-tier cell holds the double det A or the value tier's answer
+        as_double = (loose[0] == sign) & (loose[1] == mag) & (sign_bound < np.inf)
+        as_value = (loose[0] == value[0]) & (loose[1] == value[1])
+        assert np.all(as_double | as_value), (name, k, s)
+        for i in np.flatnonzero(np.minimum(value_bound, sign_bound) < np.inf):
             with mpmath.workdps(PRECISE_DPS):
                 # exact determinant of M / (r c^T), the matrix A rounds
                 ref = _precise_det(fams, float(xs[i]), s)
@@ -188,7 +212,53 @@ def test_certificate_is_sound(name, k):
                     ref /= mpmath.mpf(float(scale))
                 dev = abs(sign[i] * mpmath.exp(float(mag[i])) / ref - 1)
             assert mpmath.sign(ref) == sign[i], (name, k, s, xs[i])
-            assert dev <= rho[i], (name, k, s, xs[i], float(dev), rho[i])
+            bound = min(value_bound[i], sign_bound[i])
+            assert dev <= bound, (name, k, s, xs[i], float(dev), bound)
+
+
+@pytest.mark.parametrize("name,k", CERTIFIED_FAMILIES)
+def test_cofactor_bound_is_above_rho(name, k):
+    fams = certified_family(name, k)
+    xs = np.geomspace(0.1, 10.0, 256)
+    for s in range(len(fams)):
+        _, _, _, _, rho, rho_h = _certificates(fams, xs, s)
+        finite = np.isfinite(rho)
+        assert np.all(rho_h[finite] >= rho[finite]), (name, k, s)
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=0, max_value=12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cofactor_bound_is_above_rho_on_equilibrated_matrices(size, seed, spread, tilt):
+    # tilted identities have nearly orthogonal rows, where Hadamard's
+    # inequality is nearly an equality
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((4, size, size)) * 10.0 ** rng.uniform(-spread, spread, (4, size, size))
+    if tilt:
+        M = np.eye(size) + M * 10.0 ** -rng.uniform(0, 17)
+    A, _, _ = _equilibrate(M)
+    sign, mag = np.linalg.slogdet(A)
+    finite = np.isfinite(mag) & (sign != 0)
+    s = size - 1
+    assert np.all(_rho_cofactor(A[finite], mag[finite], s) >= _rho(A[finite], s))
+
+
+def test_subnormal_cells_are_never_taken_at_the_sign_tier():
+    # F5^1 towards 1e-300: powers of x fall into the subnormal range, where
+    # the entries lose their accuracy and a noise sign can pass rho
+    fams = family("F5", 1)
+    xs = np.geomspace(1e-300, 1.0, 256)
+    would_pass = 0
+    for s in range(len(fams)):
+        M, _, _, _, rho, rho_h = _certificates(fams, xs, s)
+        sub = _has_subnormal(M)
+        would_pass += np.count_nonzero(sub & (np.minimum(rho, rho_h) <= SIGN_REL_MAX)
+                                       & ~(rho <= CERT_REL_MAX))
+        value = _wronskian_logs(fams, xs, s)
+        loose = _wronskian_logs(fams, xs, s, sign_only=True)
+        for got, want in zip(loose[:3], value[:3]):
+            assert got[sub].tobytes() == want[sub].tobytes(), s
+    assert would_pass > 0
 
 
 def _equilibrate_by_reduction(M):
@@ -257,10 +327,38 @@ def test_shared_stack_gives_the_per_s_verdict(monkeypatch, name, k, nu):
     shared = dumps_json(certify_family(family(name, k), 0.1, 10.0).to_dict())
     scaled = certify._scaled_wronskian
     monkeypatch.setattr(certify, "_scaled_wronskian",
-                        lambda fams, x, s, stack=None: scaled(fams, x, s))
+                        lambda fams, x, s, stack=None, sign_only=False:
+                        scaled(fams, x, s, sign_only=sign_only))
     per_s = dumps_json(certify_family(family(name, k), 0.1, 10.0).to_dict())
     assert json.loads(shared)["nu"] == nu
     assert shared == per_s
+
+
+def test_the_largest_sign_tier_cell_is_the_value_tiers(monkeypatch):
+    # a tighter value tier sends the grid's largest |det A| to 50 digits, and
+    # the sign tier must report that cell, isolate_zeros' scale, bit for bit
+    monkeypatch.setattr(certify, "CERT_REL_MAX", 1e-15)
+    fams = family("F2", 2)
+    xs = np.geomspace(0.1, 10.0, 64)
+    for s in range(1, len(fams)):
+        _, value_mag, _, _ = _wronskian_logs(fams, xs, s)
+        _, loose_mag, _, recomputed = _wronskian_logs(fams, xs, s, sign_only=True)
+        assert np.max(loose_mag) == np.max(value_mag), s
+        assert 0 < recomputed < len(xs)
+
+
+@pytest.mark.parametrize("name,k,pair", [("F4", 1, "u4^1 and u6^1 are both x^2"),
+                                         ("F1", 0, "u1^0 and u4^0 are both x^0"),
+                                         ("F5", 0, "u1^0 and u4^0 are both x^0")])
+def test_dependent_members_end_before_any_wronskian(monkeypatch, name, k, pair):
+    monkeypatch.setattr(certify, "_derivative_matrices", None)
+    verdict = certify_family(family(name, k), 0.1, 10.0).to_dict()
+    assert (verdict["classification"], verdict["zero_bound"]) == ("inconclusive", None)
+    assert pair in verdict["note"]
+
+
+def test_a_family_without_a_repeated_power_has_no_note():
+    assert "note" not in certify_family(family("F1", 1), 0.1, 10.0).to_dict()
 
 
 @pytest.mark.parametrize("name,k", [("F2", 2), ("F3", 1), ("F5", 1), ("J0", None)])
@@ -367,7 +465,7 @@ def test_bracket_whose_ends_disagree_with_the_scan_is_skipped():
 
 def test_budget_flagging():
     rep = isolate_zeros(lambda x: np.sin(50.0 / x), 0.01, 1.0, budget=300, initial=128)
-    assert rep.budget_used <= 1000
+    assert rep.budget_used <= rep.budget
     assert not rep.exhaustive or rep.count > 0
 
 

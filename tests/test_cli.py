@@ -81,12 +81,13 @@ def test_cheb_command(tmp_path):
     assert (out / "wronskian_2.csv").exists()
 
 
-def test_cheb_singular_family_is_inconclusive(tmp_path):
+def test_cheb_singular_family_is_inconclusive(tmp_path, capsys):
     # u4 = u6 = x^2 at k=1, so every Wronskian from W_2 on vanishes identically
     out = tmp_path / "singular"
     code = main(["cheb", "--family", "F4", "--k", "1", "--interval", "0.5:2",
                  "--out", str(out)])
     assert code == 2
+    assert "u4^1 and u6^1 are both x^2" in capsys.readouterr().err
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["classification"] == "inconclusive"
     assert verdict["zero_bound"] is None
