@@ -335,12 +335,15 @@ def _kernel_residual(G: np.ndarray, proj_rows: np.ndarray):
     return fun, jac
 
 
-# Levenberg-Marquardt steps per start.  Near an order-3 solution, where J has
-# two singular values near 1e-16, convergence is only linear and takes several
-# hundred steps.
+# Levenberg-Marquardt steps per start.  Mostly the order-3 search runs LM: its
+# random starts lie far above its tol, while almost every structure-search
+# start is already under its own.  Near an order-3 solution, where J has two
+# singular values near 1e-16, convergence is only linear: a start takes a few
+# hundred residual evaluations (100-680 at n = 3 and 5, seeds 0-3 and 2024,
+# but for one start that spends the cap).
 LM_MAX_STEPS = 1000
-# Stop when the last LM_STALL_WINDOW steps cut |f| by less than 1 - LM_STALL_RATIO:
-# the structure search levels off near 1e-7 and would otherwise spend the cap.
+# Stop when the last LM_STALL_WINDOW steps cut |f| by less than 1 - LM_STALL_RATIO,
+# so a start that levels off above tol does not spend the cap.
 LM_STALL_WINDOW = 100
 LM_STALL_RATIO = 0.9
 
@@ -395,7 +398,9 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
     ``proj_rows @ m2(c1)`` is the residual to kill; ``accept(c1vec)``
     performs the final nondegeneracy screen and builds the config.  When
     ``scale_rows`` is given, acceptance compares the residual against
-    ``scale_rows @ m2(c1)`` instead of taking it absolutely.
+    ``scale_rows @ m2(c1)`` instead of taking it absolutely.  A random start
+    whose residual is already under ``tol`` goes to ``accept`` as it is;
+    the others run Levenberg-Marquardt first.
     """
     V = v_map_matrix(n)
     _, _, vt = np.linalg.svd(V)
@@ -403,15 +408,19 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
     G = _polarized_second_order(m2, null)
     fun, jac = _kernel_residual(G, proj_rows)
 
-    for _ in range(starts):
-        c0 = rng.standard_normal(null.shape[0])
-        c0 /= np.linalg.norm(c0)
-        c, f = _levenberg_marquardt(fun, jac, c0)
-        norm = np.linalg.norm(f[:-1])
+    def residual(c):
+        norm = np.linalg.norm(fun(c)[:-1])
         if scale_rows is not None:
             norm /= max(np.linalg.norm(scale_rows @ np.einsum("i,j,ijg->g", c, c, G)), 1e-300)
-        if norm > tol:
-            continue
+        return norm
+
+    for _ in range(starts):
+        c = rng.standard_normal(null.shape[0])
+        c /= np.linalg.norm(c)
+        if residual(c) > tol:
+            c = _levenberg_marquardt(fun, jac, c)[0]
+            if residual(c) > tol:
+                continue
         cfg = accept(null.T @ c)
         if cfg is not None:
             return cfg

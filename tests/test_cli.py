@@ -183,11 +183,13 @@ def test_cheb_builds_each_family_of_the_table(tmp_path, monkeypatch, name):
     assert [f.label for f in fams] == [f.label for f in want()]
 
 
-def test_reproduce_m2_n3_structure_seed10(tmp_path):
-    # the search's first candidate at seed 10 kills the off-span residual on its
-    # own grid only (1.05e-5 on the verification grid); the screen rejects it
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 10])
+def test_reproduce_m2_n3_structure(tmp_path, seed):
+    # at seeds 3, 4 and 10 the first start kills the off-span residual on the
+    # search's own grid only; its screen residual (3.8e-6, 5.1e-7 and 5.3e-6)
+    # is over the 5e-7 screen, so accept rejects it and the second start passes
     out = tmp_path / "rep"
-    code = main(["reproduce", "--case", "m2_n3_structure", "--out", str(out), "--seed", "10"])
+    code = main(["reproduce", "--case", "m2_n3_structure", "--out", str(out), "--seed", str(seed)])
     assert code == 0
     report = json.loads((out / "m2_n3_structure.json").read_text())
     assert report["status"] == "PASS"

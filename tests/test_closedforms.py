@@ -306,6 +306,20 @@ def test_searches_leave_the_recursion_to_verify(monkeypatch):
     assert max(abs(melnikov(cfg, i, r)) for i in (1, 2) for r in (0.8, 1.3)) < 1e-11
 
 
+def test_levenberg_marquardt_runs_only_on_starts_above_tol(monkeypatch):
+    # every random start of the structure search is already under its 1e-7
+    # relative tol and goes to accept as it is; the order-3 search's starts lie
+    # far above its 1e-11 absolute tol, so LM still finds its kernel zero
+    lm = mock.Mock(wraps=_levenberg_marquardt)
+    monkeypatch.setattr(closedforms, "_levenberg_marquardt", lm)
+    for n in (2, 3, 5):
+        table3_structure_config(n, seed=7)
+        assert lm.call_count == 0, n
+    cfg = vanishing_order_config(3, 3, seed=2024)
+    assert lm.call_count >= 1
+    assert max(abs(melnikov(cfg, i, r)) for i in (1, 2) for r in (0.8, 1.3)) < 1e-11
+
+
 @pytest.mark.parametrize("starts, search", [
     ("STRUCTURE_STARTS", table3_structure_config),
     ("ORDER3_STARTS", lambda n: vanishing_order_config(n, 3)),
