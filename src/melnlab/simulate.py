@@ -8,14 +8,15 @@ Cartesian coordinates along the orientation in which the polar angle
 increases, so the computed return map's Taylor coefficients in eps are
 exactly the Melnikov functions of the polar-time formulation.  Only the
 switching times at y = x^n and the return time to the section
-S = {y = 0, x > 0} are solved for: a vectorized scan brackets the first sign
-change of the event function in the right direction.  One return
-(``integrate_return``) refines the bracket with ``brentq`` to about 1e-15;
-the eps = 0 event times of a whole grid (``center_event_times``) run each leg
-once over all points, with Newton steps safeguarded by bisection per point.
-The two refiners share the scan and the end-of-leg checks.  The same flow
-evaluated on jets, from those event times, gives the eps-Taylor coefficients
-of the return map (the Melnikov functions) and its exact derivative in x0.
+S = {y = 0, x > 0} are solved for, by one solver for a (G, 1) column of
+section points: a vectorized scan brackets the first sign change of the
+event function in the right direction, and Newton steps safeguarded by
+bisection refine each point's bracket.  One return (``integrate_return``) is
+a 1-point column, and the eps = 0 event times of a whole grid
+(``center_event_times``) run each leg once over all points; a column has the
+bits of its 1-point call.  The same flow evaluated on jets, from those event
+times, gives the eps-Taylor coefficients of the return map (the Melnikov
+functions) and its exact derivative in x0.
 With ndarray coefficients one such pass covers a whole grid of section points.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 from .config import OrderCoefficients, SystemConfig
 from .errors import (ConfigurationError, DomainError, EscapeError, EventDegeneracyError,
                      NumericalError)
-from .roots import MAXITER, RTOL, brentq
+from .roots import MAXITER, RTOL
 from .series import Jet, _exp, _lib, _sincos, _sinhcosh, _sqrt
 
 __all__ = ["PoincareResult", "LimitCycle", "CycleSearch", "integrate_return",
@@ -211,29 +212,28 @@ def _event_rate(zone: _Zone, label: str, n: int, x, y):
     return fy - n * x ** (n - 1) * fx if label == "switch" else fy
 
 
-def _outside(r) -> np.ndarray:
-    """The entries of ``r`` (a number or an array) outside the annulus R_ESCAPE, NaN included."""
-    r = np.atleast_1d(r)
+def _outside(r: np.ndarray) -> np.ndarray:
+    """The entries of ``r`` outside the annulus R_ESCAPE, NaN included."""
     return r[~((R_ESCAPE[0] <= r) & (r <= R_ESCAPE[1]))]
 
 
 def _first_crossing(flow: _Flow, n: int, direction: int, label: str):
-    """Index j of the first scan step [_SCAN[j], _SCAN[j + 1]] over which the
-    event function changes sign in ``direction``, for one orbit or per row of
-    a (G, 1) column of orbits."""
+    """Index j, per row of a (G, 1) column of orbits, of the first scan step
+    [_SCAN[j], _SCAN[j + 1]] over which the event function changes sign in
+    ``direction``."""
     xs, ys = flow.at(_SCAN)
     gs = _event(label, n, xs, ys)
-    before, after = gs[..., :-1], gs[..., 1:]
+    before, after = gs[:, :-1], gs[:, 1:]
     hits = (before < 0.0) & (after >= 0.0) if direction > 0 else (before > 0.0) & (after <= 0.0)
-    found = hits.any(axis=-1)
+    found = hits.any(axis=1)
     if not np.all(found):
-        escaped = _outside(np.hypot(xs[..., -1], ys[..., -1])[~found])
+        escaped = _outside(np.hypot(xs[:, -1], ys[:, -1])[~found])
         if escaped.size:
             raise EscapeError(f"trajectory left the annulus during the {label} leg "
                               f"(r={escaped[0]:.3e})")
         raise NumericalError(f"no terminating event on the {label} leg "
                              f"within {LEG_WINDOW:.6g} time units of its start")
-    return np.argmax(hits, axis=-1)
+    return np.argmax(hits, axis=1)
 
 
 def _check_contact(zone: _Zone, n: int, label: str, x, y) -> None:
@@ -249,33 +249,12 @@ def _check_contact(zone: _Zone, n: int, label: str, x, y) -> None:
 
 
 def _leg(zone: _Zone, n: int, state, direction: int, label: str):
-    """(duration, end point) of the flow of ``zone`` from ``state`` to the
-    first event crossing in ``direction``.
+    """(duration, end point) of the flow of ``zone`` from each row of a (G, 1)
+    column of start states to its first event crossing in ``direction``, as
+    (G, 1) arrays.
 
-    The first sign change of the event function in the scan brackets the
-    event time, and ``brentq`` refines it.
-    """
-    flow = _Flow(zone, state)
-    j = int(_first_crossing(flow, n, direction, label))
-
-    def g_tau(tau):
-        return _event(label, n, *flow.at(tau))
-
-    lo, hi = float(_SCAN[j]), float(_SCAN[j + 1])
-    g_lo, g_hi = g_tau(lo), g_tau(hi)
-    if g_lo * g_hi <= 0.0:
-        tau = brentq(g_tau, lo, hi, xtol=EVENT_XTOL)
-    else:                          # scalar and array rounding disagree at an end
-        tau = lo if abs(g_lo) < abs(g_hi) else hi
-    x, y = flow.at(tau)
-    _check_contact(zone, n, label, x, y)
-    return tau, (float(x), float(y))
-
-
-def _grid_leg(zone: _Zone, n: int, state, direction: int, label: str):
-    """``_leg`` for a (G, 1) column of start states: (G, 1) durations and end points.
-
-    Each row refines its scan bracket by Newton steps ``tau -= g/g'``,
+    The first sign change of the event function in the scan brackets each
+    row's event time, and the row refines it by Newton steps ``tau -= g/g'``,
     bisecting instead where a step leaves the closed bracket, and is frozen
     once its step falls to ``EVENT_XTOL + RTOL |tau|``: a row's iterates then
     depend on its own values alone, so it gets the bits of a 1-point call.
@@ -304,9 +283,9 @@ def _grid_leg(zone: _Zone, n: int, state, direction: int, label: str):
     return tau, (x, y)
 
 
-def _legs(x0, config, eps, leg):
-    """Event times and end points of the three legs of one return from ``x0``,
-    a float for ``leg=_leg`` or a (G, 1) column for ``leg=_grid_leg``.
+def _legs(x0: np.ndarray, config, eps):
+    """Event times and end points of the three legs of one return from each
+    row of the (G, 1) column ``x0``.
 
     Legs run region '-' to the first switching contact, '+' to the second,
     then '-' back to the section, matching the sector pattern of y - x^n
@@ -320,12 +299,11 @@ def _legs(x0, config, eps, leg):
     state, t, times, points = (x0, 0.0), 0.0, [], []
     for zone, direction, label in ((below, +1, "switch"), (above, -1, "switch"),
                                    (below, +1, "section")):
-        tau, state = leg(zone, config.n, state, direction, label)
+        tau, state = _leg(zone, config.n, state, direction, label)
         t = t + tau
         times.append(t)
         points.append(state)
-    x_ret = np.atleast_1d(state[0])
-    backward = x_ret[x_ret <= 0.0]
+    backward = state[0][state[0] <= 0.0]
     if backward.size:
         raise NumericalError(f"return point has non-positive abscissa {backward[0]}")
     return times, points
@@ -334,11 +312,13 @@ def _legs(x0, config, eps, leg):
 def integrate_return(x0: float, eps: float, config: SystemConfig, *,
                      eps_max: float = EPS_MAX_DEFAULT) -> PoincareResult:
     """One full return of the section map through the two crossings (see ``_legs``)."""
-    if abs(eps) > eps_max:
-        raise DomainError(f"|eps|={abs(eps)} exceeds eps_max={eps_max}")
-    times, points = _legs(float(x0), config, eps, _leg)
+    if not abs(eps) <= eps_max:
+        raise DomainError(f"|eps|={abs(eps)} is not within eps_max={eps_max}")
+    times, points = _legs(np.array([[float(x0)]]), config, eps)
+    times = tuple(t.item() for t in times)
+    points = [(x.item(), y.item()) for x, y in points]
     return PoincareResult(
-        x0=x0, eps=eps, x_return=points[-1][0], event_times=tuple(times),
+        x0=x0, eps=eps, x_return=points[-1][0], event_times=times,
         crossing_angles=tuple(math.atan2(y, x) % (2.0 * math.pi) for x, y in points[:2]),
         crossing_points=tuple(points[:2]),
     )
@@ -433,12 +413,12 @@ def center_event_times(xs, n: int) -> np.ndarray:
     """(3, len(xs)) event times of the eps = 0 return from each point of ``xs``.
 
     At eps = 0 both zones are the center, so they serve every config of
-    degree n.  The legs run once over the whole grid (``_grid_leg``): one
-    scan, then Newton steps safeguarded by bisection per point.  Column g
+    degree n.  The legs run once over the whole grid (``_leg``): one scan,
+    then Newton steps safeguarded by bisection per point.  Column g
     has the bits of the 1-point call ``center_event_times(xs[g:g + 1], n)``.
     """
     center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
-    times, _ = _legs(np.asarray(xs, dtype=float).reshape(-1, 1), center, 0.0, _grid_leg)
+    times, _ = _legs(np.asarray(xs, dtype=float).reshape(-1, 1), center, 0.0)
     return np.concatenate(times, axis=1).T
 
 

@@ -190,28 +190,13 @@ def test_far_equilibrium_is_a_typed_error(delta):
         integrate_return(1.0, 0.5, cfg, eps_max=1.0)
 
 
-# the two ways through the three legs, each from one section point: the
-# scalar return (brentq per leg) and the grid pass of center_event_times
-# (Newton safeguarded by bisection), here on any config
+# the two ways into the one event solver: a single return, and a grid pass
+# over a column of section points (here the start point twice)
 ROUTES = {
     "scalar": lambda x0, eps, cfg: integrate_return(x0, eps, cfg, eps_max=2.0),
-    "grid": lambda x0, eps, cfg: simulate._legs(np.array([[x0]]), cfg, eps, simulate._grid_leg),
+    "grid": lambda x0, eps, cfg: simulate._legs(np.array([[x0], [x0]]), cfg, eps),
 }
 CENTER = SystemConfig(n=2, k=1, orders=(OrderCoefficients(),))
-
-
-def test_grid_legs_raise_the_scalar_legs_errors():
-    # the saddle of test_leg_without_event_is_a_typed_error, and the
-    # expanding focus of test_escape_is_a_typed_error, on the grid route
-    saddle = SystemConfig(n=1, k=1, orders=(
-        OrderCoefficients(alpha=(-2.0, 2.0, -1.0), beta=(0.0, 1.0, -2.0)),))
-    focus = SystemConfig(n=1, k=1, orders=(
-        OrderCoefficients(alpha=(0.0, -0.5, 0.0), beta=(0.0, 0.0, -0.5)),))
-    with pytest.raises(NumericalError, match="no terminating event on the switch leg"):
-        ROUTES["grid"](2.0, 1.0, saddle)
-    with pytest.raises(EscapeError, match=r"left the annulus \(r=1.003e\+04\)"):
-        ROUTES["grid"](9990.0, 1e-2, focus)
-    assert ROUTES["grid"](9000.0, 1e-2, focus)[1][-1][0] > 9000.0
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -249,7 +234,7 @@ def test_backward_return_is_a_typed_error(monkeypatch, route):
 def test_grid_errors_name_the_offending_point(monkeypatch):
     # one point outside the annulus fails the whole grid before any leg
     legs = []
-    monkeypatch.setattr(simulate, "_grid_leg", lambda *args: legs.append(args))
+    monkeypatch.setattr(simulate, "_leg", lambda *args: legs.append(args))
     with pytest.raises(DomainError, match="section coordinate 20000.0 outside the annulus"):
         center_event_times([0.5, 2e4, 1.0], 2)
     assert legs == []
@@ -264,8 +249,8 @@ def test_unconverged_grid_leg_is_a_typed_error(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_grid_times_are_the_pointwise_returns(n):
-    # the grid pass and the scalar returns stop within EVENT_XTOL of one
-    # event time; the third is a full turn; a column has its 1-point bits.
+    # the grid pass and the single returns run one solver, so a column has
+    # the bits of the return from its point; the third time is a full turn.
     # Up to x = 30 the switch events of n = 6..8 bend so sharply that Newton
     # steps from mid-bracket leave the bracket: unbisected, they converge to
     # another contact or not at all
@@ -274,7 +259,7 @@ def test_grid_times_are_the_pointwise_returns(n):
     times = center_event_times(xs, n)
     want = np.array([integrate_return(float(x), 0.0, center).event_times for x in xs]).T
     assert times.shape == (3, len(xs))
-    assert np.all(np.abs(times - want) <= 2 * EVENT_XTOL + 4 * np.spacing(want))
+    assert np.array_equal(times.view(np.uint64), want.view(np.uint64))
     assert np.all(np.abs(times[2] - 2 * math.pi)
                   <= 2 * EVENT_XTOL + 4 * np.spacing(2 * math.pi))
     for g in range(len(xs)):
@@ -288,17 +273,14 @@ def test_even_n_contacts_at_large_radius_are_right_or_a_typed_error(n):
     # step, so from x of about 31.6 (n = 8) to 501 (n = 2) some start points
     # find no switch event; each must raise, never return wrong times
     center = SystemConfig(n=n, k=1, orders=(OrderCoefficients(),))
-    routes = (lambda x: integrate_return(x, 0.0, center).event_times,
-              lambda x: center_event_times(np.array([x]), n)[:, 0])
     for x in np.geomspace(1e-3, 1e3, 61).tolist():
         want = (*switching_angles(x, n), 2 * math.pi)
-        for route in routes:
-            try:
-                times = route(x)
-            except NumericalError:
-                assert x > 30.0, x
-                continue
-            assert np.all(np.abs(np.subtract(times, want)) <= 1e-12), (x, times, want)
+        try:
+            times = integrate_return(x, 0.0, center).event_times
+        except NumericalError:
+            assert x > 30.0, x
+            continue
+        assert np.all(np.abs(np.subtract(times, want)) <= 1e-12), (x, times, want)
 
 
 def test_displacement_smooth_in_eps(rng):
@@ -481,6 +463,13 @@ def test_eps_bound_and_domain_checks(rng):
         integrate_return(1.0, 0.5, cfg)
     with pytest.raises(DomainError):
         integrate_return(-1.0, 0.0, cfg)
+    # NaN fails every comparison, so the bound must be written to reject it
+    with pytest.raises(DomainError, match=r"\|eps\|=nan"):
+        integrate_return(1.0, math.nan, cfg)
+    search = find_limit_cycles(math.nan, cfg, [1.0])
+    assert search.cycles == ()
+    note = f"seed 1.0: |eps|=nan is not within eps_max={simulate.EPS_MAX_DEFAULT}"
+    assert search.diagnostics == (note,)
 
 
 @pytest.mark.parametrize("i", [0, 3])
