@@ -4,7 +4,7 @@
 The fallbacks column counts, per prefix Wronskian W_s, the cells whose
 double-precision value failed its certificate and was recomputed at 50
 digits: scan cells, read for their signs, at the sign tier (rho <= 1e-2),
-and refinement, bisection and slope points at the value tier
+and refinement, Brent and slope points at the value tier
 (rho <= 1e-10); see melnlab.certify._wronskian_logs.
 
 Usage: python scripts/certify_families.py [--interval A:B] [--out OUTDIR]

@@ -1,7 +1,7 @@
 """Wronskian evaluation, zero isolation, and Chebyshev-system verdicts.
 
 Zero counts are certified on compact subintervals of (0, infinity) by a
-sign-change scan on an adaptive log-spaced grid with bisection refinement.
+sign-change scan on an adaptive log-spaced grid with Brent refinement.
 A reported count is a lower bound; it is flagged exhaustive only when the
 function stays above a magnitude floor between brackets.  Family
 classification follows the Wronskian zero pattern: no zeros anywhere gives
@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import BasisFunction, family
 from .errors import DomainError
-from .roots import brentq
+from .roots import brentq_rows
 
 __all__ = [
     "ZeroRecord", "ZeroReport", "AccuracyVerdict", "wronskian", "wronskian_scaled",
@@ -268,10 +268,6 @@ def _scaled_wronskian(fams: list[BasisFunction], x, s: int, stack=None,
 # -- zero isolation --------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    """The next evaluation of f would take isolate_zeros past its budget."""
-
-
 @dataclass(frozen=True)
 class ZeroRecord:
     location: float
@@ -322,19 +318,20 @@ class ZeroReport:
 
 def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
                   initial: int = 4096) -> ZeroReport:
-    """Sign-change scan with local refinement, bisection, and simplicity check.
+    """Sign-change scan with local refinement, Brent's method, and simplicity check.
 
     Needs ``0 < a < b`` (the scan grid is log-spaced) and a vectorized ``f``:
     it is only ever called on a 1-D float array and must return an array of
-    the same shape (a result of another shape is a DomainError).  Bisection
-    calls it on one-point arrays, and each zero's slope and residual come
-    from one three-point call; ``budget_used`` is the number of points ``f``
-    received.  Bisection stops, flagged, before a call that would take
-    ``budget_used`` past ``budget``; a zero whose slope call would do so is
-    not reported.  A bracket whose ends do not repeat the scan's sign change
-    is skipped and flagged.  The count is a lower bound; ``exhaustive`` is set
-    only if no bracket was skipped and |f| clears a floor, relative to a
-    windowed local magnitude, between brackets.
+    the same shape (a result of another shape is a DomainError).  Brent's
+    method refines the K brackets together: one call on their 2K ends, one
+    per iteration on those still running, then one 3K-point call (x - h, the
+    zeros, x + h) for slopes and residuals; ``budget_used`` counts the points
+    ``f`` received.  Refinement stops, flagged, before a call that would pass
+    ``budget``; brackets done by then keep their zeros, in bracket order, as
+    far as their slope points fit.  A bracket whose ends do not repeat the
+    scan's sign change is skipped and flagged.  The count is a lower bound;
+    ``exhaustive`` is set only if no bracket was skipped and |f| clears a
+    floor, relative to a windowed local magnitude, between brackets.
     """
     if not (0 < a < b):
         raise DomainError(f"need 0 < a < b, got [{a}, {b}]")
@@ -398,44 +395,34 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     else:
         unresolved = suspicious_cells(xs, ys)
 
-    def feval_within_budget(xs: np.ndarray) -> np.ndarray:
-        if used + len(xs) > budget:
-            raise _BudgetExhausted
-        return feval(xs)
-
-    zeros: list[ZeroRecord] = []
     sign_change = np.where(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
-    for idx in sign_change:
-        lo, hi = float(xs[idx]), float(xs[idx + 1])
-        # absolute 1e-15 above 1e-3, relative below, so that brackets near
-        # tiny zeros are still refined; the floor keeps xtol positive
-        xtol = max(min(1e-15, BISECT_RTOL * max(abs(lo), abs(hi))), math.ulp(0.0))
-        try:
-            root = brentq(lambda t: feval_within_budget(np.array([t]))[0], lo, hi,
-                          xtol=xtol, rtol=BISECT_RTOL)
-            # central difference, cut at the bracket ends: f may be undefined beyond
-            h = max(abs(root), 1.0) * 1e-6
-            x_minus, x_plus = max(root - h, lo), min(root + h, hi)
-            f_minus, f_root, f_plus = feval_within_budget(
-                np.array([x_minus, root, x_plus])).tolist()
-        except ValueError:
-            flags.append("bracket-end-not-reproducible")
-            continue
-        except _BudgetExhausted:
-            flags.append("budget-exhausted-during-bisection")
-            break
-        width = 2.0 * h if (x_minus, x_plus) == (root - h, root + h) else x_plus - x_minus
-        deriv = (f_plus - f_minus) / width
-        bracket_mag = max(abs(float(ys[idx])), abs(float(ys[idx + 1])))
-        # absolute floor for order-one scales; the secant comparison rescues
-        # honestly transversal zeros of tiny-magnitude (rescaled) functions,
-        # while higher-multiplicity zeros fail both
-        secant = bracket_mag / max(hi - lo, 1e-300)
-        simple = (abs(deriv) >= SIMPLICITY_FLOOR * max(1.0, bracket_mag)
-                  or abs(deriv) >= 1e-3 * secant)
-        zeros.append(ZeroRecord(location=root, simple=simple, bracket=(lo, hi),
-                                residual=abs(f_root), derivative=deriv))
-    zeros.sort(key=lambda z: z.location)
+    lo, hi = xs[sign_change], xs[sign_change + 1]
+    # absolute 1e-15 above 1e-3, relative below, so that brackets near
+    # tiny zeros are still refined; the floor keeps xtol positive
+    xtol = np.maximum(np.minimum(1e-15, BISECT_RTOL * np.maximum(np.abs(lo), np.abs(hi))),
+                      math.ulp(0.0))
+    roots, failed = brentq_rows(lambda x: feval(x) if used + len(x) <= budget else None,
+                                lo, hi, xtol=xtol, rtol=BISECT_RTOL)
+    flags += ["bracket-end-not-reproducible"] * int(np.count_nonzero(failed))
+    fits = np.flatnonzero(~np.isnan(roots))[: (budget - used) // 3]
+    if len(fits) < len(roots) - np.count_nonzero(failed):
+        flags.append("budget-exhausted-during-bisection")
+    root, lo, hi, idx = roots[fits], lo[fits], hi[fits], sign_change[fits]
+    # central difference, cut at the bracket ends: f may be undefined beyond
+    h = np.maximum(np.abs(root), 1.0) * 1e-6
+    x_minus, x_plus = np.maximum(root - h, lo), np.minimum(root + h, hi)
+    width = np.where((x_minus == root - h) & (x_plus == root + h), 2.0 * h, x_plus - x_minus)
+    f_minus, f_root, f_plus = (feval(np.concatenate([x_minus, root, x_plus])).reshape(3, -1)
+                               if len(fits) else np.zeros((3, 0)))
+    deriv = (f_plus - f_minus) / width
+    bracket_mag = np.maximum(np.abs(ys[idx]), np.abs(ys[idx + 1]))
+    # absolute floor for order-one scales; the secant comparison rescues
+    # honestly transversal zeros of tiny-magnitude (rescaled) functions,
+    # while higher-multiplicity zeros fail both
+    simple = ((np.abs(deriv) >= SIMPLICITY_FLOOR * np.maximum(1.0, bracket_mag))
+              | (np.abs(deriv) >= 1e-3 * (bracket_mag / np.maximum(hi - lo, 1e-300))))
+    zeros = sorted(map(ZeroRecord, root.tolist(), simple.tolist(), zip(lo.tolist(), hi.tolist()),
+                       np.abs(f_root).tolist(), deriv.tolist()), key=lambda z: z.location)
 
     # exhaustive only when every dip away from the located brackets resolved
     exhaustive = True
@@ -525,9 +512,9 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     # every s scans the same grid, the first array ws receives: its
     # derivative matrices are built once, at order n, W_s reads their leading
     # blocks, and the scan reads its cells for their signs (the sign tier of
-    # _wronskian_logs); refinement grids, the one-point arrays of bisection
-    # and each zero's three-point slope call build their own at the value
-    # tier, and every point of every array counts in the report's budget_used
+    # _wronskian_logs); refinement grids, Brent's calls on the brackets and
+    # the slope call build their own at the value tier, and every point of
+    # every array counts in the report's budget_used
     grid = stack = None
     for s in range(n + 1):
         def ws(x, _s=s):

@@ -35,7 +35,10 @@ from .simulate import ORACLE_TOL, center_event_times, extract_melnikov, find_lim
 
 # random reduced coefficients drawn by each zero-count ceiling scan
 CEILING_TRIALS = 1000
-CEILING_BLOCK = 125
+# trials per block: a (32, 2048) block of float64 values is 512 KB, which
+# stays in a 2 MB L2 cache share, and a 32-row matmul keeps OpenBLAS on one
+# thread, where 125 rows start a second whose spinning costs CPU time later
+CEILING_BLOCK = 32
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -182,7 +185,8 @@ def cmd_cheb(args) -> int:
 def _sign_changes(vals: np.ndarray) -> np.ndarray:
     """Strict sign changes between neighbours along the last axis; zeros change nothing."""
     neg, pos = vals < 0, vals > 0
-    return np.sum((neg[..., :-1] & pos[..., 1:]) | (pos[..., :-1] & neg[..., 1:]), axis=-1)
+    change = (neg[..., :-1] & pos[..., 1:]) | (pos[..., :-1] & neg[..., 1:])
+    return np.sum(change.view(np.int8), axis=-1, dtype=np.int32)
 
 
 def _ceiling_scan(n: int, ceiling: int, rng):

@@ -224,16 +224,15 @@ def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
     npts = zero_count + 1
     signs = np.array([(-1.0) ** m for m in range(npts)])
 
-    for _ in range(SEARCH_TRIALS):
-        pts = np.sort(np.exp(rng.uniform(math.log(a), math.log(b), size=npts)))
-        if np.min(np.diff(np.log(pts))) < 0.05:
-            continue
-        design = np.column_stack([g(pts) for g in funcs])
-        rownorm = np.linalg.norm(design, axis=1)
-        targets = signs * rownorm
+    # one draw for all trials reads the same stream as one draw per trial
+    pts = np.sort(np.exp(rng.uniform(math.log(a), math.log(b), size=(SEARCH_TRIALS, npts))),
+                  axis=1)
+    pts = pts[np.min(np.diff(np.log(pts), axis=1), axis=1) >= 0.05]
+    designs = np.stack([g(pts.ravel()).reshape(pts.shape) for g in funcs], axis=-1)
+    for design in designs:
+        targets = signs * np.linalg.norm(design, axis=1)
         vv, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        achieved = design @ vv
-        if np.any(np.sign(achieved) != signs):
+        if np.any(np.sign(design @ vv) != signs):
             continue
         report = isolate_zeros(lambda x: q_values(vv, n, x), a / 4.0, b * 4.0,
                                budget=40_000, initial=2048)

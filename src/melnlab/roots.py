@@ -1,9 +1,10 @@
 """Brent's bracketing root finder (Brent 1973, ch. 4).
 
-A line-for-line port of SciPy's C ``brentq``, with its argument checks and
-errors, so a root agrees with SciPy's to the last bit without loading SciPy's
-optimize package, which costs about 0.2 s of CPU time and 22 MB of resident
-memory at start-up.
+``brentq`` is a line-for-line port of SciPy's C ``brentq``, with its argument
+checks and errors, so a root agrees with SciPy's to the last bit without
+loading SciPy's optimize package, which costs about 0.2 s of CPU time and 22 MB
+of resident memory at start-up.  ``brentq_rows`` runs its iteration on many
+brackets at once, one call of ``f`` per iteration, each row bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import math
 import operator
 import sys
 
-__all__ = ["brentq"]
+import numpy as np
+
+__all__ = ["brentq", "brentq_rows"]
 
 RTOL = 4 * sys.float_info.epsilon     # the smallest rtol allowed
 MAXITER = 100
@@ -75,7 +78,9 @@ def brentq(f, a: float, b: float, *, xtol: float, rtol: float = RTOL,
             else:                  # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # an underflowed denominator gives C an inf or NaN step, so bisection
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             bound = 3 * abs(sbis) - delta
             if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
                 spre = scur        # good short step
@@ -93,3 +98,58 @@ def brentq(f, a: float, b: float, *, xtol: float, rtol: float = RTOL,
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def brentq_rows(f, a: np.ndarray, b: np.ndarray, *, xtol, rtol: float = RTOL,
+                maxiter: int = MAXITER):
+    """``brentq`` on the brackets ``[a[i], b[i]]``: one call of ``f`` on the ends
+    (all ``a``, then all ``b``), then one per iteration on the rows still
+    running, each with ``brentq``'s IEEE operations in its order, so its root
+    is ``brentq``'s bit for bit; ``xtol`` may differ per row.  Returns ``(x,
+    failed)``, x NaN where ``brentq`` raises ValueError (``failed``) or where
+    ``f`` returned None, which stops the rows still running.  Raises
+    RuntimeError when a row is not done after ``maxiter`` iterations."""
+    k = len(a)
+    ends = f(np.concatenate([a, b])) if k else None
+    if ends is None:
+        return np.full(k, np.nan), np.zeros(k, dtype=bool)
+    fa, fb = ends[:k], ends[k:]
+    failed = np.isnan(fa) | np.isnan(fb) | ((fa != 0) & (fb != 0)
+                                            & (np.signbit(fa) == np.signbit(fb)))
+    x = np.where(fa == 0, a, np.where(fb == 0, b, np.nan))
+    idx = np.flatnonzero(np.isnan(x) & ~failed)
+    xpre, xcur, fpre, fcur, tol = a[idx], b[idx], fa[idx], fb[idx], np.broadcast_to(xtol, k)[idx]
+    xblk = fblk = spre = scur = np.zeros(len(idx))
+    for _ in range(maxiter):
+        with np.errstate(all="ignore"):
+            # fpre != 0 on a running row, and a row with fcur == 0 is done below
+            new, d = np.signbit(fpre) != np.signbit(fcur), xcur - xpre
+            xblk, fblk, spre, scur = np.where(new, (xpre, fpre, d, d), (xblk, fblk, spre, scur))
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+                swap, (xcur, xblk, xcur, fcur, fblk, fcur), (xpre, xcur, xblk, fpre, fcur, fblk))
+            delta, sbis = (tol + rtol * np.abs(xcur)) / 2, (xblk - xcur) / 2
+            abis, aspre, nfcur = np.abs(sbis), np.abs(spre), -fcur
+            # a NaN row (failed where f gave it) leaves here, and its x is reset below
+            done = (fcur == 0) | (abis < delta) | np.isnan(fcur)
+            x[idx[done]] = xcur[done]
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, nfcur * (xcur - xpre) / (fcur - fpre),
+                            nfcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abis - delta
+            good = ((aspre > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2 * np.abs(stry) < np.where(aspre < bound, aspre, bound)))
+            spre, scur = np.where(good, (scur, stry), (sbis, sbis))
+            # sbis is never 0 on a row that is not done
+            step = np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+        idx, xpre, fpre, xcur, xblk, fblk, spre, scur, tol = (
+            v[~done] for v in (idx, xcur, fcur, xcur + step, xblk, fblk, spre, scur, tol))
+        fcur = f(xcur) if len(idx) else None
+        if fcur is None:
+            break
+        failed[idx[np.isnan(fcur)]] = True
+    else:
+        if not failed[idx].all():
+            raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    x[failed] = np.nan
+    return x, failed

@@ -456,9 +456,14 @@ def test_bisection_falls_back_to_the_scans_call():
     assert rep.count == rep.simple_count > 0 and rep.exhaustive and not rep.flags
 
 
+def _scan_only_sign_change(x):
+    """x - 1 on the default 4096-point scan grid, 1 on every other call."""
+    return x - 1.0 if np.size(x) == 4096 else np.ones_like(x)
+
+
 def test_bracket_whose_ends_disagree_with_the_scan_is_skipped():
-    # the scan sees the sign change of x - 1; one-point calls never do
-    rep = isolate_zeros(lambda x: x - 1.0 if np.size(x) > 1 else np.ones_like(x), 0.5, 2.0)
+    # the scan sees the sign change of x - 1; the call on the bracket ends never does
+    rep = isolate_zeros(_scan_only_sign_change, 0.5, 2.0)
     assert rep.count == 0 and not rep.exhaustive
     assert "bracket-end-not-reproducible" in rep.flags
 
@@ -481,27 +486,41 @@ def _recorded(f):
 
 
 def test_f_is_called_on_1d_float_arrays_only():
-    # the scan and refinement grids, one-point arrays while bisecting, then
-    # one three-point call (x - h, root, x + h) per zero for slope and residual
+    # the scan and refinement grids, one call on the 2K ends of the K brackets,
+    # Brent's calls on the brackets still running, then one 3K-point call
+    # (x - h, root, x + h) for every slope and residual
     f, calls = _recorded(_eight_zeros)
     rep = isolate_zeros(f, 1e-6, 50.0, initial=8192)
     assert rep.count == 8 and rep.exhaustive
     assert all(type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64 for x in calls)
-    rounds = len(rep.grid_rounds)
+    rounds, k = len(rep.grid_rounds), rep.count
     assert [len(x) for x in calls[:rounds]] == list(rep.grid_rounds)
-    assert {len(x) for x in calls[rounds:]} == {1, 3}
-    triples = [x for x in calls[rounds:] if len(x) == 3]
-    assert sorted(x[1] for x in triples) == [z.location for z in rep.zeros]
-    for x, z in zip(sorted(triples, key=lambda x: x[1]), rep.zeros):
-        assert z.residual == abs(_eight_zeros(x)[1])
+    assert len(calls[rounds]) == 2 * k and len(calls[-1]) == 3 * k
+    sizes = [len(x) for x in calls[rounds + 1:-1]]
+    assert sizes and sizes == sorted(sizes, reverse=True) and sizes[0] <= k
+    assert calls[-1][k:2 * k].tolist() == [z.location for z in rep.zeros]
+    for z, fx in zip(rep.zeros, _eight_zeros(calls[-1])[k:2 * k]):
+        assert z.residual == abs(fx)
+
+
+def test_prop4_witness_calls_f_on_arrays_of_brackets(monkeypatch):
+    calls = []
+    real = certify.isolate_zeros
+
+    def counted(f, *args, **kw):
+        return real(lambda x: calls.append(len(x)) or f(x), *args, **kw)
+
+    monkeypatch.setattr(certify, "isolate_zeros", counted)
+    rep = prop4_witness()
+    assert rep.budget_used == sum(calls) == 8309
+    assert len(calls) <= 20
 
 
 @pytest.mark.parametrize("f, a, b, kw, flag", [
     (_eight_zeros, 1e-6, 50.0, {"initial": 8192}, None),
     (lambda x: np.sin(50.0 / x), 0.01, 1.0, {"budget": 300, "initial": 128},
      "budget-exhausted-during-bisection"),
-    (lambda x: x - 1.0 if np.size(x) > 1 else np.ones_like(x), 0.5, 2.0, {},
-     "bracket-end-not-reproducible"),
+    (_scan_only_sign_change, 0.5, 2.0, {}, "bracket-end-not-reproducible"),
 ], ids=["eight-zeros", "budget-exhausted", "bracket-skipped"])
 def test_budget_used_counts_every_point_f_receives(f, a, b, kw, flag):
     g, calls = _recorded(f)
