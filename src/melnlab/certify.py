@@ -62,12 +62,12 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def _derivative_matrices(fams: list[BasisFunction], xs: np.ndarray, s: int) -> np.ndarray:
-    """Stack of Wronskian matrices, M[i, row, col] = d^row/dx^row fams[col] at xs[i]."""
-    M = np.empty((len(xs), s + 1, s + 1))
+    """Point-last Wronskian stack, M[row, col, i] = d^row/dx^row fams[col] at xs[i]."""
+    M = np.empty((s + 1, s + 1, len(xs)))
     for col, bf in enumerate(fams[: s + 1]):
         jet = bf.jet(xs, s)
         for row in range(s + 1):
-            M[:, row, col] = jet.derivative(row)
+            M[row, col] = jet.derivative(row)
     return M
 
 
@@ -101,58 +101,49 @@ def _precise_logdet(fams: list[BasisFunction], x: float, s: int) -> tuple[float,
 
 
 def _equilibrate(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, r, c): A[k] ~ M[k] / (r[k] c[k]^T), rows and columns of max-norm ~1."""
+    """(A, r, c): A[..., k] ~ M[..., k] / (r[k] c[k]^T) for a point-last M, rows and
+    columns of max-norm ~1; r and c are C-contiguous (K, n), as np.sum needs."""
     A = M.copy()
     absA = np.empty_like(A)
-    r = np.ones(M.shape[:2])
-    c = np.ones(M.shape[:2])
+    r, c = np.ones((2, M.shape[2], len(M)))
     for _ in range(2):
-        rn = _max_over(np.abs(A, out=absA), 2)
+        rn = np.max(np.abs(A, out=absA), axis=1)
         rn[rn == 0.0] = 1.0
-        A /= rn[:, :, None]
-        r *= rn
-        cn = _max_over(np.abs(A, out=absA), 1)
+        A /= rn[:, None, :]
+        r *= rn.T
+        cn = np.max(np.abs(A, out=absA), axis=0)
         cn[cn == 0.0] = 1.0
-        A /= cn[:, None, :]
-        c *= cn
+        A /= cn
+        c *= cn.T
     return A, r, c
 
 
-def _max_over(a: np.ndarray, axis: int) -> np.ndarray:
-    """np.max(a, axis=axis) as elementwise maxima of the slices along that
-    (short) axis: the same bits, NaN included, without a slow short reduction."""
-    slices = np.moveaxis(a, axis, 0)
-    out = slices[0].copy()
-    for sl in slices[1:]:
-        np.maximum(out, sl, out=out)
-    return out
-
-
 def _rho(A: np.ndarray, s: int) -> np.ndarray:
-    """Relative error bound of each double-precision det A (nonsingular A)."""
+    """Relative error bound of each double det A of a (K, n, n) stack of nonsingular A,
+    which is overwritten by |A|."""
     inv = np.linalg.inv(A)
-    kappa = np.einsum("kij,kji->k", np.abs(A), np.abs(inv, out=inv))
+    kappa = np.einsum("kij,kji->k", np.abs(A, out=A), np.abs(inv, out=inv))
     return CERT_C * (s + 1) * _UNIT_ROUNDOFF * kappa
 
 
 def _rho_cofactor(A: np.ndarray, mag: np.ndarray, s: int) -> np.ndarray:
-    """Upper bound on _rho(A, s) from the row norms of A and mag = log|det A|.
+    """Upper bound on _rho from the rows of a point-last stack A and mag = log|det A|.
 
     (A^-1)_ji is the cofactor C_ij over det A, and Hadamard's inequality
     bounds |C_ij| by the product of the 2-norms of the rows other than a_i, so
-    kappa <= (prod_k ||a_k||_2 / |det A|) * sum_i ||a_i||_1 / ||a_i||_2.
+    kappa <= (prod_k ||a_k||_2 / |det A|) * sum_i ||a_i||_1 / ||a_i||_2.  Each
+    sum adds a short axis's slices in order: the same bits on every grid.
     """
-    absA = np.abs(A)
-    l1 = np.einsum("kij->ki", absA)
-    l2 = np.sqrt(np.einsum("kij,kij->ki", absA, absA))
-    hadamard = np.exp(np.einsum("ki->k", np.log(l2)) - mag)
-    return CERT_C * (s + 1) * _UNIT_ROUNDOFF * hadamard * np.einsum("ki->k", l1 / l2)
+    columns = A.swapaxes(0, 1)
+    l1 = sum(np.abs(a) for a in columns)
+    l2 = np.sqrt(sum(a * a for a in columns))
+    hadamard = np.exp(sum(np.log(l2)) - mag)
+    return CERT_C * (s + 1) * _UNIT_ROUNDOFF * hadamard * sum(l1 / l2)
 
 
 def _has_subnormal(M: np.ndarray) -> np.ndarray:
-    """Cells of a matrix stack with an entry in the subnormal range."""
-    tiny = (np.abs(M) < np.finfo(float).tiny) & (M != 0.0)
-    return tiny.reshape(len(M), -1).any(axis=1)
+    """Cells of a point-last matrix stack with an entry in the subnormal range."""
+    return ((np.abs(M) < np.finfo(float).tiny) & (M != 0.0)).any(axis=(0, 1))
 
 
 def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=None,
@@ -165,20 +156,20 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
     recomputed by _precise_logdet, and the count returned covers both tiers.
     No per-cell matrix outlives the call.  ``stack`` may give
     _derivative_matrices(fams, xs, n) for an n >= s: a jet's coefficient m
-    reads only coefficients <= m, so its leading blocks are W_s's matrices
-    bit for bit.
+    reads only coefficients <= m, so its leading (s+1)x(s+1) block is W_s's
+    stack bit for bit.
 
-    Every cell is held to rho <= CERT_REL_MAX (the value tier) unless
-    ``sign_only`` is set, for a grid whose values are read for their signs:
-    there a cell is taken at rho <= SIGN_REL_MAX (the sign tier), and the
-    cofactor bound rho_H = _rho_cofactor is tried first, so that only the
-    cells it does not clear pay for an inverse.  rho_H >= rho holds in exact
-    arithmetic, and held on all 22,767 finite cells of the 17 families of
-    the soundness tests at 256 points.  rho_H is computed with the double
-    det A', not the exact det A.  The true relative error delta =
-    |det A' / det A - 1| is at most rho, so at most the exact-det rho_H,
-    which is rho_H |det A'| / |det A| <= rho_H (1 + delta); hence delta <=
-    rho_H / (1 - rho_H), at most 1.011 SIGN_REL_MAX, and the sign holds.  Two
+    rho_H = _rho_cofactor is tried first; only the cells it does not clear
+    pay for the inverse behind rho.  rho_H >= rho holds in exact arithmetic,
+    and held on all 22,767 finite cells of the soundness tests' 17 families
+    at 256 points.  rho_H is computed with the double det A', not the
+    exact det A.  The true relative error delta = |det A' / det A - 1| is at
+    most rho, so at most the exact-det rho_H, which is rho_H |det A'| /
+    |det A| <= rho_H (1 + delta); hence delta <= rho_H / (1 - rho_H).  The
+    value tier holds a cell to rho_H / (1 - rho_H) or else rho <=
+    CERT_REL_MAX, which takes exactly the cells rho alone would.  With
+    ``sign_only``, for a grid read for its signs, rho_H or rho <= SIGN_REL_MAX
+    suffices (the sign tier): delta <= 1.011 SIGN_REL_MAX keeps the sign.  Two
     kinds of cell keep the value tier on such a grid:
     - a cell whose derivative matrix holds a subnormal entry, where the
       entries are not accurate to a few ulps and a noise sign would pass;
@@ -189,35 +180,37 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
     """
     if s >= len(fams):
         raise DomainError(f"family has {len(fams)} members; s={s} out of range")
-    M = _derivative_matrices(fams, xs, s) if stack is None else stack[:, : s + 1, : s + 1]
+    M = _derivative_matrices(fams, xs, s) if stack is None else stack[: s + 1, : s + 1]
     with np.errstate(all="ignore"):
         A, r, c = _equilibrate(M)
         logscale = np.sum(np.log(r), axis=1) + np.sum(np.log(c), axis=1)
-        sign, mag = np.linalg.slogdet(A)
+        cells = A.transpose(2, 0, 1)
+        sign, mag = np.linalg.slogdet(cells)
         logw = mag + logscale
         finite = np.isfinite(mag) & np.isfinite(logscale)
         loose = finite & ~_has_subnormal(M) if sign_only else np.zeros(len(xs), dtype=bool)
-        certified = np.zeros(len(xs), dtype=bool)
-        cells = A if loose.all() else A[loose]
-        certified[loose] = _rho_cofactor(cells, mag[loose], s) <= SIGN_REL_MAX
+        rho_h = _rho_cofactor(A, mag, s)
+        cleared = finite & (rho_h <= CERT_REL_MAX * (1.0 - rho_h))
+        certified = cleared | (loose & (rho_h <= SIGN_REL_MAX))
         rest = finite & ~certified
-        cells = A if rest.all() else A[rest]
-        certified[rest] = _rho(cells, s) <= np.where(loose[rest], SIGN_REL_MAX, CERT_REL_MAX)
+        if rest.any():
+            certified[rest] = (_rho(cells[rest], s)
+                               <= np.where(loose[rest], SIGN_REL_MAX, CERT_REL_MAX))
 
-        def recompute(cells):
-            for i in cells:
+        def recompute(idx):
+            for i in idx:
                 sign[i], logw[i] = _precise_logdet(fams, float(xs[i]), s)
                 mag[i] = logw[i] - logscale[i]
-            return len(cells)
+            return len(idx)
 
         recomputed = recompute(np.flatnonzero(~certified))
-        pending = loose & certified
+        pending = loose & certified & ~cleared
         while pending.any():
             top = np.flatnonzero(pending & (mag >= np.max(mag) - 2 * SIGN_REL_MAX))
             if len(top) == 0:
                 break
             pending[top] = False
-            recomputed += recompute(top[_rho(A[top], s) > CERT_REL_MAX])
+            recomputed += recompute(top[_rho(cells[top], s) > CERT_REL_MAX])
     return sign, mag, logw, recomputed
 
 
@@ -330,8 +323,10 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     ``budget``; brackets done by then keep their zeros, in bracket order, as
     far as their slope points fit.  A bracket whose ends do not repeat the
     scan's sign change is skipped and flagged.  The count is a lower bound;
-    ``exhaustive`` is set only if no bracket was skipped and |f| clears a
-    floor, relative to a windowed local magnitude, between brackets.
+    ``exhaustive`` is set only if no bracket was skipped, f stayed finite on
+    the scan and refinement grids (else ``non-finite-values`` is flagged) and
+    |f| clears a floor, relative to a windowed local magnitude, between
+    brackets; ``scale`` is the largest finite |f| on the scan.
     """
     if not (0 < a < b):
         raise DomainError(f"need 0 < a < b, got [{a}, {b}]")
@@ -351,11 +346,11 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     xs = np.geomspace(a, b, min(initial, max(budget // 2, 16)))
     ys = feval(xs)
     rounds.append(len(xs))
-    scale = float(np.max(np.abs(ys))) if np.any(np.isfinite(ys)) else 0.0
+    scale = float(np.max(np.abs(ys), initial=0.0, where=np.isfinite(ys)))
     if scale == 0.0:
+        flag = "identically-zero-on-grid" if np.isfinite(ys).all() else "non-finite-values"
         return ZeroReport((a, b), (), exhaustive=False, budget_used=used,
-                          budget=budget, grid_rounds=tuple(rounds), scale=0.0,
-                          flags=("identically-zero-on-grid",))
+                          budget=budget, grid_rounds=tuple(rounds), scale=0.0, flags=(flag,))
 
     def suspicious_cells(xv, yv):
         """Cells with a V-dip well below their ambient neighbors, no sign change."""
@@ -432,7 +427,9 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     if leftover:
         exhaustive = False
         flags.append("unresolved-dip-without-sign-change")
-    if any("budget" in fl or "reproducible" in fl for fl in flags):
+    if not np.isfinite(ys).all():
+        flags.append("non-finite-values")
+    if any("budget" in fl or "reproducible" in fl or "finite" in fl for fl in flags):
         exhaustive = False
 
     return ZeroReport((a, b), tuple(zeros), exhaustive=exhaustive, budget_used=used,

@@ -164,16 +164,16 @@ def certified_family(name, k):
 
 
 def _certificates(fams, xs, s):
-    """(M, A, sign, mag, rho, rho_H) of W_s on xs; rho and rho_H are inf where
-    the double det A is not finite."""
+    """(M, A, sign, mag, rho, rho_H) of W_s on xs, with M and A point-last
+    stacks; rho and rho_H are inf where the double det A is not finite."""
     M = _derivative_matrices(fams, xs, s)
     with np.errstate(all="ignore"):
         A, _, _ = _equilibrate(M)
-        sign, mag = np.linalg.slogdet(A)
+        sign, mag = np.linalg.slogdet(A.transpose(2, 0, 1))
         rho, rho_h = np.full(len(xs), np.inf), np.full(len(xs), np.inf)
         finite = np.isfinite(mag)
-        rho[finite] = _rho(A[finite], s)
-        rho_h[finite] = _rho_cofactor(A[finite], mag[finite], s)
+        rho[finite] = _rho(A.transpose(2, 0, 1)[finite], s)
+        rho_h[finite] = _rho_cofactor(A[..., finite], mag[finite], s)
     return M, A, sign, mag, rho, rho_h
 
 
@@ -236,11 +236,12 @@ def test_cofactor_bound_is_above_rho_on_equilibrated_matrices(size, seed, spread
     M = rng.standard_normal((4, size, size)) * 10.0 ** rng.uniform(-spread, spread, (4, size, size))
     if tilt:
         M = np.eye(size) + M * 10.0 ** -rng.uniform(0, 17)
-    A, _, _ = _equilibrate(M)
-    sign, mag = np.linalg.slogdet(A)
+    A, _, _ = _equilibrate(np.ascontiguousarray(M.transpose(1, 2, 0)))
+    sign, mag = np.linalg.slogdet(A.transpose(2, 0, 1))
     finite = np.isfinite(mag) & (sign != 0)
     s = size - 1
-    assert np.all(_rho_cofactor(A[finite], mag[finite], s) >= _rho(A[finite], s))
+    assert np.all(_rho_cofactor(A[..., finite], mag[finite], s)
+                  >= _rho(A.transpose(2, 0, 1)[finite], s))
 
 
 def test_subnormal_cells_are_never_taken_at_the_sign_tier():
@@ -262,7 +263,7 @@ def test_subnormal_cells_are_never_taken_at_the_sign_tier():
 
 
 def _equilibrate_by_reduction(M):
-    """The short-axis np.max form of _equilibrate, kept as its reference."""
+    """The (K, n, n) short-axis np.max form of _equilibrate, kept as its reference."""
     A = M.copy()
     r = np.ones(M.shape[:2])
     c = np.ones(M.shape[:2])
@@ -278,8 +279,10 @@ def _equilibrate_by_reduction(M):
     return A, r, c
 
 
-@pytest.mark.parametrize("size", range(1, 9))
+@pytest.mark.parametrize("size", range(1, 10))
 def test_equilibrate_matches_the_reduction_form_bit_for_bit(size):
+    # _equilibrate takes the point-last stack; its A is compared as (K, n, n),
+    # its r and c are (K, n) as the reference's
     rng = np.random.default_rng(size)
     shape = (400, size, size)
     M = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
@@ -287,10 +290,33 @@ def test_equilibrate_matches_the_reduction_form_bit_for_bit(size):
     M[rng.random(400) < 0.2, :, rng.integers(size)] = -0.0      # zero columns
     special = rng.random(shape) < 0.05
     M[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], np.count_nonzero(special))
+    M[0, 0, :] = 0.0                                            # an all-zero row
+    M[1, -1, 0] = 5e-324                                        # a subnormal entry
+    M[2, 0, -1] = np.nan                                        # a NaN entry
     with np.errstate(all="ignore"):
-        got, want = _equilibrate(M), _equilibrate_by_reduction(M)
-    for g, w in zip(got, want, strict=True):
+        A, r, c = _equilibrate(np.ascontiguousarray(M.transpose(1, 2, 0)))
+        want = _equilibrate_by_reduction(M)
+    for g, w in zip((A.transpose(2, 0, 1), r, c), want, strict=True):
         assert g.tobytes() == w.tobytes()
+
+
+def test_wronskian_sums_each_cells_log_factors_along_a_contiguous_row():
+    # numpy sums a contiguous axis of length >= 8 pairwise and a leading axis
+    # one row at a time; W_7 of F5^1 has 8 factors per cell, and the reference
+    # sums them over a C-contiguous (K, n) array
+    fams = family("F5", 1)
+    xs = np.geomspace(0.1, 10.0, 400)
+    assert _wronskian_logs(fams, xs, 7)[3] == 0
+    M = np.ascontiguousarray(_derivative_matrices(fams, xs, 7).transpose(2, 0, 1))
+    A, r, c = _equilibrate_by_reduction(M)
+    sign, mag = np.linalg.slogdet(A)
+    log_r, log_c = np.log(r), np.log(c)
+    logscale = np.sum(log_r, axis=1) + np.sum(log_c, axis=1)
+    assert wronskian(fams, xs, 7)[0].tobytes() == (sign * np.exp(mag + logscale)).tobytes()
+    # the same factors summed along the leading axis of point-last copies
+    leading = (np.sum(np.ascontiguousarray(log_r.T), axis=0)
+               + np.sum(np.ascontiguousarray(log_c.T), axis=0))
+    assert np.any(sign * np.exp(mag + leading) != sign * np.exp(mag + logscale))
 
 
 FAMILY_ARGS = [(name, 2) for name in FAMILIES] + [("F5", 1)]
@@ -298,15 +324,15 @@ FAMILY_ARGS = [(name, 2) for name in FAMILIES] + [("F5", 1)]
 
 @pytest.mark.parametrize("name,k", FAMILY_ARGS)
 def test_leading_blocks_of_a_derivative_stack_are_the_lower_stacks(name, k):
-    # certify_family builds the scan grid's stack once, at the top order,
-    # and W_s reads its leading (s+1)x(s+1) blocks
+    # certify_family builds the scan grid's point-last stack once, at the top
+    # order, and W_s reads its leading (s+1)x(s+1) block
     fams = FAMILIES[name](argparse.Namespace(k=k, lam=1.0 if name == "F7" else None,
                                              alpha=None, beta=None))
     n = len(fams) - 1
     for xs in (np.geomspace(0.1, 10.0, 513), np.array([1.7])):
         full = _derivative_matrices(fams, xs, n)
         for s in range(n + 1):
-            assert full[:, : s + 1, : s + 1].tobytes() == _derivative_matrices(fams, xs, s).tobytes()
+            assert full[: s + 1, : s + 1].tobytes() == _derivative_matrices(fams, xs, s).tobytes()
 
 
 def test_certify_family_builds_one_stack_on_the_scan_grid(monkeypatch):
@@ -359,6 +385,26 @@ def test_dependent_members_end_before_any_wronskian(monkeypatch, name, k, pair):
 
 def test_a_family_without_a_repeated_power_has_no_note():
     assert "note" not in certify_family(family("F1", 1), 0.1, 10.0).to_dict()
+
+
+def test_the_csv_pass_inverts_only_the_cells_the_cofactor_bound_leaves(monkeypatch):
+    # rho_H / (1 - rho_H) <= CERT_REL_MAX clears every cell of W_0..W_3 of
+    # F5^1 on cheb's grid, and some of W_4..W_7, with no inverse
+    batches = []
+    rho = certify._rho
+
+    def recorded(A, s):
+        batches.append((s, len(A)))
+        return rho(A, s)
+
+    monkeypatch.setattr(certify, "_rho", recorded)
+    fams = family("F5", 1)
+    xs = np.geomspace(0.1, 10.0, 400)
+    every_s = scaled_wronskians(fams, xs)
+    assert [s for s, _ in batches] == [4, 5, 6, 7]
+    assert sum(n for _, n in batches) < 4 * len(xs)
+    for s, ws in enumerate(every_s):
+        assert ws.tobytes() == wronskian_scaled(fams, xs, s).tobytes()
 
 
 @pytest.mark.parametrize("name,k", [("F2", 2), ("F3", 1), ("F5", 1), ("J0", None)])
@@ -466,6 +512,27 @@ def test_bracket_whose_ends_disagree_with_the_scan_is_skipped():
     rep = isolate_zeros(_scan_only_sign_change, 0.5, 2.0)
     assert rep.count == 0 and not rep.exhaustive
     assert "bracket-end-not-reproducible" in rep.flags
+
+
+def _nan_on_2_to_5(x):
+    """sin x with NaN on (2, 5), the window around its zero at pi."""
+    return np.where((x > 2.0) & (x < 5.0), np.nan, np.sin(x))
+
+
+def test_a_scan_that_sees_nan_is_not_exhaustive():
+    # the zero at pi lies where f is NaN, so 2 zeros are a lower bound only
+    rep = isolate_zeros(_nan_on_2_to_5, 0.1, 10.0, budget=120_000, initial=2048)
+    assert [round(z.location, 9) for z in rep.zeros] == [round(2 * math.pi, 9),
+                                                         round(3 * math.pi, 9)]
+    assert not rep.exhaustive
+    assert rep.flags.count("non-finite-values") == 1
+    xs = np.geomspace(0.1, 10.0, 2048)
+    assert rep.scale == np.max(np.abs(np.sin(xs[(xs <= 2.0) | (xs >= 5.0)])))
+
+
+def test_an_all_nan_scan_is_not_identically_zero():
+    rep = isolate_zeros(lambda x: np.full_like(x, np.nan), 0.1, 10.0)
+    assert (rep.flags, rep.exhaustive, rep.scale) == (("non-finite-values",), False, 0.0)
 
 
 def test_budget_flagging():

@@ -81,6 +81,16 @@ def test_cheb_command(tmp_path):
     assert (out / "wronskian_2.csv").exists()
 
 
+def test_cheb_command_deterministic(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["cheb", "--family", "F5", "--k", "1", "--interval", "0.1:10",
+                     "--out", str(out)]) == 0
+    names = ["verdict.json"] + [f"wronskian_{s}.csv" for s in range(8)]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_cheb_singular_family_is_inconclusive(tmp_path, capsys):
     # u4 = u6 = x^2 at k=1, so every Wronskian from W_2 on vanishes identically
     out = tmp_path / "singular"
