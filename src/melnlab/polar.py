@@ -11,7 +11,10 @@ division reproduces term by term:
 
 All evaluators accept floats, numpy arrays, :class:`Jet` or
 :class:`TriangleJet` objects for the radius and angle arguments, so the same
-code path yields values, r-derivative jets, and mixed (r, t)-jets.
+code path yields values, r-derivative jets, and mixed (r, t)-jets.  The
+recursion's r-jets take a shorter path with the same operations: A_i and
+r B_i are affine in r, so they are evaluated at the r-variable's
+coefficients only (``f_r_jets``).
 """
 
 from __future__ import annotations
@@ -27,15 +30,39 @@ from .series import Jet, TriangleJet, _sincos, jet_sincos
 __all__ = ["PolarField", "cartesian_field", "endpoint_triangles"]
 
 
-def _radial(coeffs, r, s, c):
+def _radial(coeffs, r, s, c, const: bool = True):
+    """A_i; without the constant terms p0, q0 when ``const`` is false."""
     (p0, p1, p2), (q0, q1, q2) = coeffs
-    return c * (p0 + r * (p2 + q1) * s) + p1 * r * c * c + s * (q0 + q2 * r * s)
+    u, v = r * (p2 + q1) * s, q2 * r * s
+    if const:
+        u, v = p0 + u, q0 + v
+    return c * u + p1 * r * c * c + s * v
+
+
+def _angular_num(coeffs, r, s, c, const: bool = True):
+    """r B_i; without the constant terms p0, q0 when ``const`` is false."""
+    (p0, p1, p2), (q0, q1, q2) = coeffs
+    u, v = p2 * r * s, r * (q2 - p1) * s
+    if const:
+        u, v = p0 + u, v + q0
+    return -s * u + c * v + q1 * r * c * c
 
 
 def _angular(coeffs, r, s, c):
-    (p0, p1, p2), (q0, q1, q2) = coeffs
-    num = -s * (p0 + p2 * r * s) + c * (r * (q2 - p1) * s + q0) + q1 * r * c * c
-    return num / r
+    return _angular_num(coeffs, r, s, c) / r
+
+
+def _affine_r_jet(expr, coeffs, rvar: list, s, c, d: int) -> Jet:
+    """Order-d r-jet of ``_radial`` or ``_angular_num``, both affine in r:
+    coefficient m is the expression at the r-variable's coefficient rvar[m]
+    (r, 1, 0), with the constant terms in coefficient 0 only, as jet
+    arithmetic computes it.  Coefficients from 2 on are one read-only value."""
+    terms = [expr(coeffs, rm, s, c, m == 0) for m, rm in enumerate(rvar[:d + 1])]
+    if d >= 2:
+        if isinstance(terms[2], np.ndarray):
+            terms[2].flags.writeable = False
+        terms += terms[2:] * (d - 2)
+    return Jet._of(terms)
 
 
 def _divide(A: list, B: list) -> list:
@@ -62,9 +89,9 @@ class PolarField:
     def _side(self, sign, i: int):
         oc = self.config.order(i)
         if isinstance(sign, np.ndarray):
-            up = sign > 0
-            return tuple(tuple(np.where(up, u, d) for u, d in zip(above, below))
-                         for above, below in ((oc.a, oc.alpha), (oc.b, oc.beta)))
+            sides = np.array((oc.a + oc.b, oc.alpha + oc.beta)).reshape((2, 6) + (1,) * sign.ndim)
+            pick = np.where(sign > 0, sides[0], sides[1])
+            return tuple(pick[:3]), tuple(pick[3:])
         if sign > 0:
             return oc.a, oc.b
         return oc.alpha, oc.beta
@@ -105,7 +132,14 @@ class PolarField:
         ``f_all`` on a longer r-jet.
         """
         s, c = _sincos(theta)
-        return self._triangle_f(sign, [(Jet.variable(r, d), s, c) for d in range(order + 1)])
+        rvar = Jet.variable(r, 2).c
+        upto = min(order + 1, self.k)
+        sides = [self._side(sign, i) for i in range(1, upto + 1)]
+        A = [_affine_r_jet(_radial, sides[i - 1], rvar, s, c, order + 1 - i)
+             for i in range(1, upto + 1)]
+        B = [_affine_r_jet(_angular_num, sides[i - 1], rvar, s, c, order - i)
+             / Jet.variable(r, order - i) for i in range(1, upto)]
+        return _divide(A, B)
 
     def f_nested_jets(self, sign: int, triangles: list[tuple]) -> list[TriangleJet]:
         """[F_1, ..., F_{degree+1}] (at most k) as (r, t)-jets, F_i of total degree degree+1-i.
@@ -113,14 +147,10 @@ class PolarField:
         ``triangles`` is ``endpoint_triangles(r, t0, degree)``.  Coefficient
         (L, p) of F_i, times L!, is the p-th t-coefficient of the L-th state
         derivative of F_i at (r, t0), every one bit for bit as in an
-        untruncated nested expansion.
+        untruncated nested expansion.  A_i is evaluated at degree
+        ``degree + 1 - i`` and B_i one degree lower, so the division yields F_i
+        exactly to its degree.
         """
-        return self._triangle_f(sign, triangles)
-
-    def _triangle_f(self, sign, triangles: list[tuple]) -> list:
-        """F_1..F_{degree+1} (at most k) from the arguments (r, sin, cos) cut to
-        each degree 0..degree: A_i is evaluated at degree ``degree + 1 - i`` and
-        B_i one degree lower, so the division yields F_i exactly to its degree."""
         degree = len(triangles) - 1
         upto = min(degree + 1, self.k)
         A = [_radial(self._side(sign, i), *triangles[degree + 1 - i]) for i in range(1, upto + 1)]

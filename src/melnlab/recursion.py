@@ -38,6 +38,10 @@ __all__ = ["ZTable", "melnikov", "melnikov_all"]
 CHEB_START_DEGREE = 64
 CHEB_MAX_DEGREE = 1024
 CHEB_REL_TOL = 5e-14
+# Largest z_m block (coefficients x rows x nodes) spread over the nodes before
+# its Clenshaw pass: on one point's 3 x 64 nodes numpy's broadcasting set-up
+# costs more than the copy, while copying a grid's block costs time and memory.
+SPREAD_MAX = 2 ** 14
 
 
 # pi as pocketfft spells it, parsed to the platform's long double
@@ -144,6 +148,24 @@ def _chebval(x, c):
     c0, c1 = c[-2], c[-1]
     for ck in c[-3::-1]:
         c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _chebval_nodes(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``_chebval(x, c)`` of a (L, rows, 1) coefficient block at (rows, nodes)
+    points; a block under SPREAD_MAX is spread over the nodes first.  Same
+    IEEE operations in the same order, same bits."""
+    if c.shape[0] * x.size > SPREAD_MAX:
+        return _chebval(x, c)
+    spread = np.empty(c.shape[:-1] + x.shape[-1:])
+    spread[...] = c
+    x2 = 2 * x
+    c0, c1, spare = spread[-2], spread[-1], np.empty_like(x)
+    for ck in spread[-3::-1]:
+        np.multiply(c1, x2, spare)
+        np.add(c0, spare, spare)  # c0 + c1 * x2
+        np.subtract(ck, c1, c1)  # ck - c1
+        c0, c1, spare = c1, spare, c0
     return c0 + c1 * x
 
 
@@ -384,7 +406,7 @@ class ZTable:
                 nodesets[key] = (self.field.f_r_jets(signs, r, theta, self.order - 1), [],
                                  off[active, None] + scl[active, None] * theta, {})
             fs, zs, u, monomials = nodesets[key]
-            zs.extend(_chebval(u, self._coef[m - 1][:, active, None])
+            zs.extend(_chebval_nodes(u, self._coef[m - 1][:, active, None])
                       for m in range(len(zs) + 1, i))
             vals = _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb),
                               monomials)

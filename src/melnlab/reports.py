@@ -69,12 +69,23 @@ def write_json(path: str | Path, obj) -> Path:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Floats as ``format_float`` renders them, anything else by ``str``.
+
+    A table of finite floats in rows of one width takes one %-format, since
+    ``"%.17g" % x`` gives the bytes of ``f"{x:.17g}"``; a finite sum has no
+    NaN or inf term.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = list(rows)
+    flat = [v for row in rows for v in row]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v)
-                              for v in row))
+    if len({len(row) for row in rows}) == 1 and set(map(type, flat)) == {float} \
+            and math.isfinite(sum(flat)):
+        lines.append("\n".join([",".join(["%.17g"] * len(rows[0]))] * len(rows)) % tuple(flat))
+    else:
+        lines += (",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+                  for row in rows)
     path.write_text("\n".join(lines) + "\n")
     return path
 

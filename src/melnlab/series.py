@@ -180,7 +180,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self.c, other.c
-            return Jet._of(_jet_product(min(len(a), len(b)))(a, b))
+            n = len(a)
+            return Jet._of(_jet_product(n if n <= len(b) else len(b))(a, b))
         return Jet._of([cm * other for cm in self.c])
 
     __rmul__ = __mul__
@@ -189,7 +190,8 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet._of([cm / other for cm in self.c])
         a, b = self.c, other.c
-        return Jet._of(_jet_quotient(min(len(a), len(b)))(a, b))
+        n = len(a)
+        return Jet._of(_jet_quotient(n if n <= len(b) else len(b))(a, b))
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order) / self
@@ -368,6 +370,14 @@ class TriangleJet:
         self.degree = degree
 
     @staticmethod
+    def _of(c: list, degree: int) -> "TriangleJet":
+        """Triangle over the list ``c`` itself, which has the size of the degree: no check."""
+        tri = object.__new__(TriangleJet)
+        tri.c = c
+        tri.degree = degree
+        return tri
+
+    @staticmethod
     def of_nested(jet: Jet) -> "TriangleJet":
         """The triangle of degree ``jet.order`` of a jet of t-jets."""
         d = jet.order
@@ -391,15 +401,15 @@ class TriangleJet:
     def __add__(self, other):
         if isinstance(other, TriangleJet):
             d = min(self.degree, other.degree)
-            return TriangleJet([x + y for x, y in zip(self._cut(d), other._cut(d))], d)
+            return TriangleJet._of([x + y for x, y in zip(self._cut(d), other._cut(d))], d)
         c = list(self.c)
         c[0] = c[0] + other
-        return TriangleJet(c, self.degree)
+        return TriangleJet._of(c, self.degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TriangleJet([-cm for cm in self.c], self.degree)
+        return TriangleJet._of([-cm for cm in self.c], self.degree)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TriangleJet) else -1.0 * other)
@@ -409,17 +419,17 @@ class TriangleJet:
 
     def __mul__(self, other):
         if not isinstance(other, TriangleJet):
-            return TriangleJet([cm * other for cm in self.c], self.degree)
-        d = min(self.degree, other.degree)
-        return TriangleJet(_triangle_product(d)(self._cut(d), other._cut(d)), d)
+            return TriangleJet._of([cm * other for cm in self.c], self.degree)
+        d = self.degree if self.degree <= other.degree else other.degree
+        return TriangleJet._of(_triangle_product(d)(self._cut(d), other._cut(d)), d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TriangleJet):
-            return TriangleJet([cm / other for cm in self.c], self.degree)
-        d = min(self.degree, other.degree)
-        return TriangleJet(_triangle_quotient(d)(self._cut(d), other._cut(d)), d)
+            return TriangleJet._of([cm / other for cm in self.c], self.degree)
+        d = self.degree if self.degree <= other.degree else other.degree
+        return TriangleJet._of(_triangle_quotient(d)(self._cut(d), other._cut(d)), d)
 
 
 def jet_sin(u: Jet) -> Jet:

@@ -13,7 +13,7 @@ from melnlab.cli import (CASES, CEILING_TRIALS, FAMILIES, _ceiling_scan, _sign_c
 from melnlab.closedforms import q_basis, v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
 from melnlab.recursion import melnikov
-from melnlab.reports import dumps_json, format_float
+from melnlab.reports import dumps_json, format_float, write_csv
 from melnlab.simulate import ORACLE_TOL
 
 
@@ -39,6 +39,21 @@ def test_dumps_json_deterministic():
     obj = {"a": [1.0 / 3.0, 2], "b": {"c": float("nan")}}
     assert dumps_json(obj) == dumps_json(obj)
     assert '"NaN"' in dumps_json(obj)
+
+
+def test_csv_table_format_equals_the_per_value_format(tmp_path):
+    # an all-finite float table takes one %-format, a table with an int column
+    # the per-value path; both give format_float's bytes, at the extremes too
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             -1.7976931348623157e308, 1.0 / 3.0, -1.5e-13, 123456789.0]
+    rows = [(x, -x) for x in edges]
+    want = "a,b\n" + "".join(f"{format_float(x)},{format_float(-x)}\n" for x in edges)
+    assert write_csv(tmp_path / "floats.csv", ["a", "b"], rows).read_text() == want
+    flagged = write_csv(tmp_path / "flagged.csv", ["a", "b", "flag"],
+                        [row + (0,) for row in rows]).read_text().splitlines()
+    assert flagged == ["a,b,flag"] + [line + ",0" for line in want.splitlines()[1:]]
+    nan = write_csv(tmp_path / "nan.csv", ["a", "b"], rows + [(1.0, float("nan"))])
+    assert nan.read_text() == want + "1,NaN\n"
 
 
 def test_melnikov_command(tmp_path, demo_config):

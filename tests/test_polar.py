@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_config
+from melnlab import polar
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError
 from melnlab.polar import PolarField, cartesian_field, endpoint_triangles
@@ -141,13 +143,31 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+SIGNED_ZEROS = OrderCoefficients(a=(0.0, 0.5, -0.0), b=(-0.0, 0.0, 0.25),
+                                 alpha=(-0.0, -0.0, 0.0), beta=(0.75, -0.0, -0.0))
+# an all-zero order block and signed-zero coefficients are where a jet
+# coefficient that skips or adds a zero term would flip the sign of a zero
+EDGE_KINDS = ("random", "zero block", "signed zeros")
+
+
+def _edge_config(rng, kind: str) -> SystemConfig:
+    cfg = random_config(rng, 3, 5)
+    if kind == "random":
+        return cfg
+    orders = list(cfg.orders)
+    orders[1] = OrderCoefficients()
+    if kind == "signed zeros":
+        orders[0] = orders[3] = SIGNED_ZEROS
+    return SystemConfig(n=3, k=5, orders=tuple(orders))
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_f_r_jets_are_a_prefix_of_the_full_list(rng, sign):
     # F_i comes at r-order order + 1 - i, all that the sector integrands read;
     # each of its coefficients has the bits of the full-order f_all jet's
-    cfg = random_config(rng, 3, 5)
-    field = PolarField(cfg)
-    for theta in (0.9, np.linspace(0.1, 6.0, 9)):
+    for kind, theta in itertools.product(EDGE_KINDS, (0.9, 0.0, np.linspace(0.0, 6.0, 9))):
+        cfg = _edge_config(rng, kind)
+        field = PolarField(cfg)
         full = field.f_all(sign, Jet.variable(1.3, cfg.k), theta)
         for order in range(cfg.k):
             part = field.f_r_jets(sign, 1.3, theta, order)
@@ -167,6 +187,34 @@ def test_f_r_jets_with_a_sign_per_row_match_each_side(rng):
     for r, sign in enumerate((-1, +1, -1)):
         alone = field.f_r_jets(sign, 1.3, theta[r], 3)
         assert all(_same(Jet([c[r] for c in a.c]), b) for a, b in zip(rows, alone))
+
+
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+def test_f_r_jets_with_a_sign_and_radius_per_row_match_f_all(rng, kind):
+    # the recursion's call: a (rows, 1) sign and r against (rows, nodes) angles
+    cfg = _edge_config(rng, kind)
+    field = PolarField(cfg)
+    signs, r = np.array([[-1], [+1], [-1], [+1]]), np.array([[0.7], [1.3], [2.0], [1.0]])
+    theta = np.array([np.linspace(a, a + 1.5, 6) for a in (0.0, 1.0, 3.0, 4.5)])
+    rows = field.f_r_jets(signs, r, theta, cfg.k - 1)
+    for k in range(len(r)):
+        full = field.f_all(int(signs[k, 0]), Jet.variable(float(r[k, 0]), cfg.k), theta[k])
+        for i, (a, b) in enumerate(zip(rows, full), start=1):
+            assert _same(Jet([c[k] for c in a.c]), b.truncate(cfg.k - i))
+
+
+def test_r_jet_coefficients_from_two_on_share_one_read_only_array(rng):
+    field = PolarField(_edge_config(rng, "signed zeros"))
+    r, theta = np.array([[0.7], [1.3]]), np.array([[0.0, 0.4], [2.0, 3.1]])
+    s, c = np.sin(theta), np.cos(theta)
+    for i in (1, 2):
+        for expr in (polar._radial, polar._angular_num):
+            jet = polar._affine_r_jet(expr, field._side(np.array([[-1], [+1]]), i),
+                                      Jet.variable(r, 2).c, s, c, 4)
+            assert jet.c[2] is jet.c[3] is jet.c[4]
+            with pytest.raises(ValueError):
+                jet.c[2] += 1.0
+            assert not np.any(jet.c[2])
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 4])

@@ -510,6 +510,22 @@ def test_pow_rounds_like_cpython_on_arrays(rng):
         assert recursion._pow(1.7, p) == 1.7 ** p
 
 
+@pytest.mark.parametrize("length", [2, 3, 65, 300])
+def test_clenshaw_on_a_spread_block_keeps_the_broadcast_bits(rng, length):
+    # a small block runs on spread coefficients in reused buffers, a large one
+    # broadcasts; signed zeros, subnormals and a zero high end included
+    for rows in (1, 3, 40):
+        u = rng.uniform(-1.0, 1.0, (rows, 64))
+        u[0, :3] = (0.0, -0.0, 1.0)
+        c = rng.standard_normal((length, rows, 1)) * np.exp(rng.uniform(-30, 30, (length, rows, 1)))
+        c[-1:, 0] = -0.0
+        c[0, -1] = 5e-324
+        got, want = recursion._chebval_nodes(u, c), recursion._chebval(u, c)
+        assert got.tobytes() == want.tobytes()
+    # one point's 3 x 64 nodes at a degree-64 fit are spread, 40 rows are not
+    assert 65 * 3 * 64 <= recursion.SPREAD_MAX < 65 * 40 * 64
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_grid_equals_the_per_point_loop(n, seed):
