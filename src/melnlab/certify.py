@@ -564,14 +564,8 @@ def prop4_witness() -> ZeroReport:
     """Zeros on PROP4_WINDOW of the printed 8-zero element of F7^{1,2} at x^2,
     with the printed coefficients PROP4_COEFFS as they stand (never retuned)."""
     fams = family("F7", 1, lam=2.0)
-
-    def g(x):
-        xs = np.asarray(x, dtype=float) ** 2
-        acc = fams[6](xs)
-        for c, bf in zip(PROP4_COEFFS, fams[:6]):
-            acc = acc + c * bf(xs)
-        return acc
-
+    g = BasisFunction.combine((1.0, *PROP4_COEFFS), (fams[6], *fams[:6]),
+                              label="prop4").substituted_power(2)
     return isolate_zeros(g, *PROP4_WINDOW, budget=WITNESS_BUDGET, initial=8192)
 
 
@@ -589,8 +583,32 @@ class Prop5Result:
         return self.report.simple_count if self.report is not None else 0
 
 
-def _g_poly_coeffs(k: int, a: tuple[float, ...]) -> np.ndarray:
-    """Polynomial coefficients of g_k(x; a) = f(x^(2k); a), degree 16k+3.
+def _f7_polynomials(k: int) -> list[np.ndarray]:
+    """Coefficient arrays (lowest power first) of the members of F7^{k,1} at x^(2k).
+
+    Each generator is evaluated on the polynomial variable y = x^(2k), whose
+    powers y^e (basis._pow passes a fractional e as a float) are the monomials
+    x^(2k e); a power of any other polynomial is numpy's, which takes only
+    integer exponents.  Every coefficient is an integer below 2**53, so each
+    array is exact.
+    """
+    from numpy.polynomial import Polynomial
+
+    class Variable(Polynomial):
+        def __pow__(self, e):
+            deg = (len(self.coef) - 1) * e
+            if (abs(deg - round(deg)) < 1e-9 and self.coef[-1] == 1.0
+                    and not self.coef[:-1].any()):
+                return self.basis(round(deg))
+            return super().__pow__(e)
+
+    y = Variable.basis(2 * k)
+    return [bf(y).coef for bf in family("F7", k, lam=1.0)]
+
+
+def _g_poly_coeffs(k: int, polys: list[np.ndarray], a: tuple[float, ...]) -> np.ndarray:
+    """Polynomial coefficients of g_k(x; a) = f(x^(2k); a), degree 16k+3, from
+    ``polys = _f7_polynomials(k)``.
 
     The a-combination follows the two-stage witness construction: the free
     vector a = (a0..a4) enters affinely.
@@ -603,55 +621,9 @@ def _g_poly_coeffs(k: int, a: tuple[float, ...]) -> np.ndarray:
     w22 = -2.0 * a3 + a1 * (1 + 2 * k)
     w23 = a4
     acc = np.zeros(16 * k + 4)
-    for wgt, ident in ((w18, 18), (w19, 19), (w20, 20), (w21, 21), (w22, 22), (w23, 23)):
-        p = _poly_u_structural(ident, k)
+    for wgt, p in zip((w18, w19, w20, w21, w22, w23, 1.0), polys):
         acc[: len(p)] += wgt * p
-    p24 = _poly_u_structural(24, k)
-    acc[: len(p24)] += p24
     return acc
-
-
-def _poly_u_structural(ident: int, k: int) -> np.ndarray:
-    """Coefficient array (lowest power first) of u_ident^k(x^(2k))."""
-    from numpy.polynomial import polynomial as P
-
-    x2 = np.zeros(3); x2[2] = 1.0                      # x^2
-    q = np.zeros(4 * k + 1); q[4 * k] = 2 * k + 1; q[0] = 1.0   # (2k+1)x^(4k)+1
-    if ident == 18:
-        return P.polymul(x2, P.polypow(q, 3))
-    if ident == 19:
-        inner = np.zeros(6 * k + 1); inner[6 * k] = 2 * k + 1; inner[2 * k] = 1.0
-        return -P.polymul(x2, P.polypow(inner, 2))
-    if ident == 20:
-        xp = np.zeros(6 * k + 3); xp[6 * k + 2] = 1.0
-        return -P.polymul(xp, P.polypow(q, 2))
-    if ident == 21:
-        xp = np.zeros(2 * k + 4); xp[2 * k + 3] = 1.0
-        return P.polymul(xp, P.polypow(q, 3))
-    if ident == 22:
-        xp = np.zeros(2 * k + 3); xp[2 * k + 2] = 1.0
-        return P.polymul(xp, P.polypow(q, 3))
-    if ident == 23:
-        outer = np.zeros(4 * k + 1); outer[4 * k] = 1.0; outer[0] = 1.0
-        xp = np.zeros(4); xp[3] = 1.0
-        return P.polymul(P.polymul(outer, xp), P.polypow(q, 3))
-    if ident == 24:
-        lam = 1.0
-        y = np.zeros(2 * k + 1); y[2 * k] = 1.0
-        out = np.zeros(10 * k + 1)
-        def add(coef, power_of_y):
-            term = P.polypow(y, power_of_y) if power_of_y else np.ones(1)
-            nonlocal out
-            tp = coef * term
-            out[: len(tp)] += tp
-        add(lam ** 3 * (2 * k + 1) ** 3, 5)
-        add(3.0 * (8 * k * k + 6 * k + 1) * lam ** 2 + 1.0, 2)
-        add(lam * (-4.0 * k * k * lam ** 2 - 2.0 * k * (lam ** 2 - 3.0) + 3.0), 1)
-        add(1.0, 0)
-        add((2 * k + 1) * lam * ((4 * k * k + 1) * lam ** 2 + k * (4 * lam ** 2 - 6.0) + 3.0), 3)
-        add((2 * k + 1) * (3.0 * lam ** 2 + k * (6.0 * lam ** 2 + 2.0)), 4)
-        return out
-    raise DomainError(f"no structural polynomial for generator {ident}")
 
 
 # ladder scales tried by stage two of the Prop. 5 witness, largest first
@@ -669,8 +641,9 @@ def prop5_witness(k: int = 2) -> Prop5Result:
         raise DomainError("the staged witness applies for k >= 2")
     from numpy.polynomial import polynomial as P
 
+    polys = _f7_polynomials(k)
     zero_a = (0.0,) * 5
-    g0 = _g_poly_coeffs(k, zero_a)
+    g0 = _g_poly_coeffs(k, polys, zero_a)
     gfun0 = lambda x: P.polyval(np.asarray(x, dtype=float), g0)
     dg0 = P.polyder(g0)
     ladder = {
@@ -684,7 +657,7 @@ def prop5_witness(k: int = 2) -> Prop5Result:
 
     # affine pieces h(y; a) = h0(y) + sum a_i * h_i(y), via reversed coefficients
     def h_coeffs(a):
-        return _g_poly_coeffs(k, a)[::-1]
+        return _g_poly_coeffs(k, polys, a)[::-1]
 
     h0 = h_coeffs(zero_a)
     hparts = [h_coeffs(tuple(1.0 if i == j else 0.0 for i in range(5))) - h0
@@ -698,7 +671,7 @@ def prop5_witness(k: int = 2) -> Prop5Result:
             avec = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             continue
-        gc = _g_poly_coeffs(k, tuple(avec))
+        gc = _g_poly_coeffs(k, polys, tuple(avec))
         gfun = lambda x: P.polyval(np.asarray(x, dtype=float), gc)
         hi = 2.0 / float(ys[0])
         rep = isolate_zeros(gfun, 1e-9, hi, budget=WITNESS_BUDGET, initial=16384)

@@ -103,7 +103,7 @@ def cmd_melnikov(args) -> int:
     write_gnuplot(out / "plot.gp", "Melnikov orders", curves)
     _append_span_fits(out, config, orders, xs, values)
     print(f"wrote {len(orders)} order tables to {out} (worst oracle gap {format_float(worst_gap)})")
-    if not math.isfinite(worst_gap) or (worst_gap > ORACLE_TOL and not config.is_zero()):
+    if not math.isfinite(worst_gap) or worst_gap > ORACLE_TOL:
         raise NumericalError(f"simulation oracle disagrees beyond {ORACLE_TOL} "
                              f"(worst gap {format_float(worst_gap)})")
     return 0

@@ -36,9 +36,6 @@ class OrderCoefficients:
                 raise ConfigurationError(f"coefficient triple {name!r} has non-finite entries")
             object.__setattr__(self, name, tuple(float(v) for v in triple))
 
-    def is_zero(self) -> bool:
-        return all(v == 0.0 for t in (self.a, self.b, self.alpha, self.beta) for v in t)
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -63,9 +60,6 @@ class SystemConfig:
         if not 1 <= i <= self.k:
             raise ConfigurationError(f"order {i} outside 1..{self.k}")
         return self.orders[i - 1]
-
-    def is_zero(self) -> bool:
-        return all(oc.is_zero() for oc in self.orders)
 
 
 def _order_from_mapping(entry: dict, position: int) -> tuple[int, OrderCoefficients]:

@@ -304,6 +304,34 @@ def test_oracle_gate_fails_on_a_non_finite_gap(tmp_path, demo_config, monkeypatc
                  "--grid", "3", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_an_all_zero_config_passes_the_oracle_gate(tmp_path):
+    # every order vanishes, and recursion and oracle agree on it exactly
+    config = tmp_path / "zero.json"
+    config.write_text('{"n": 3, "k": 2, "orders": []}')
+    out = tmp_path / "o"
+    assert main(["melnikov", "--config", str(config), "--orders", "1,2", "--grid", "5",
+                 "--out", str(out)]) == 0
+    for i in (1, 2):
+        table = (out / f"melnikov_order{i}.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in table[1:]] == ["0"] * 5
+
+
+def test_cheb_inconclusive_verdict_without_note_exits_2(tmp_path, monkeypatch, capsys):
+    from melnlab import cli
+    from melnlab.certify import AccuracyVerdict
+
+    verdict = AccuracyVerdict(family_name="F1^1", interval=(0.5, 2.0), nu=(0, 1, 0),
+                              classification="inconclusive", zero_bound=None,
+                              exhaustive=False)
+    monkeypatch.setattr(cli, "certify_family", lambda fams, a, b, name: verdict)
+    out = tmp_path / "o"
+    assert main(["cheb", "--family", "F1", "--k", "1", "--interval", "0.5:2",
+                 "--out", str(out)]) == 2
+    assert "inconclusive (nu=[0, 1, 0])" in capsys.readouterr().err
+    record = json.loads((out / "verdict.json").read_text())
+    assert record["zero_bound"] is None and "note" not in record
+
+
 @pytest.mark.parametrize("grid", ["5", "5log", "5lin"])
 def test_documented_grid_forms(tmp_path, demo_config, grid):
     out = tmp_path / "o"

@@ -44,9 +44,9 @@ def test_validation_errors():
 
 def test_missing_orders_zero_filled():
     cfg = config_from_dict({"n": 2, "k": 3, "orders": [{"i": 2, "a": [1, 0, 0]}]})
-    assert cfg.order(1).is_zero()
+    assert cfg.order(1) == OrderCoefficients()
     assert cfg.order(2).a == (1.0, 0.0, 0.0)
-    assert cfg.order(3).is_zero()
+    assert cfg.order(3) == OrderCoefficients()
 
 
 def _load_text(tmp_path, text):

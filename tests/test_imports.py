@@ -40,6 +40,16 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_polynomial():
+    # only the Prop. 5 witness needs it, and loads it on first use: at import
+    # it would add to the start-up of every command
+    code = ("import sys; import melnlab, melnlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=ENV)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["melnikov", "--config", "{config}", "--orders", "1,2", "--grid", "4"],
     ["cheb", "--family", "F5", "--k", "1"],
