@@ -2,11 +2,12 @@
 
 Zero counts are certified on compact subintervals of (0, infinity) by a
 sign-change scan on an adaptive log-spaced grid with Brent refinement.
-A reported count is a lower bound; it is flagged exhaustive only when the
-function stays above a magnitude floor between brackets.  Family
-classification follows the Wronskian zero pattern: no zeros anywhere gives
-an ECT verdict, a single simple zero of the last Wronskian gives accuracy
-one, anything else falls back to the general bound
+A reported count is a lower bound, and it is exhaustive exactly when the
+report raised no flag: every flag names a way the count may fall short.
+Family classification follows the Wronskian zero pattern: a non-exhaustive
+report or a non-simple zero gives no verdict, no zeros anywhere gives an ECT
+verdict, a single zero of the last Wronskian gives accuracy one, anything
+else falls back to the general bound
 
     B = n + nu_n + nu_{n-1} + 2*(nu_{n-2} + ... + nu_0) + mu_{n-1} + ... + mu_3,
     mu_i = min(2*nu_i, nu_{i-3} + ... + nu_0).
@@ -90,13 +91,15 @@ def _precise_det(fams: list[BasisFunction], x: float, s: int):
 
 
 def _precise_logdet(fams: list[BasisFunction], x: float, s: int) -> tuple[float, float]:
-    """(sign, log|W_s(x)|) computed at PRECISE_DPS digits."""
+    """(sign, log|W_s(x)|) computed at PRECISE_DPS digits; (nan, nan) where that
+    determinant is 0, which mpmath also returns for a matrix it finds numerically
+    singular, so a zero there is unknown, not a zero of W_s."""
     import mpmath
 
     with mpmath.workdps(PRECISE_DPS):
         det = _precise_det(fams, x, s)
         if det == 0:
-            return 0.0, -math.inf
+            return math.nan, math.nan
         return float(mpmath.sign(det)), float(mpmath.log(abs(det)))
 
 
@@ -173,10 +176,10 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
     kinds of cell keep the value tier on such a grid:
     - a cell whose derivative matrix holds a subnormal entry, where the
       entries are not accurate to a few ulps and a noise sign would pass;
-    - the cells within 2 SIGN_REL_MAX of the largest log|det A|, promoted
-      until the largest is a value-tier cell.  log(1 + delta) stays below that
-      margin, so the grid's largest |det A|, the scale of isolate_zeros, is
-      bit for bit the value tier's.
+    - the cells within 2 SIGN_REL_MAX of the largest log|det A| (NaN cells
+      aside), promoted until the largest is a value-tier cell.  log(1 + delta)
+      stays below that margin, so the grid's largest |det A|, the scale of
+      isolate_zeros, is bit for bit the value tier's.
     """
     if s >= len(fams):
         raise DomainError(f"family has {len(fams)} members; s={s} out of range")
@@ -206,7 +209,7 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
         recomputed = recompute(np.flatnonzero(~certified))
         pending = loose & certified & ~cleared
         while pending.any():
-            top = np.flatnonzero(pending & (mag >= np.max(mag) - 2 * SIGN_REL_MAX))
+            top = np.flatnonzero(pending & (mag >= np.nanmax(mag) - 2 * SIGN_REL_MAX))
             if len(top) == 0:
                 break
             pending[top] = False
@@ -222,8 +225,8 @@ def wronskian(fams: list[BasisFunction], x, s: int):
     """Wronskian W_s(x) of the first s+1 members; returns (value, well_scaled).
 
     ``x`` is a point or an array of points.  Values are certified (see
-    _wronskian_logs), so the result is reliable either way; ``well_scaled``
-    reports False only if the value overflows or underflows a double.
+    _wronskian_logs); ``well_scaled`` is False only where the value overflows
+    or underflows a double, or is NaN (a 50-digit determinant of 0, unknown).
     """
     sign, _, logw, _ = _wronskian_logs(fams, _on_grid(x), s)
     well = (sign == 0.0) | (np.abs(logw) < 700.0)
@@ -322,11 +325,13 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     ``f`` received.  Refinement stops, flagged, before a call that would pass
     ``budget``; brackets done by then keep their zeros, in bracket order, as
     far as their slope points fit.  A bracket whose ends do not repeat the
-    scan's sign change is skipped and flagged.  The count is a lower bound;
-    ``exhaustive`` is set only if no bracket was skipped, f stayed finite on
-    the scan and refinement grids (else ``non-finite-values`` is flagged) and
-    |f| clears a floor, relative to a windowed local magnitude, between
-    brackets; ``scale`` is the largest finite |f| on the scan.
+    scan's sign change is skipped and flagged.  The count is a lower bound,
+    and ``exhaustive`` holds exactly when no flag was raised: f stayed finite
+    on the scan and refinement grids (else ``non-finite-values``), every
+    bracket and every budget held, and every V-dip of |f| below its
+    neighbours that no refinement round resolved lies next to a bracket (else
+    ``unresolved-dip-without-sign-change``); ``scale`` is the largest finite
+    |f| on the scan.
     """
     if not (0 < a < b):
         raise DomainError(f"need 0 < a < b, got [{a}, {b}]")
@@ -348,11 +353,11 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     rounds.append(len(xs))
     scale = float(np.max(np.abs(ys), initial=0.0, where=np.isfinite(ys)))
     if scale == 0.0:
-        flag = "identically-zero-on-grid" if np.isfinite(ys).all() else "non-finite-values"
-        return ZeroReport((a, b), (), exhaustive=False, budget_used=used,
-                          budget=budget, grid_rounds=tuple(rounds), scale=0.0, flags=(flag,))
+        flags.append("identically-zero-on-grid" if np.isfinite(ys).all() else "non-finite-values")
+        return ZeroReport((a, b), (), exhaustive=not flags, budget_used=used,
+                          budget=budget, grid_rounds=tuple(rounds), scale=0.0, flags=tuple(flags))
 
-    def suspicious_cells(xv, yv):
+    def suspicious_cells(yv):
         """Cells with a V-dip well below their ambient neighbors, no sign change."""
         ay = np.abs(yv)
         inner = np.minimum(ay[:-1], ay[1:])
@@ -368,19 +373,16 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         if used >= refine_budget:
             flags.append("refinement-budget-exhausted")
             break
-        suspicious = suspicious_cells(xs, ys)
+        suspicious = suspicious_cells(ys)
         unresolved = suspicious
-        if len(suspicious) == 0:
-            break
         if used + 4 * len(suspicious) > refine_budget:
             suspicious = suspicious[: max((refine_budget - used) // 4, 0)]
             flags.append("refinement-truncated-by-budget")
-        new_xs = []
-        for idx in suspicious:
-            new_xs.extend(np.linspace(xs[idx], xs[idx + 1], 6)[1:-1])
-        if not new_xs:
+        if len(suspicious) == 0:
             break
-        new_xs = np.array(sorted(set(new_xs)))
+        # deduplicated by a set: np.unique imports numpy.ma on its first call (~8 ms, ~1 MB)
+        cells = np.linspace(xs[suspicious], xs[suspicious + 1], 6, axis=-1)[:, 1:-1]
+        new_xs = np.array(sorted(set(cells.ravel().tolist())))
         new_ys = feval(new_xs)
         rounds.append(len(new_xs))
         xs = np.concatenate([xs, new_xs])
@@ -388,7 +390,7 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
         xs = xs[order]
         ys = np.concatenate([ys, new_ys])[order]
     else:
-        unresolved = suspicious_cells(xs, ys)
+        unresolved = suspicious_cells(ys)
 
     sign_change = np.where(np.sign(ys[:-1]) * np.sign(ys[1:]) < 0)[0]
     lo, hi = xs[sign_change], xs[sign_change + 1]
@@ -419,20 +421,12 @@ def isolate_zeros(f, a: float, b: float, *, budget: int = 200_000,
     zeros = sorted(map(ZeroRecord, root.tolist(), simple.tolist(), zip(lo.tolist(), hi.tolist()),
                        np.abs(f_root).tolist(), deriv.tolist()), key=lambda z: z.location)
 
-    # exhaustive only when every dip away from the located brackets resolved
-    exhaustive = True
-    bracket_idx = set(int(i) for i in sign_change)
-    near_bracket = bracket_idx | {i - 1 for i in bracket_idx} | {i + 1 for i in bracket_idx}
-    leftover = [int(i) for i in unresolved if int(i) not in near_bracket]
-    if leftover:
-        exhaustive = False
+    # a dip away from every bracket may hide a pair of zeros
+    if set(unresolved.tolist()) - {i + d for i in sign_change.tolist() for d in (-1, 0, 1)}:
         flags.append("unresolved-dip-without-sign-change")
     if not np.isfinite(ys).all():
         flags.append("non-finite-values")
-    if any("budget" in fl or "reproducible" in fl or "finite" in fl for fl in flags):
-        exhaustive = False
-
-    return ZeroReport((a, b), tuple(zeros), exhaustive=exhaustive, budget_used=used,
+    return ZeroReport((a, b), tuple(zeros), exhaustive=not flags, budget_used=used,
                       budget=budget, grid_rounds=tuple(rounds), scale=scale,
                       flags=tuple(flags))
 
@@ -485,8 +479,8 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
                    name: str = "family") -> AccuracyVerdict:
     """Count zeros of every prefix Wronskian on [a, b] and classify.
 
-    Verdicts are never guessed: if any zero report fails its exhaustiveness
-    check the classification downgrades to 'inconclusive'.  A family with two
+    Verdicts are never guessed: a report that is not exhaustive, or a zero
+    that is not simple, makes the classification 'inconclusive'.  A family with two
     members that are the same power of x ends 'inconclusive' at once, with a
     ``note`` that names them: every W_s from the second on vanishes
     identically.
@@ -502,10 +496,8 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
                                    classification="inconclusive", zero_bound=None,
                                    exhaustive=False, note=note)
     n = len(fams) - 1
-    nu: list[int] = []
     reports: list[ZeroReport] = []
     fallbacks = [0] * (n + 1)
-    exhaustive = True
     # every s scans the same grid, the first array ws receives: its
     # derivative matrices are built once, at order n, W_s reads their leading
     # blocks, and the scan reads its cells for their signs (the sign tier of
@@ -524,22 +516,18 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
             fallbacks[_s] += recomputed
             return vals
 
-        rep = isolate_zeros(ws, a, b, budget=CERTIFY_BUDGET, initial=2048)
-        reports.append(rep)
-        nu.append(rep.count)
-        exhaustive = exhaustive and rep.exhaustive
+        reports.append(isolate_zeros(ws, a, b, budget=CERTIFY_BUDGET, initial=2048))
 
-    if not exhaustive:
+    nu = [rep.count for rep in reports]
+    exhaustive = all(rep.exhaustive for rep in reports)
+    if not exhaustive or any(rep.simple_count < rep.count for rep in reports):
         cls, bound = "inconclusive", None
-    elif all(v == 0 for v in nu):
+    elif not any(nu):
         cls, bound = "ECT", n
-    elif all(v == 0 for v in nu[:-1]) and nu[-1] == 1 and reports[-1].zeros[0].simple:
+    elif not any(nu[:-1]) and nu[-1] == 1:
         cls, bound = "ET-accuracy-1", n + 1
     else:
-        if all(all(z.simple for z in rep.zeros) for rep in reports):
-            cls, bound = "theorem-3-bound", theorem3_bound(nu)
-        else:
-            cls, bound = "inconclusive", None
+        cls, bound = "theorem-3-bound", theorem3_bound(nu)
     return AccuracyVerdict(family_name=name, interval=(a, b), nu=tuple(nu),
                            classification=cls, zero_bound=bound,
                            exhaustive=exhaustive, fallbacks=tuple(fallbacks),

@@ -236,9 +236,8 @@ def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
             continue
         report = isolate_zeros(lambda x: q_values(vv, n, x), a / 4.0, b * 4.0,
                                budget=40_000, initial=2048)
-        simple = [z for z in report.zeros if z.simple]
-        if len(simple) == zero_count and report.count == zero_count:
-            return tuple(float(c) for c in vv), tuple(z.location for z in simple)
+        if report.count == report.simple_count == zero_count:
+            return tuple(float(c) for c in vv), tuple(z.location for z in report.zeros)
     return None
 
 

@@ -14,6 +14,11 @@ __all__ = ["OrderCoefficients", "SystemConfig", "load_config", "dump_config"]
 MAX_ORDER = 6
 
 
+def _is_int(v) -> bool:
+    """True for an int that is not a bool (JSON's true and false are not counts)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class OrderCoefficients:
     """The twelve affine coefficients of one perturbation order.
@@ -46,9 +51,9 @@ class SystemConfig:
     orders: tuple[OrderCoefficients, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ConfigurationError(f"switching degree n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.k, int) and 1 <= self.k <= MAX_ORDER):
+        if not (_is_int(self.k) and 1 <= self.k <= MAX_ORDER):
             raise ConfigurationError(f"perturbation order k must be in [1, {MAX_ORDER}], got {self.k!r}")
         orders = tuple(self.orders)
         if len(orders) != self.k:
@@ -68,7 +73,7 @@ def _order_from_mapping(entry: dict, position: int) -> tuple[int, OrderCoefficie
     if unknown:
         raise ConfigurationError(f"unknown keys in order entry: {sorted(unknown)}")
     i = entry.get("i", position)
-    if not isinstance(i, int):
+    if not _is_int(i):
         raise ConfigurationError(f"order index must be an integer, got {i!r}")
     oc = OrderCoefficients(
         a=tuple(entry.get("a", (0.0, 0.0, 0.0))),

@@ -12,7 +12,7 @@ from melnlab.basis import BasisFunction, family, family_G, family_H_pencil, fami
 from melnlab.certify import (CERT_REL_MAX, PRECISE_DPS, PROP4_COEFFS, SIGN_REL_MAX,
                              _derivative_matrices, _equilibrate, _has_subnormal, _precise_det,
                              _rho, _rho_cofactor, _wronskian_logs, certify_family,
-                             isolate_zeros, prop4_witness, prop5_witness, scaled_wronskians,
+                             prop4_witness, prop5_witness, scaled_wronskians,
                              theorem3_bound, wronskian, wronskian_scaled)
 from melnlab.cli import FAMILIES
 from melnlab.errors import DomainError
@@ -200,9 +200,12 @@ def test_certificate_is_sound(name, k):
         assert loose[3] <= value[3]
         assert np.array_equal(value[0][accepted], sign[accepted])
         assert np.array_equal(value[1][accepted], mag[accepted])
-        # a sign-tier cell holds the double det A or the value tier's answer
+        # a sign-tier cell holds the double det A or the value tier's answer,
+        # NaN where both tiers read a 50-digit 0 as unknown (W_2 of F4^1 and
+        # F6^1, whose u4 and u6 are both x^2, vanishes identically)
         as_double = (loose[0] == sign) & (loose[1] == mag) & (sign_bound < np.inf)
-        as_value = (loose[0] == value[0]) & (loose[1] == value[1])
+        as_value = (np.isclose(loose[0], value[0], rtol=0, atol=0, equal_nan=True)
+                    & np.isclose(loose[1], value[1], rtol=0, atol=0, equal_nan=True))
         assert np.all(as_double | as_value), (name, k, s)
         for i in np.flatnonzero(np.minimum(value_bound, sign_bound) < np.inf):
             with mpmath.workdps(PRECISE_DPS):
@@ -362,15 +365,24 @@ def test_shared_stack_gives_the_per_s_verdict(monkeypatch, name, k, nu):
 
 def test_the_largest_sign_tier_cell_is_the_value_tiers(monkeypatch):
     # a tighter value tier sends the grid's largest |det A| to 50 digits, and
-    # the sign tier must report that cell, isolate_zeros' scale, bit for bit
+    # the sign tier must report that cell, isolate_zeros' scale, bit for bit,
+    # also when another cell's 50-digit determinant is 0 (NaN, unknown)
     monkeypatch.setattr(certify, "CERT_REL_MAX", 1e-15)
     fams = family("F2", 2)
     xs = np.geomspace(0.1, 10.0, 64)
-    for s in range(1, len(fams)):
-        _, value_mag, _, _ = _wronskian_logs(fams, xs, s)
-        _, loose_mag, _, recomputed = _wronskian_logs(fams, xs, s, sign_only=True)
-        assert np.max(loose_mag) == np.max(value_mag), s
-        assert 0 < recomputed < len(xs)
+    for unknown_first_cell in (False, True):
+        if unknown_first_cell:
+            # the first cell keeps the value tier, and reads 0 at 50 digits
+            monkeypatch.setattr(certify, "_has_subnormal", lambda M: np.arange(M.shape[2]) == 0)
+            precise = certify._precise_logdet
+            monkeypatch.setattr(certify, "_precise_logdet", lambda f, x, s: (
+                (math.nan, math.nan) if x == xs[0] else precise(f, x, s)))
+        for s in range(1, len(fams)):
+            _, value_mag, _, _ = _wronskian_logs(fams, xs, s)
+            _, loose_mag, _, recomputed = _wronskian_logs(fams, xs, s, sign_only=True)
+            assert np.isnan(loose_mag[0]) == unknown_first_cell
+            assert np.nanmax(loose_mag) == np.nanmax(value_mag), (unknown_first_cell, s)
+            assert 0 < recomputed < len(xs)
 
 
 @pytest.mark.parametrize("name,k,pair", [("F4", 1, "u4^1 and u6^1 are both x^2"),
@@ -423,6 +435,14 @@ def test_scalar_and_batched_wronskians_identical(name, k):
 
 
 # -- zero isolation -----------------------------------------------------------
+
+
+def isolate_zeros(f, a, b, **kw):
+    """certify.isolate_zeros, with its one exhaustiveness rule checked on every
+    report: exhaustive exactly when no flag was raised."""
+    rep = certify.isolate_zeros(f, a, b, **kw)
+    assert rep.exhaustive == (not rep.flags), rep.flags
+    return rep
 
 
 def test_isolate_simple_linear():
@@ -489,6 +509,15 @@ def test_true_double_zero_withholds_exhaustiveness():
     assert not rep.exhaustive
 
 
+@pytest.mark.parametrize("offset", [1e-12, -1e-12])
+def test_a_dip_next_to_a_bracket_belongs_to_its_zero(offset):
+    # a zero just off a scan point leaves a V-dip of |f| in the cell beside
+    # its bracket, which refinement does not resolve; it is no leftover dip
+    x0 = np.geomspace(0.5, 2.0, 4096)[2000] * (1.0 + offset)
+    rep = isolate_zeros(lambda x: x - x0, 0.5, 2.0)
+    assert rep.count == 1 and rep.exhaustive
+
+
 def test_bisection_falls_back_to_the_scans_call():
     # g_3 of the Prop. 5 witness from F7^{3,1} at x^6: near x = 430 its values
     # are rounding noise of size 1e102, where a bare float takes another path
@@ -541,6 +570,11 @@ def test_budget_flagging():
     assert not rep.exhaustive or rep.count > 0
 
 
+def _abs_sine(x):
+    """|sin 40x| + 1e-3: about 19 V-dips on [0.5, 2], none with a sign change."""
+    return np.abs(np.sin(40.0 * x)) + 1e-3
+
+
 def _recorded(f):
     """(g, calls): g is f, and calls lists the argument of every call to g."""
     calls = []
@@ -583,17 +617,26 @@ def test_prop4_witness_calls_f_on_arrays_of_brackets(monkeypatch):
     assert len(calls) <= 20
 
 
+# one input per flag isolate_zeros can raise, and one that raises none
 @pytest.mark.parametrize("f, a, b, kw, flag", [
     (_eight_zeros, 1e-6, 50.0, {"initial": 8192}, None),
     (lambda x: np.sin(50.0 / x), 0.01, 1.0, {"budget": 300, "initial": 128},
      "budget-exhausted-during-bisection"),
     (_scan_only_sign_change, 0.5, 2.0, {}, "bracket-end-not-reproducible"),
-], ids=["eight-zeros", "budget-exhausted", "bracket-skipped"])
+    (lambda x: x - 1.0, 0.5, 2.0, {"budget": 60}, "refinement-budget-exhausted"),
+    (_abs_sine, 0.5, 2.0, {"budget": 500, "initial": 128}, "refinement-truncated-by-budget"),
+    (lambda x: (x - 1.0) ** 2, 0.5, 2.0, {"initial": 2048}, "unresolved-dip-without-sign-change"),
+    (_nan_on_2_to_5, 0.1, 10.0, {"initial": 2048}, "non-finite-values"),
+    (np.zeros_like, 0.5, 2.0, {}, "identically-zero-on-grid"),
+], ids=["eight-zeros", "budget-exhausted", "bracket-skipped", "refinement-budget-exhausted",
+        "refinement-truncated", "unresolved-dip", "non-finite", "identically-zero"])
 def test_budget_used_counts_every_point_f_receives(f, a, b, kw, flag):
     g, calls = _recorded(f)
     rep = isolate_zeros(g, a, b, **kw)
     assert rep.budget_used == sum(len(x) for x in calls)
+    # each flag names a way the count may fall short
     assert flag is None or flag in rep.flags
+    assert rep.exhaustive is (flag is None)
 
 
 # -- classification -----------------------------------------------------------

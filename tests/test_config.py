@@ -65,9 +65,16 @@ def _load_text(tmp_path, text):
     lambda tmp: config_from_dict({"n": 2, "k": 1, "orders": [[1.0, 0.0, 0.0]]}),
     lambda tmp: _load_text(tmp, '{"n": 2,'),
     lambda tmp: _load_text(tmp, "[2, 1]"),
+    # JSON's true is a bool, and Python's bool is an int: neither is a count
+    lambda tmp: _load_text(tmp, '{"n": true, "k": 1, "orders": [{"i": 1}]}'),
+    lambda tmp: _load_text(tmp, '{"n": 2, "k": true, "orders": [{"i": 1}]}'),
+    lambda tmp: _load_text(tmp, '{"n": 2, "k": 1, "orders": [{"i": true}]}'),
+    lambda tmp: SystemConfig(n=True, k=1, orders=(OrderCoefficients(),)),
+    lambda tmp: SystemConfig(n=2, k=True, orders=(OrderCoefficients(),)),
 ], ids=["short-triple", "too-few-blocks", "order-above-k", "non-integer-order-index",
         "missing-k", "orders-not-a-list", "order-entry-not-an-object", "invalid-json",
-        "json-not-an-object"])
+        "json-not-an-object", "json-bool-n", "json-bool-k", "json-bool-order-index",
+        "bool-n", "bool-k"])
 def test_bad_config_is_a_configuration_error(tmp_path, make):
     with pytest.raises(ConfigurationError):
         make(tmp_path)

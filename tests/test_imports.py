@@ -61,3 +61,14 @@ def test_cli_runs_without_scipy(tmp_path, argv):
     run = subprocess.run([sys.executable, "-W", "error", "-c", WITHOUT_SCIPY, *argv],
                          capture_output=True, text=True, env=ENV)
     assert run.returncode == 0, run.stderr
+
+
+def test_zero_isolation_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 8 ms and 1 MB of
+    # every run whose zero isolation refines a cell
+    code = ("import sys; from melnlab.certify import isolate_zeros; "
+            "rep = isolate_zeros(lambda x: (x - 1.0) ** 2, 0.5, 2.0); "
+            "print(len(rep.grid_rounds) > 1, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=ENV)
+    assert out.stdout.strip() == "True False"
