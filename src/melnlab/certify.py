@@ -154,9 +154,12 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
     """Certified W_s on a grid: (sign, log|det A|, log|W_s|, cells recomputed).
 
     A is the equilibrated Wronskian matrix, so det A has the sign and zeros
-    of W_s at magnitude ~1.  A cell's double-precision determinant is taken
-    when it is finite and meets its tier's bound; every other cell is
-    recomputed by _precise_logdet, and the count returned covers both tiers.
+    of W_s at magnitude ~1.  A cell whose derivative matrix holds a
+    subnormal entry is unknown (NaN) at both tiers and is not recomputed: its
+    entries are not accurate to a few ulps, so a noise sign could pass either
+    bound.  A cell's double-precision determinant is taken when it is finite
+    and meets its tier's bound; every other cell is recomputed by
+    _precise_logdet, and the count returned covers both tiers.
     No per-cell matrix outlives the call.  ``stack`` may give
     _derivative_matrices(fams, xs, n) for an n >= s: a jet's coefficient m
     reads only coefficients <= m, so its leading (s+1)x(s+1) block is W_s's
@@ -172,14 +175,12 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
     value tier holds a cell to rho_H / (1 - rho_H) or else rho <=
     CERT_REL_MAX, which takes exactly the cells rho alone would.  With
     ``sign_only``, for a grid read for its signs, rho_H or rho <= SIGN_REL_MAX
-    suffices (the sign tier): delta <= 1.011 SIGN_REL_MAX keeps the sign.  Two
-    kinds of cell keep the value tier on such a grid:
-    - a cell whose derivative matrix holds a subnormal entry, where the
-      entries are not accurate to a few ulps and a noise sign would pass;
-    - the cells within 2 SIGN_REL_MAX of the largest log|det A| (NaN cells
-      aside), promoted until the largest is a value-tier cell.  log(1 + delta)
-      stays below that margin, so the grid's largest |det A|, the scale of
-      isolate_zeros, is bit for bit the value tier's.
+    suffices (the sign tier): delta <= 1.011 SIGN_REL_MAX keeps the sign.  The
+    cells within 2 SIGN_REL_MAX of the largest log|det A| (NaN cells aside)
+    keep the value tier on such a grid, promoted until the largest is a
+    value-tier cell.  log(1 + delta) stays below that margin, so the grid's
+    largest |det A|, the scale of isolate_zeros, is bit for bit the value
+    tier's.
     """
     if s >= len(fams):
         raise DomainError(f"family has {len(fams)} members; s={s} out of range")
@@ -189,9 +190,11 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
         logscale = np.sum(np.log(r), axis=1) + np.sum(np.log(c), axis=1)
         cells = A.transpose(2, 0, 1)
         sign, mag = np.linalg.slogdet(cells)
+        unknown = _has_subnormal(M)
+        sign[unknown] = mag[unknown] = np.nan
         logw = mag + logscale
         finite = np.isfinite(mag) & np.isfinite(logscale)
-        loose = finite & ~_has_subnormal(M) if sign_only else np.zeros(len(xs), dtype=bool)
+        loose = finite if sign_only else np.zeros(len(xs), dtype=bool)
         rho_h = _rho_cofactor(A, mag, s)
         cleared = finite & (rho_h <= CERT_REL_MAX * (1.0 - rho_h))
         certified = cleared | (loose & (rho_h <= SIGN_REL_MAX))
@@ -206,7 +209,7 @@ def _wronskian_logs(fams: list[BasisFunction], xs: np.ndarray, s: int, stack=Non
                 mag[i] = logw[i] - logscale[i]
             return len(idx)
 
-        recomputed = recompute(np.flatnonzero(~certified))
+        recomputed = recompute(np.flatnonzero(~certified & ~unknown))
         pending = loose & certified & ~cleared
         while pending.any():
             top = np.flatnonzero(pending & (mag >= np.nanmax(mag) - 2 * SIGN_REL_MAX))
@@ -562,13 +565,15 @@ class Prop5Result:
     coefficients: tuple[float, ...]          # (a0, a1, a2, a3, a4)
     sign_ladder: dict
     stage1_report: ZeroReport
-    report: ZeroReport | None
-    succeeded: bool
-    note: str | None
+    report: ZeroReport
 
     @property
     def count(self) -> int:
-        return self.report.simple_count if self.report is not None else 0
+        return self.report.simple_count
+
+    @property
+    def succeeded(self) -> bool:
+        return self.count >= 9
 
 
 def _f7_polynomials(k: int) -> list[np.ndarray]:
@@ -614,16 +619,16 @@ def _g_poly_coeffs(k: int, polys: list[np.ndarray], a: tuple[float, ...]) -> np.
     return acc
 
 
-# ladder scales tried by stage two of the Prop. 5 witness, largest first
-PROP5_SCALES = (0.3, 0.25, 0.2, 0.15, 0.12, 0.1, 0.08)
+# scale of stage two's ladder: its largest target y
+PROP5_SCALE = 0.3
 
 
 def prop5_witness(k: int = 2) -> Prop5Result:
     """Two-stage witness: 4 zeros of g_k(x;0) in (0,2) plus 5 near infinity.
 
     Stage two solves the affine system h_k(y_m; a) = 0 at a geometric ladder
-    of small y targets for the five free coefficients, then verifies nine
-    simple zeros of g_k; the ladder scale is halved on failure within budget.
+    of small y targets, the largest PROP5_SCALE, for the five free
+    coefficients, then counts the simple zeros of g_k; it succeeds at nine.
     """
     if k < 2:
         raise DomainError("the staged witness applies for k >= 2")
@@ -650,23 +655,12 @@ def prop5_witness(k: int = 2) -> Prop5Result:
     h0 = h_coeffs(zero_a)
     hparts = [h_coeffs(tuple(1.0 if i == j else 0.0 for i in range(5))) - h0
               for j in range(5)]
-
-    for scale in PROP5_SCALES:
-        ys = scale * (0.33 ** np.arange(5))[::-1]  # ascending small targets
-        A = np.array([[P.polyval(ym, hp) for hp in hparts] for ym in ys])
-        rhs = -np.array([P.polyval(ym, h0) for ym in ys])
-        try:
-            avec = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        gc = _g_poly_coeffs(k, polys, tuple(avec))
-        gfun = lambda x: P.polyval(np.asarray(x, dtype=float), gc)
-        hi = 2.0 / float(ys[0])
-        rep = isolate_zeros(gfun, 1e-9, hi, budget=WITNESS_BUDGET, initial=16384)
-        if rep.simple_count >= 9:
-            return Prop5Result(coefficients=tuple(float(v) for v in avec),
-                               sign_ladder=ladder, stage1_report=stage1, report=rep,
-                               succeeded=True, note=None)
-    return Prop5Result(coefficients=zero_a, sign_ladder=ladder,
-                       stage1_report=stage1, report=None, succeeded=False,
-                       note="ladder search exhausted its scale budget")
+    ys = PROP5_SCALE * (0.33 ** np.arange(5))[::-1]  # ascending small targets
+    A = np.array([[P.polyval(ym, hp) for hp in hparts] for ym in ys])
+    rhs = -np.array([P.polyval(ym, h0) for ym in ys])
+    avec = np.linalg.solve(A, rhs)
+    gc = _g_poly_coeffs(k, polys, tuple(avec))
+    gfun = lambda x: P.polyval(np.asarray(x, dtype=float), gc)
+    rep = isolate_zeros(gfun, 1e-9, 2.0 / float(ys[0]), budget=WITNESS_BUDGET, initial=16384)
+    return Prop5Result(coefficients=tuple(float(v) for v in avec), sign_ladder=ladder,
+                       stage1_report=stage1, report=rep)

@@ -24,8 +24,9 @@ from . import __version__
 from .basis import family, family_G, family_H_pencil, family_H8, family_J0
 from .certify import (PROP4_COEFFS, certify_family, prop4_witness, prop5_witness,
                       scaled_wronskians)
-from .closedforms import (config_from_v, cov_r_of_x, fit_to_span, m1_closed, q_basis,
-                          sign_pattern_search, structural_span, table3_structure_config)
+from .closedforms import (STRUCTURE_WINDOW, config_from_v, cov_r_of_x, fit_to_span,
+                          m1_closed, q_basis, sign_pattern_search, structural_span,
+                          table3_structure_config)
 from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
 from .geometry import crossing_abscissa
@@ -225,7 +226,7 @@ def _case_m1_counts(seed, targets):
 
 def _case_m2_n3_structure(seed):
     cfg = table3_structure_config(3, seed=seed)
-    xs = np.geomspace(0.3, 2.2, 40).tolist()
+    xs = np.geomspace(*STRUCTURE_WINDOW, 40).tolist()
     samples = list(zip(xs, melnikov(cfg, 2, np.array([cov_r_of_x(x, 3) for x in xs])).tolist()))
     fit = fit_to_span(samples, 3, 2)
     ok = fit.residual <= 1e-6
@@ -255,18 +256,16 @@ def _case_prop5():
                  and abs(ladder["g(1)"]) < 1e-6 and ladder["gprime(1)"] < 0
                  and ladder["g(2)"] > 0)
     stage1_ok = res.stage1_report.simple_count == 4
-    ok = ladder_ok and stage1_ok and res.succeeded and res.count >= 9
+    ok = ladder_ok and stage1_ok and res.succeeded
     lines = [
         f"sign ladder g(0)>0, g(1/2)<0, g(1)=0, g'(1)<0, g(2)>0: "
         f"{'PASS' if ladder_ok else 'FAIL'} ({ {k: format_float(v) for k, v in ladder.items()} })",
         f"stage 1: {res.stage1_report.simple_count} simple zeros in (0,2); expected 4: "
         f"{'PASS' if stage1_ok else 'FAIL'}",
-        (f"stage 2: witness with {res.count} simple zeros: PASS" if res.succeeded
-         else f"stage 2: search failed ({res.note})"),
+        f"stage 2: witness with {res.count} simple zeros: {'PASS' if res.succeeded else 'FAIL'}",
     ]
     artifacts = {"sign_ladder": ladder, "coefficients": list(res.coefficients),
-                 "stage1": res.stage1_report.to_dict(),
-                 "stage2": res.report.to_dict() if res.report else None}
+                 "stage1": res.stage1_report.to_dict(), "stage2": res.report.to_dict()}
     return ok, lines, artifacts
 
 

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import family, u
+from .certify import isolate_zeros
 from .config import OrderCoefficients, SystemConfig
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .geometry import switching_angles
+from .recursion import melnikov_all
+from .simulate import center_event_times, extract_melnikov
 
 __all__ = [
     "SpanFit", "v_coefficients", "config_from_v", "m1_closed", "cov_r_of_x",
@@ -216,8 +219,6 @@ def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
     balanced), then confirms the count by zero isolation.  Returns
     (reduced coefficients, zero locations) or None when the trial budget runs out.
     """
-    from .certify import isolate_zeros
-
     rng = np.random.default_rng(seed)
     funcs = q_basis(n)
     a, b = SEARCH_INTERVAL
@@ -270,11 +271,16 @@ def first_order_image(n: int, rs) -> np.ndarray:
                             rs * theta1, np.cos(theta1)])
 
 
+def _v_kernel(n: int) -> np.ndarray:
+    """Orthonormal basis of the kernel of ``v_map_matrix(n)``, one row per
+    direction: the order blocks whose M_1 vanishes."""
+    V = v_map_matrix(n)
+    return np.linalg.svd(V)[2][V.shape[0]:]
+
+
 def v_zero_coefficients(n: int, rng: np.random.Generator) -> OrderCoefficients:
     """Random coefficient block in the kernel of the reduced-coefficient map."""
-    V = v_map_matrix(n)
-    _, _, vt = np.linalg.svd(V)
-    null = vt[V.shape[0]:]
+    null = _v_kernel(n)
     vec = null.T @ rng.standard_normal(null.shape[0])
     vec *= 1.0 / max(np.max(np.abs(vec)), 1e-12)
     return _oc_from_vec(vec)
@@ -290,8 +296,6 @@ def _m2_on_grid(n: int, rs: np.ndarray):
     order-1 block ``c1vec`` (12 numbers) and order-2 block ``c2``, from eps =
     0 event times computed once.  A ``(B, 12)`` stack of order-1 blocks gives
     the ``(B, len(rs))`` values of all B configs from one eps-jet pass."""
-    from .simulate import center_event_times, extract_melnikov
-
     times = center_event_times(rs, n)
 
     def m2(c1vec, c2: OrderCoefficients = OrderCoefficients()) -> np.ndarray:
@@ -400,9 +404,7 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
     whose residual is already under ``tol`` goes to ``accept`` as it is;
     the others run Levenberg-Marquardt first.
     """
-    V = v_map_matrix(n)
-    _, _, vt = np.linalg.svd(V)
-    null = vt[V.shape[0]:]
+    null = _v_kernel(n)
     G = _polarized_second_order(m2, null)
     fun, jac = _kernel_residual(G, proj_rows)
 
@@ -429,11 +431,12 @@ def _kernel_quadratic_search(n: int, proj_rows: np.ndarray, m2,
 ORDER3_STARTS = 60
 STRUCTURE_STARTS = 80
 # The structure search kills the off-span residual on its own 18-point grid
-# only.  A candidate must also fit the span on this third grid (geomspace
-# arguments), distinct from both that one and the 40-point grid that verifies
-# the result, at half the verification's 1e-6 limit.  The wider verification
-# grid reads about twice the screen's residual, so it still checks the result.
-STRUCTURE_SCREEN = (0.32, 2.1, 31)
+# only.  A candidate must also fit the span, at half the verification's 1e-6
+# limit, on 32 log-spaced points of the window that the reproduction case
+# verifies on at 40: 31 intervals against 39, so the two grids share only
+# the window's ends.  The screen's M_2 values also guard against the
+# degenerate (identically vanishing) branch.
+STRUCTURE_WINDOW = (0.3, 2.2)
 STRUCTURE_SCREEN_TOL = 5e-7
 
 
@@ -450,9 +453,6 @@ def vanishing_order_config(n: int, ell: int, *, seed: int = 0) -> SystemConfig:
     the candidate it accepts.  Raises NumericalError if the ell = 3 search
     exhausts its budget.
     """
-    from .errors import NumericalError
-    from .recursion import melnikov_all
-
     rng = np.random.default_rng(seed)
     zero = OrderCoefficients()
 
@@ -504,8 +504,6 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     comes from eps-jet passes of the return map, so the recursion stays an
     independent check of the result.
     """
-    from .errors import NumericalError
-
     rng = np.random.default_rng(seed)
     rs_x = np.geomspace(0.4, 1.8, 18)
     rs = np.array([cov_r_of_x(float(x), n) for x in rs_x])
@@ -517,7 +515,7 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
     Q, _ = np.linalg.qr(combined)
     proj = (np.eye(len(rs_x)) - Q @ Q.T) @ np.diag(denv)
     m2 = _m2_on_grid(n, rs)
-    screen_xs = np.geomspace(*STRUCTURE_SCREEN)
+    screen_xs = np.geomspace(*STRUCTURE_WINDOW, 32)
     screen_m2 = _m2_on_grid(n, np.array([cov_r_of_x(float(x), n) for x in screen_xs]))
 
     def accept(c1):
@@ -526,10 +524,10 @@ def table3_structure_config(n: int, *, seed: int = 0) -> SystemConfig:
             return None
         coef, *_ = np.linalg.lstsq(combined, denv * m2_first, rcond=None)
         c2 = _cancelling_block(n, coef[len(fam):])
-        if np.linalg.norm(m2(c1, c2)) < 1e-3:
+        screen = screen_m2(c1, c2)
+        if np.linalg.norm(screen) < 1e-3:
             return None
-        screen = list(zip(screen_xs, screen_m2(c1, c2)))
-        if fit_to_span(screen, n, 2).residual > STRUCTURE_SCREEN_TOL:
+        if fit_to_span(list(zip(screen_xs, screen)), n, 2).residual > STRUCTURE_SCREEN_TOL:
             return None
         return SystemConfig(n=n, k=2, orders=(_oc_from_vec(c1), c2))
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,19 +250,19 @@ def test_cofactor_bound_is_above_rho_on_equilibrated_matrices(size, seed, spread
 
 def test_subnormal_cells_are_never_taken_at_the_sign_tier():
     # F5^1 towards 1e-300: powers of x fall into the subnormal range, where
-    # the entries lose their accuracy and a noise sign can pass rho
+    # the entries lose their accuracy and a noise sign can pass rho; such a
+    # cell is unknown (NaN) at both tiers and is not recomputed at 50 digits
     fams = family("F5", 1)
     xs = np.geomspace(1e-300, 1.0, 256)
     would_pass = 0
     for s in range(len(fams)):
         M, _, _, _, rho, rho_h = _certificates(fams, xs, s)
         sub = _has_subnormal(M)
-        would_pass += np.count_nonzero(sub & (np.minimum(rho, rho_h) <= SIGN_REL_MAX)
-                                       & ~(rho <= CERT_REL_MAX))
-        value = _wronskian_logs(fams, xs, s)
-        loose = _wronskian_logs(fams, xs, s, sign_only=True)
-        for got, want in zip(loose[:3], value[:3]):
-            assert got[sub].tobytes() == want[sub].tobytes(), s
+        would_pass += np.count_nonzero(sub & (np.minimum(rho, rho_h) <= SIGN_REL_MAX))
+        for tier in (_wronskian_logs(fams, xs, s), _wronskian_logs(fams, xs, s, sign_only=True)):
+            for got in tier[:3]:
+                assert np.isnan(got[sub]).all(), s
+            assert tier[3] <= np.count_nonzero(~sub), s
     assert would_pass > 0
 
 
@@ -366,17 +367,14 @@ def test_shared_stack_gives_the_per_s_verdict(monkeypatch, name, k, nu):
 def test_the_largest_sign_tier_cell_is_the_value_tiers(monkeypatch):
     # a tighter value tier sends the grid's largest |det A| to 50 digits, and
     # the sign tier must report that cell, isolate_zeros' scale, bit for bit,
-    # also when another cell's 50-digit determinant is 0 (NaN, unknown)
+    # also when another cell is unknown (NaN)
     monkeypatch.setattr(certify, "CERT_REL_MAX", 1e-15)
     fams = family("F2", 2)
     xs = np.geomspace(0.1, 10.0, 64)
     for unknown_first_cell in (False, True):
         if unknown_first_cell:
-            # the first cell keeps the value tier, and reads 0 at 50 digits
+            # the first cell reads as one with a subnormal entry: NaN at both tiers
             monkeypatch.setattr(certify, "_has_subnormal", lambda M: np.arange(M.shape[2]) == 0)
-            precise = certify._precise_logdet
-            monkeypatch.setattr(certify, "_precise_logdet", lambda f, x, s: (
-                (math.nan, math.nan) if x == xs[0] else precise(f, x, s)))
         for s in range(1, len(fams)):
             _, value_mag, _, _ = _wronskian_logs(fams, xs, s)
             _, loose_mag, _, recomputed = _wronskian_logs(fams, xs, s, sign_only=True)
@@ -494,6 +492,21 @@ def test_isolate_refines_a_zero_at_a_tiny_scale():
     z = rep.zeros[0]
     assert abs(z.location - 3e-108) <= 1e-11 * 3e-108
     assert z.bracket[0] < z.location < z.bracket[1]
+
+
+def test_slope_probe_stays_in_the_bracket_near_a():
+    # the zero lies 1e-9 above a: root - 1e-6 is negative, outside the domain
+    # x > 0 of f, so the central difference is cut at the bracket's lower end
+    lowest = []
+
+    def f(x):
+        lowest.append(np.min(x))
+        return np.log(x / 1.1e-9)
+
+    rep = isolate_zeros(f, 1e-10, 1.0)
+    assert min(lowest) >= 1e-10
+    assert rep.count == rep.simple_count == 1 and rep.exhaustive
+    assert rep.zeros[0].location == pytest.approx(1.1e-9, rel=1e-12)
 
 
 def test_near_double_zero_resolved_by_refinement():
@@ -771,6 +784,16 @@ def test_f7_polynomials_are_the_generators_at_x_to_the_2k(k):
     assert len(polys) == len(members) == 7
     for p, bf in zip(polys, members):
         np.testing.assert_allclose(P.polyval(xs, p), bf(xs ** (2 * k)), rtol=1e-12, atol=0.0)
+
+
+def test_staged_witness_tries_one_ladder_at_k4(monkeypatch):
+    # stage two reaches 6 simple zeros at k = 4 and reports the failure
+    # after one zero isolation of g_4, as it reports success at k = 2 and 3
+    calls = mock.Mock(wraps=certify.isolate_zeros)
+    monkeypatch.setattr(certify, "isolate_zeros", calls)
+    res = prop5_witness(4)
+    assert calls.call_count == 2              # stage one, then stage two
+    assert (res.count, res.succeeded) == (6, False)
 
 
 def test_staged_witness_generalizes_to_k3():

@@ -214,17 +214,26 @@ def test_cheb_builds_each_family_of_the_table(tmp_path, monkeypatch, name):
     assert [f.label for f in fams] == [f.label for f in want()]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 10])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_reproduce_m2_n3_structure(tmp_path, seed):
-    # at seeds 3, 4 and 10 the first start kills the off-span residual on the
-    # search's own grid only; its screen residual (3.8e-6, 5.1e-7 and 5.3e-6)
-    # is over the 5e-7 screen, so accept rejects it and the second start passes
+    # the exit code and the JSON at the seeds the benchmark runs; the
+    # residual at every seed up to 60 is the sweep's below
     out = tmp_path / "rep"
     code = main(["reproduce", "--case", "m2_n3_structure", "--out", str(out), "--seed", str(seed)])
     assert code == 0
     report = json.loads((out / "m2_n3_structure.json").read_text())
     assert report["status"] == "PASS"
     assert report["artifacts"]["fit"]["residual"] <= 1e-6
+
+
+SEEDED_CASES = ("m1_n1", "m1_n2", "m1_odd", "m1_even", "m2_n3_structure", "cycles_n2_l1")
+
+
+def test_every_seeded_case_passes_at_seeds_1_to_60():
+    # every case that reads the seed, each under its own gate
+    failed = [(case, seed) for case in SEEDED_CASES for seed in range(1, 61)
+              if not CASES[case](seed)[0]]
+    assert failed == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -350,15 +359,18 @@ def test_documented_grid_forms(tmp_path, demo_config, grid):
 
 
 def test_cheb_simplicity_probe_stays_in_the_domain(tmp_path):
-    # W_3 of F5^1 has zeros near 1e-108, where root - 1e-6 is negative and
-    # outside the family's domain x > 0; the probe must stay in the bracket
+    # towards x = 1e-300 the derivative matrices of F5^1 hold subnormal
+    # entries, whose cells would give W_3..W_6 noise zeros near 1e-108 with
+    # slope probes below x = 0 (tests/test_certify.py covers the probe).
+    # Such cells are unknown, not zeros of W_s, so no Wronskian counts a
+    # zero, some report is not exhaustive and no verdict is given
     out = tmp_path / "o"
     code = main(["cheb", "--family", "F5", "--k", "1", "--interval", "1e-300:1",
                  "--out", str(out)])
-    # cells whose 50-digit determinant comes out 0 are unknown, not zeros of
-    # W_s, so some report is not exhaustive and no verdict is given
     assert code == 2
-    assert json.loads((out / "verdict.json").read_text())["classification"] == "inconclusive"
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["classification"] == "inconclusive"
+    assert verdict["nu"] == [0] * 8
 
 
 @pytest.mark.parametrize("points", [3, 7])

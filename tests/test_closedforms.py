@@ -8,7 +8,7 @@ from conftest import random_config
 from melnlab import closedforms, recursion
 from melnlab.closedforms import (LM_MAX_STEPS, _cancelling_block, _kernel_residual,
                                  _levenberg_marquardt, _m2_on_grid, _oc_from_vec,
-                                 _polarized_second_order, config_from_v, cov_r_of_x,
+                                 _polarized_second_order, _v_kernel, config_from_v, cov_r_of_x,
                                  first_order_image, fit_to_span, m1_closed, q_denominator,
                                  q_values, sign_pattern_search, structural_span,
                                  table3_structure_config, v_coefficients, v_map_matrix,
@@ -229,16 +229,11 @@ def test_vanishing_order_configs_lower_orders_zero(rng):
     assert abs(melnikov(cfg4, 4, 1.1)) > 1e-6
 
 
-def _kernel_basis(n):
-    V = v_map_matrix(n)
-    return np.linalg.svd(V)[2][V.shape[0]:]
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_polarized_form_on_jets_matches_the_recursion(n):
     # the quadratic form the searches run on, from eps-jet passes, against
     # the same polarization of recursion values
-    null = _kernel_basis(n)
+    null = _v_kernel(n)
     rs = np.geomspace(0.5, 1.9, 4)
 
     def m2_recursion(c1vecs):
@@ -255,7 +250,7 @@ def test_polarized_form_on_jets_matches_the_recursion(n):
 def test_stacked_polarization_is_the_per_direction_loop(n):
     # one stacked pass over all d + d(d-1)/2 directions gives the bits of one
     # pass per direction
-    null = _kernel_basis(n)
+    null = _v_kernel(n)
     m2 = _m2_on_grid(n, np.geomspace(0.5, 1.9, 5))
     d = null.shape[0]
     diag = [m2(v) for v in null]
@@ -340,6 +335,25 @@ def test_searches_leave_the_recursion_to_verify(monkeypatch):
     assert builds.call_count == 1
     assert builds.call_args.args[1].tolist() == [0.8, 1.3] and builds.call_args.args[2] == 3
     assert max(abs(melnikov(cfg, i, r)) for i in (1, 2) for r in (0.8, 1.3)) < 1e-11
+
+
+def test_structure_search_makes_two_m2_passes_per_candidate(monkeypatch):
+    # one stacked pass polarizes M_2 over the kernel; each candidate then
+    # takes one pass on the search grid, for its order-2 block, and one on
+    # the screen grid, which the degeneracy guard reads too
+    passes = mock.Mock(wraps=closedforms.extract_melnikov)
+    monkeypatch.setattr(closedforms, "extract_melnikov", passes)
+    search = closedforms._kernel_quadratic_search
+    candidates = []
+
+    def counted(n, proj, m2, rng, starts, accept, **kw):
+        return search(n, proj, m2, rng, starts,
+                      lambda c1: candidates.append(c1) or accept(c1), **kw)
+
+    monkeypatch.setattr(closedforms, "_kernel_quadratic_search", counted)
+    table3_structure_config(3, seed=2)
+    assert passes.call_count == 1 + 2 * len(candidates)
+    assert len(candidates) == 2                    # the first fails the screen
 
 
 def test_levenberg_marquardt_runs_only_on_starts_above_tol(monkeypatch):
