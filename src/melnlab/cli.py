@@ -25,7 +25,7 @@ from .basis import family, family_G, family_H_pencil, family_H8, family_J0
 from .certify import (PROP4_COEFFS, certify_family, prop4_witness, prop5_witness,
                       scaled_wronskians)
 from .closedforms import (STRUCTURE_WINDOW, config_from_v, cov_r_of_x, fit_to_span,
-                          m1_closed, q_basis, sign_pattern_search, structural_span,
+                          m1_closed, sign_pattern_search, structural_span,
                           table3_structure_config)
 from .config import config_to_dict, load_config
 from .errors import ConfigurationError, DomainError, MelnlabError, NumericalError
@@ -33,13 +33,6 @@ from .geometry import crossing_abscissa
 from .recursion import melnikov, melnikov_all
 from .reports import format_float, write_csv, write_gnuplot, write_json
 from .simulate import ORACLE_TOL, center_event_times, extract_melnikov, find_limit_cycles
-
-# random reduced coefficients drawn by each zero-count ceiling scan
-CEILING_TRIALS = 1000
-# trials per block: a (32, 2048) block of float64 values is 512 KB, which
-# stays in a 2 MB L2 cache share, and a 32-row matmul keeps OpenBLAS on one
-# thread, where 125 rows start a second whose spinning costs CPU time later
-CEILING_BLOCK = 32
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -149,16 +142,27 @@ FAMILIES = {
     "J0": lambda args: family_J0(),
     "H": lambda args: family_H_pencil(args.k, args.alpha or 0.0, args.beta or 0.0),
 }
+# parameter option -> the one family that reads it
+PARAMETER_FAMILY = {"lam": "F7", "alpha": "H", "beta": "H"}
 
 
 def cmd_cheb(args) -> int:
     if args.family not in FAMILIES:
         raise ConfigurationError(
             f"unknown family {args.family!r}; choose from {list(FAMILIES)}")
+    for option, owner in PARAMETER_FAMILY.items():
+        value = getattr(args, option)
+        if value is not None and args.family != owner:
+            raise ConfigurationError(f"--{option} is read by family {owner} only, "
+                                     f"not by {args.family}")
+        if value is not None and not math.isfinite(value):
+            raise ConfigurationError(f"--{option} must be finite, got {value}")
     interval = _parse_interval(args.interval)
     fams = FAMILIES[args.family](args)
-    name = (f"H^{args.k}_{args.alpha},{args.beta}" if args.family == "H" else
-            f"{args.family}^{args.k}" + (f",{args.lam}" if args.lam is not None else ""))
+    # the family as built: J0 reads no --k, and the pencil's defaults are 0
+    name = {"F7": f"F7^{args.k},{args.lam}", "J0": "J0",
+            "H": f"H^{args.k}_{args.alpha or 0.0},{args.beta or 0.0}",
+            }.get(args.family, f"{args.family}^{args.k}")
     out = Path(args.out)
     _write_manifest(out, args, interval=interval)
 
@@ -183,28 +187,10 @@ def cmd_cheb(args) -> int:
 # -- reproduction scenarios ------------------------------------------------------
 
 
-def _sign_changes(vals: np.ndarray) -> np.ndarray:
-    """Strict sign changes between neighbours along the last axis; zeros change nothing."""
-    neg, pos = vals < 0, vals > 0
-    change = (neg[..., :-1] & pos[..., 1:]) | (pos[..., :-1] & neg[..., 1:])
-    return np.sum(change.view(np.int8), axis=-1, dtype=np.int32)
-
-
-def _ceiling_scan(n: int, ceiling: int, rng):
-    """Zero-count ceiling over random reduced coefficients, batched."""
-    xs = np.geomspace(1e-3, 1e3, 2048)
-    design = np.column_stack([g(xs) for g in q_basis(n)])
-    dim = design.shape[1]
-    vs = rng.uniform(-1.0, 1.0, size=(CEILING_TRIALS, dim))
-    # a block of trials at a time bounds the (trials, grid) temporaries
-    worst = max(int(np.max(_sign_changes(vs[lo:lo + CEILING_BLOCK] @ design.T)))
-                for lo in range(0, CEILING_TRIALS, CEILING_BLOCK))
-    return worst, worst <= ceiling
-
-
 def _case_m1_counts(seed, targets):
-    """First-order realizations and ceilings; ``targets`` maps n to its zero count."""
-    rng = np.random.default_rng(seed)
+    """First-order realizations; ``targets`` maps n to its zero count.  The
+    ceilings, which do not depend on the seed, are certified in the acceptance
+    suite (AC04)."""
     ok, lines, artifacts = True, [], {}
     for n, target in targets.items():
         found = sign_pattern_search(n, target, seed=seed)
@@ -216,11 +202,6 @@ def _case_m1_counts(seed, targets):
         artifacts[f"n{n}_realization"] = {"v": list(v), "zeros": list(zeros)}
         lines.append(f"n={n}: {len(zeros)} simple zero{'s' if len(zeros) > 1 else ''} "
                      "realized at " + ", ".join(f"{z:.6g}" for z in zeros))
-        worst, inside = _ceiling_scan(n, target, rng)
-        lines.append(f"n={n}: ceiling {target} respected over {CEILING_TRIALS} random configs"
-                     f" (max seen {worst})" if inside else
-                     f"n={n}: CEILING {target} EXCEEDED (saw {worst})")
-        ok = ok and inside
     return ok, lines, artifacts
 
 
@@ -360,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cheb", parents=[common], help="certify an ordered family")
     p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILIES)}")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--lam", type=float, default=None)
+    p.add_argument("--lam", type=float, default=None, help="family parameter (family F7)")
     p.add_argument("--alpha", type=float, default=None, help="pencil parameter (family H)")
     p.add_argument("--beta", type=float, default=None, help="pencil parameter (family H)")
     p.add_argument("--interval", default="0.1:10")

@@ -206,8 +206,10 @@ def q_basis(n: int) -> list:
     return [u(13, k), u(5, k), u(15, k), u(2, k)]
 
 
-# sign_pattern_search draws its targets from SEARCH_INTERVAL, SEARCH_TRIALS times
+# sign_pattern_search draws its targets from SEARCH_INTERVAL, SEARCH_TRIALS times,
+# and counts the zeros of each candidate on ZERO_WINDOW
 SEARCH_INTERVAL = (0.05, 3.0)
+ZERO_WINDOW = (SEARCH_INTERVAL[0] / 4.0, SEARCH_INTERVAL[1] * 4.0)
 SEARCH_TRIALS = 600
 
 
@@ -235,7 +237,7 @@ def sign_pattern_search(n: int, zero_count: int, *, seed: int = 0):
         vv, *_ = np.linalg.lstsq(design, targets, rcond=None)
         if np.any(np.sign(design @ vv) != signs):
             continue
-        report = isolate_zeros(lambda x: q_values(vv, n, x), a / 4.0, b * 4.0,
+        report = isolate_zeros(lambda x: q_values(vv, n, x), *ZERO_WINDOW,
                                budget=40_000, initial=2048)
         if report.count == report.simple_count == zero_count:
             return tuple(float(c) for c in vv), tuple(z.location for z in report.zeros)

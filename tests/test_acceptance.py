@@ -4,17 +4,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 Every tolerance is pinned here, not deferred to fixtures or configuration.
 """
 
-import math
-
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import random_config
-from melnlab.basis import family
+from melnlab.basis import family, u
 from melnlab.certify import certify_family, theorem3_bound
-from melnlab.closedforms import (cov_r_of_x, fit_to_span, m1_closed,
-                                 table3_structure_config, v_zero_coefficients,
-                                 vanishing_order_config)
+from melnlab.closedforms import (ZERO_WINDOW, cov_r_of_x, fit_to_span, m1_closed,
+                                 structural_span, table3_structure_config,
+                                 v_zero_coefficients, vanishing_order_config)
 from melnlab.combinatorics import partitions
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.recursion import melnikov
@@ -100,12 +99,30 @@ def test_ac03_simulation_cross_check(rng):
 
 
 def test_ac04_theorem_a_realizations():
+    """Per n = 1..5, the m1 case's realized simple zeros (seed 1) against the
+    Wronskian certificate of the first-order span, in span member order, on the
+    window sign_pattern_search counts zeros on: realized and certified agree."""
     from melnlab.cli import CASES
 
-    runs = [CASES[case](1) for case in ("m1_n1", "m1_n2", "m1_odd", "m1_even")]
-    ok = all(run_ok for run_ok, _, _ in runs)
-    report(4, ok, "simple-zero realizations 1/3/3/4/3 for n=1/2/3/4/5 and 1000-config "
-                  "ceilings - " + " | ".join(line for _, lines, _ in runs for line in lines))
+    cases = {1: "m1_n1", 2: "m1_n2", 3: "m1_odd", 4: "m1_even", 5: "m1_odd"}
+    runs = {case: CASES[case](1) for case in set(cases.values())}
+    lo, hi = ZERO_WINDOW
+    ok, lines = True, []
+    for n, case in cases.items():
+        run_ok, _, artifacts = runs[case]
+        zeros = artifacts.get(f"n{n}_realization", {}).get("zeros", [])
+        name, fams, _ = structural_span(n, 1)
+        if n == 1:  # F1^0 holds x^0 twice
+            name, fams = "[u1^0, u12^0]", [u(1, 0), u(12, 0)]
+        verdict = certify_family(fams, lo, hi, name=name)
+        ok = (ok and run_ok and verdict.classification != "inconclusive"
+              and verdict.zero_bound == len(zeros) and all(lo <= z <= hi for z in zeros))
+        lines.append(f"n={n}: {len(zeros)} realized at "
+                     + ", ".join(f"{z:.6g}" for z in zeros)
+                     + f"; {name} {verdict.classification}, bound {verdict.zero_bound}")
+    report(4, ok, f"the most simple zeros a first-order function has on [{lo:g}, {hi:g}], "
+                  "realized at seed 1 and certified as the span's zero bound - "
+                  + " | ".join(lines))
 
 
 def test_ac05_limit_cycles():
@@ -155,22 +172,18 @@ def test_ac09_property_suite(rng):
     counts = [len(partitions(l)) for l in range(1, 7)]
     ok_counts = counts == [1, 2, 3, 5, 7, 11]
 
-    # jets vs a local-polynomial differentiation oracle, orders <= 4
+    # jets vs mpmath.diff on the values at 40 digits, orders <= 4
     worst_fd = 0.0
-    from melnlab.basis import u
-    for ident in range(1, 24):
-        bf = u(ident, 2)
-        for x0 in np.geomspace(0.3, 3.0, 20):
-            jet = bf.jet(float(x0), 4)
-            delta = 0.04 * x0
-            nodes = x0 + delta * np.cos(np.pi * np.arange(9) / 8)
-            vals = np.array([bf(float(t)) for t in nodes])
-            coef = np.polynomial.polynomial.polyfit(nodes - x0, vals, 8)
-            for m in range(1, 5):
-                oracle = coef[m] * math.factorial(m)
-                scale = max(1.0, abs(oracle))
-                worst_fd = max(worst_fd, abs(jet.derivative(m) - oracle) / scale)
-    ok_fd = worst_fd <= 1e-6
+    with mpmath.workdps(40):
+        for ident in range(1, 24):
+            bf = u(ident, 2)
+            for x0 in np.geomspace(0.3, 3.0, 20):
+                jet = bf.jet(float(x0), 4)
+                for m in range(1, 5):
+                    oracle = float(mpmath.diff(bf, mpmath.mpf(float(x0)), m))
+                    scale = max(1.0, abs(oracle))
+                    worst_fd = max(worst_fd, abs(jet.derivative(m) - oracle) / scale)
+    ok_fd = worst_fd <= 1e-13
 
     worst_eps0 = 0.0
     for n in (2, 3):
@@ -187,7 +200,7 @@ def test_ac09_property_suite(rng):
 
     ok = ok_counts and ok_fd and ok_eps0 and ok_bound
     report(9, ok, f"partition counts {counts}; jet-vs-oracle max rel {worst_fd:.2e} "
-                  f"(tol 1e-6); eps=0 displacement max {worst_eps0:.2e} (tol 1e-12); "
+                  f"(tol 1e-13); eps=0 displacement max {worst_eps0:.2e} (tol 1e-12); "
                   f"zero-count bound formula unit checks {'ok' if ok_bound else 'BAD'}")
 
 

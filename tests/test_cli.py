@@ -8,9 +8,8 @@ import pytest
 
 from conftest import random_block
 from melnlab.basis import family, family_G, family_H8, family_H_pencil, family_J0
-from melnlab.cli import (CASES, CEILING_TRIALS, FAMILIES, _ceiling_scan, _sign_changes,
-                         build_parser, main)
-from melnlab.closedforms import q_basis, v_zero_coefficients
+from melnlab.cli import CASES, FAMILIES, build_parser, main
+from melnlab.closedforms import v_zero_coefficients
 from melnlab.config import OrderCoefficients, SystemConfig, dump_config
 from melnlab.recursion import melnikov
 from melnlab.reports import dumps_json, format_float, write_csv
@@ -189,29 +188,64 @@ def test_m1_n1_realizes_one_simple_zero(seed):
     assert len(artifacts["n1_realization"]["zeros"]) == 1
 
 
-# member count and members of each family at --k 2 --lam 1.5 --alpha 0.5 --beta -0.25
+# the options each family reads, its member count, its members and its label
 FAMILY_BUILDS = {
-    **{f"F{i}": (size, lambda name=f"F{i}": family(name, 2, lam=1.5))
-       for i, size in zip(range(1, 8), (3, 4, 5, 6, 8, 7, 7))},
-    "G": (6, lambda: family_G(2)), "H8": (6, lambda: family_H8(2)), "J0": (6, family_J0),
-    "H": (5, lambda: family_H_pencil(2, 0.5, -0.25)),
+    **{f"F{i}": (["--k", "2"], size, lambda name=f"F{i}": family(name, 2), f"F{i}^2")
+       for i, size in zip(range(1, 7), (3, 4, 5, 6, 8, 7))},
+    "F7": (["--k", "2", "--lam", "1.5"], 7, lambda: family("F7", 2, lam=1.5), "F7^2,1.5"),
+    "G": (["--k", "2"], 6, lambda: family_G(2), "G^2"),
+    "H8": (["--k", "2"], 6, lambda: family_H8(2), "H8^2"),
+    "J0": ([], 6, family_J0, "J0"),
+    "H": (["--k", "2", "--alpha", "0.5", "--beta", "-0.25"], 5,
+          lambda: family_H_pencil(2, 0.5, -0.25), "H^2_0.5,-0.25"),
 }
 
 
-@pytest.mark.parametrize("name", FAMILIES)
-def test_cheb_builds_each_family_of_the_table(tmp_path, monkeypatch, name):
+def _cheb_built(tmp_path, monkeypatch, argv):
+    """The members and label ``cheb`` hands to the certification for ``argv``."""
     from melnlab import cli
 
     certify = mock.Mock(return_value=SimpleNamespace(classification="ECT", zero_bound=0,
                                                      nu=(), to_dict=dict))
     monkeypatch.setattr(cli, "certify_family", certify)
     monkeypatch.setattr(cli, "scaled_wronskians", lambda fams, xs: [0.0 * xs] * len(fams))
-    assert main(["cheb", "--family", name, "--k", "2", "--lam", "1.5", "--alpha", "0.5",
-                 "--beta", "-0.25", "--out", str(tmp_path / "o")]) == 0
-    count, want = FAMILY_BUILDS[name]
-    [((fams, *_), _)] = certify.call_args_list
+    assert main(["cheb", *argv, "--out", str(tmp_path / "o")]) == 0
+    [((fams, *_), kwargs)] = certify.call_args_list
+    return fams, kwargs["name"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cheb_builds_each_family_of_the_table(tmp_path, monkeypatch, name):
+    options, count, want, label = FAMILY_BUILDS[name]
+    fams, built = _cheb_built(tmp_path, monkeypatch, ["--family", name, *options])
     assert len(fams) == count
     assert [f.label for f in fams] == [f.label for f in want()]
+    assert built == label
+
+
+def test_cheb_labels_the_pencil_with_the_defaults_it_used(tmp_path, monkeypatch):
+    fams, built = _cheb_built(tmp_path, monkeypatch, ["--family", "H", "--k", "2"])
+    assert [f.label for f in fams] == [f.label for f in family_H_pencil(2, 0.0, 0.0)]
+    assert built == "H^2_0.0,0.0"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["--family", "F1", "--lam", "1.5"],
+    ["--family", "F5", "--alpha", "0.5"],
+    ["--family", "G", "--beta", "-0.25"],
+    ["--family", "F7", "--lam", "1", "--alpha", "0.5"],
+    ["--family", "H", "--lam", "1"],
+    ["--family", "F7", "--lam", "inf"],
+    ["--family", "F7", "--lam", "nan"],
+    ["--family", "H", "--alpha", "nan"],
+    ["--family", "H", "--beta=-inf"],
+], ids=["lam-for-F1", "alpha-for-F5", "beta-for-G", "alpha-for-F7", "lam-for-H",
+        "infinite-lam", "nan-lam", "nan-alpha", "infinite-beta"])
+def test_cheb_rejects_a_misplaced_or_non_finite_parameter(tmp_path, argv):
+    assert main(["cheb", *argv, "--k", "2", "--out", str(tmp_path / "o")]) == 3
+    # rejected before anything is written
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -234,24 +268,6 @@ def test_every_seeded_case_passes_at_seeds_1_to_60():
     failed = [(case, seed) for case in SEEDED_CASES for seed in range(1, 61)
               if not CASES[case](seed)[0]]
     assert failed == []
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_ceiling_scan_blocks_match_one_batch(n):
-    design = np.column_stack([g(np.geomspace(1e-3, 1e3, 2048)) for g in q_basis(n)])
-    vs = np.random.default_rng(n).uniform(-1.0, 1.0, size=(CEILING_TRIALS, design.shape[1]))
-    worst = int(np.max(_sign_changes(vs @ design.T)))
-    assert _ceiling_scan(n, 4, np.random.default_rng(n)) == (worst, worst <= 4)
-
-
-def test_sign_changes_match_the_product_of_signs():
-    # exact zeros (of either sign) and NaN sit between the nonzero values
-    rng = np.random.default_rng(5)
-    vals = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.nan], size=(40, 30))
-    sgn = np.sign(vals)
-    want = np.sum(sgn[..., :-1] * sgn[..., 1:] < 0, axis=-1)
-    assert np.array_equal(_sign_changes(vals), want)
-    assert [_sign_changes(row) for row in vals] == want.tolist()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 # the README's example parameter file
@@ -72,3 +74,14 @@ def test_zero_isolation_loads_no_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=ENV)
     assert out.stdout.strip() == "True False"
+
+
+def test_console_scripts_resolve_to_callables():
+    # each [project.scripts] entry, "module:function", is what an install runs
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["melnlab"] == "melnlab.cli:main"
+    for target in scripts.values():
+        module, _, name = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
