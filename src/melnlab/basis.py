@@ -12,9 +12,7 @@ fractional powers taken on the real-positive branch (domain x > 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,14 +23,14 @@ __all__ = ["BasisFunction", "u", "family", "family_G", "family_H_pencil",
            "family_J0", "family_H8"]
 
 
-def _pow(x, e):
-    """x**e on the positive branch, generic over floats, arrays, jets."""
-    if isinstance(e, Fraction) and e.denominator == 1:
-        e = int(e)
+def _pow(x, num: int, den: int = 1):
+    """x**(num/den) on the positive branch, generic over floats, arrays, jets.
+
+    A whole exponent stays an int; any other is the correctly rounded double
+    of num/den."""
+    e = num // den if num % den == 0 else num / den
     if isinstance(x, Jet):
-        return x ** e if isinstance(e, int) else x.power(float(e))
-    if isinstance(e, Fraction):
-        e = float(e)
+        return x ** e if isinstance(e, int) else x.power(e)
     return x ** e
 
 
@@ -91,17 +89,17 @@ def _u_expr(ident: int, k: int, lam: float | None, x):
         return ((_pow(x, 4 * K - 2) + 1.0) * (2 * K * _pow(x, 4 * K - 1) + x)
                 * _atan(_pow(x, 2 * K - 1)))
     if ident == 18:
-        return _pow(x, Fraction(1, K)) * ((2 * K + 1) * x * x + 1.0) ** 3
+        return _pow(x, 1, K) * ((2 * K + 1) * x * x + 1.0) ** 3
     if ident == 19:
-        return -(_pow(x, Fraction(1, K)) * ((2 * K + 1) * x ** 3 + x) ** 2)
+        return -(_pow(x, 1, K) * ((2 * K + 1) * x ** 3 + x) ** 2)
     if ident == 20:
-        return -(_pow(x, Fraction(1, K) + 3) * ((2 * K + 1) * x * x + 1.0) ** 2)
+        return -(_pow(x, 3 * K + 1, K) * ((2 * K + 1) * x * x + 1.0) ** 2)
     if ident == 21:
-        return _pow(x, Fraction(3, 2 * K) + 1) * ((2 * K + 1) * x * x + 1.0) ** 3
+        return _pow(x, 2 * K + 3, 2 * K) * ((2 * K + 1) * x * x + 1.0) ** 3
     if ident == 22:
-        return _pow(x, Fraction(1, K) + 1) * ((2 * K + 1) * x * x + 1.0) ** 3
+        return _pow(x, K + 1, K) * ((2 * K + 1) * x * x + 1.0) ** 3
     if ident == 23:
-        return (x * x + 1.0) * _pow(x, Fraction(3, 2 * K)) * ((2 * K + 1) * x * x + 1.0) ** 3
+        return (x * x + 1.0) * _pow(x, 3, 2 * K) * ((2 * K + 1) * x * x + 1.0) ** 3
     if ident == 24:
         lv = float(lam)
         return (x ** 5 * lv ** 3 * (2 * K + 1) ** 3
@@ -114,15 +112,14 @@ def _u_expr(ident: int, k: int, lam: float | None, x):
     raise DomainError(f"unknown generator index {ident}")
 
 
-@dataclass(frozen=True)
-class BasisFunction:
+class BasisFunction(NamedTuple):
     """One member of an ordered family, evaluable as value or jet."""
 
     label: str
     fn: Callable
     deriv_order: int = 0
     # p when the member is the generator x^p (u1..u11), else None
-    _power: int | None = None
+    power: int | None = None
 
     def __call__(self, x):
         if self.deriv_order == 0:
@@ -180,7 +177,7 @@ def u(ident: int, k: int, lam: float | None = None) -> BasisFunction:
         raise DomainError("u_24 requires the lam parameter")
     label = f"u{ident}^{k}" if ident != 24 else f"u24^{{{k},{lam}}}"
     return BasisFunction(label=label, fn=lambda x: _u_expr(ident, k, lam, x),
-                         _power=_exponent(ident, k))
+                         power=_exponent(ident, k))
 
 
 _FAMILY_IDS = {

@@ -16,7 +16,7 @@ else falls back to the general bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,8 +267,7 @@ def _scaled_wronskian(fams: list[BasisFunction], x, s: int, stack=None,
 # -- zero isolation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     location: float
     simple: bool
     bracket: tuple[float, float]
@@ -276,8 +275,7 @@ class ZeroRecord:
     derivative: float
 
 
-@dataclass(frozen=True)
-class ZeroReport:
+class ZeroReport(NamedTuple):
     """Isolated zeros on [a, b] with a reproducible refinement ledger."""
 
     interval: tuple[float, float]
@@ -287,7 +285,7 @@ class ZeroReport:
     budget: int
     grid_rounds: tuple[int, ...]
     scale: float
-    flags: tuple[str, ...] = field(default_factory=tuple)
+    flags: tuple[str, ...] = ()
 
     @property
     def count(self) -> int:
@@ -446,8 +444,7 @@ def theorem3_bound(nu: list[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class AccuracyVerdict:
+class AccuracyVerdict(NamedTuple):
     """Result of certifying one ordered family on a compact interval."""
 
     family_name: str
@@ -457,8 +454,8 @@ class AccuracyVerdict:
     zero_bound: int | None
     exhaustive: bool
     # per s, the cells whose Wronskian needed extended precision
-    fallbacks: tuple[int, ...] = field(default_factory=tuple)
-    reports: tuple[ZeroReport, ...] = field(default_factory=tuple, repr=False)
+    fallbacks: tuple[int, ...] = ()
+    reports: tuple[ZeroReport, ...] = ()
     # why no Wronskian was computed (two members are the same power of x)
     note: str | None = None
 
@@ -490,7 +487,7 @@ def certify_family(fams: list[BasisFunction], a: float, b: float, *,
     """
     if not (0.0 < a < b < math.inf):
         raise DomainError(f"certification interval must satisfy 0 < a < b < inf, got [{a}, {b}]")
-    powers = [bf._power for bf in fams]
+    powers = [bf.power for bf in fams]
     for j, p in enumerate(powers):
         if p is not None and p in powers[:j]:
             note = (f"{fams[powers.index(p)].label} and {fams[j].label} are both x^{p}, "
@@ -560,8 +557,7 @@ def prop4_witness() -> ZeroReport:
     return isolate_zeros(g, *PROP4_WINDOW, budget=WITNESS_BUDGET, initial=8192)
 
 
-@dataclass(frozen=True)
-class Prop5Result:
+class Prop5Result(NamedTuple):
     coefficients: tuple[float, ...]          # (a0, a1, a2, a3, a4)
     sign_ladder: dict
     stage1_report: ZeroReport

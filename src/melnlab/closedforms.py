@@ -10,7 +10,7 @@ higher orders are fitted numerically onto the corresponding spans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ def q_values(v, n: int, xs) -> np.ndarray:
 # -- structural spans of the higher orders -------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanFit:
+class SpanFit(NamedTuple):
     """Least-squares fit of a numerator onto a declared ordered family."""
 
     family_name: str

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -19,46 +19,41 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class OrderCoefficients:
+class OrderCoefficients(namedtuple("OrderCoefficients", "a b alpha beta",
+                                   defaults=4 * ((0.0, 0.0, 0.0),))):
     """The twelve affine coefficients of one perturbation order.
 
     ``a``/``b`` drive the field above the switching curve, ``alpha``/``beta``
-    below; each triple is (constant, x-slope, y-slope).
+    below; each triple is (constant, x-slope, y-slope) and defaults to zeros.
     """
 
-    a: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    b: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    alpha: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    beta: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "alpha", "beta"):
-            triple = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        triples = super().__new__(cls, *args, **kwargs)
+        for name, triple in zip(cls._fields, triples):
             if len(triple) != 3:
                 raise ConfigurationError(f"coefficient triple {name!r} must have 3 entries")
             if not all(math.isfinite(v) for v in triple):
                 raise ConfigurationError(f"coefficient triple {name!r} has non-finite entries")
-            object.__setattr__(self, name, tuple(float(v) for v in triple))
+        return super().__new__(cls, *(tuple(float(v) for v in t) for t in triples))
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Piecewise-linear perturbation of the linear center split by y = x^n."""
+class SystemConfig(namedtuple("SystemConfig", "n k orders")):
+    """Piecewise-linear perturbation of the linear center split by y = x^n,
+    with one :class:`OrderCoefficients` block per order 1..k in ``orders``."""
 
-    n: int
-    k: int
-    orders: tuple[OrderCoefficients, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ConfigurationError(f"switching degree n must be a positive integer, got {self.n!r}")
-        if not (_is_int(self.k) and 1 <= self.k <= MAX_ORDER):
-            raise ConfigurationError(f"perturbation order k must be in [1, {MAX_ORDER}], got {self.k!r}")
-        orders = tuple(self.orders)
-        if len(orders) != self.k:
-            raise ConfigurationError(f"expected {self.k} coefficient blocks, got {len(orders)}")
-        object.__setattr__(self, "orders", orders)
+    def __new__(cls, n: int, k: int, orders):
+        if not (_is_int(n) and n >= 1):
+            raise ConfigurationError(f"switching degree n must be a positive integer, got {n!r}")
+        if not (_is_int(k) and 1 <= k <= MAX_ORDER):
+            raise ConfigurationError(f"perturbation order k must be in [1, {MAX_ORDER}], got {k!r}")
+        orders = tuple(orders)
+        if len(orders) != k:
+            raise ConfigurationError(f"expected {k} coefficient blocks, got {len(orders)}")
+        return super().__new__(cls, n, k, orders)
 
     def order(self, i: int) -> OrderCoefficients:
         """Coefficients of perturbation order ``i`` (1-based)."""

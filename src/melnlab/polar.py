@@ -19,8 +19,6 @@ coefficients only (``f_r_jets``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import SystemConfig
@@ -76,11 +74,13 @@ def _divide(A: list, B: list) -> list:
     return F
 
 
-@dataclass(frozen=True)
 class PolarField:
     """Evaluators of the standard-form right-hand sides F_i^(+/-)(r, theta)."""
 
-    config: SystemConfig
+    __slots__ = ("config",)
+
+    def __init__(self, config: SystemConfig):
+        self.config = config
 
     @property
     def k(self) -> int:

@@ -23,8 +23,8 @@ With ndarray coefficients one such pass covers a whole grid of section points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ NEWTON_MAX_ITER = 30
 CYCLE_DEDUPE = 1e-6
 
 
-@dataclass(frozen=True)
-class PoincareResult:
+class PoincareResult(NamedTuple):
     x0: float
     eps: float
     x_return: float
@@ -76,8 +75,7 @@ class PoincareResult:
         return self.x_return - self.x0
 
 
-@dataclass(frozen=True)
-class LimitCycle:
+class LimitCycle(NamedTuple):
     x_star: float
     eps: float
     derivative: float              # return-map derivative at the fixed point
@@ -352,8 +350,7 @@ def _return_jet(times, config, x0, eps, order: int):
     return state[0], residual
 
 
-@dataclass(frozen=True)
-class MelnikovEstimate:
+class MelnikovEstimate(NamedTuple):
     """M_1..M_i on a grid from one eps-jet pass, with the pass's error estimate.
 
     ``values[m - 1, g]`` is M_m at grid point g and ``error_estimate[g]`` the
@@ -430,8 +427,7 @@ def return_derivative(result: PoincareResult, config: SystemConfig) -> float:
     return float(x.c[1])
 
 
-@dataclass(frozen=True)
-class CycleSearch:
+class CycleSearch(NamedTuple):
     """Limit cycles found by ``find_limit_cycles``, with one note per skipped seed."""
 
     cycles: tuple[LimitCycle, ...]

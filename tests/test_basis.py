@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from melnlab import basis
 from melnlab.basis import (BasisFunction, family, family_G, family_H8, family_H_pencil,
                           family_J0, jet_derivative, u)
 from melnlab.errors import DomainError
@@ -30,6 +32,27 @@ def test_monomial_jet_derivatives():
     assert jet.derivative(1) == 6.0
     assert jet.derivative(2) == 2.0
     assert jet.derivative(3) == 0.0
+
+
+def _fraction_pow(x, num, den=1):
+    """The reference for basis._pow: the exponent as a Fraction, an int when whole."""
+    e = Fraction(num, den)
+    e = int(e) if e.denominator == 1 else e
+    if isinstance(x, Jet):
+        return x ** e if isinstance(e, int) else x.power(float(e))
+    return x ** (e if isinstance(e, int) else float(e))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_integer_pair_exponents_give_the_bits_of_fractions(monkeypatch, k):
+    # u18..u23 carry the exponents 1/k, (3k+1)/k, (2k+3)/2k, (k+1)/k and 3/2k
+    members = [u(i, k) for i in range(18, 24)]
+    xs = np.geomspace(0.1, 10.0, 7)
+    got = [(bf(xs), bf.jet(1.3, 3).c) for bf in members]
+    monkeypatch.setattr(basis, "_pow", _fraction_pow)
+    want = [(bf(xs), bf.jet(1.3, 3).c) for bf in members]
+    for (values, jet), (ref_values, ref_jet) in zip(got, want):
+        assert np.array_equal(values, ref_values) and jet == ref_jet
 
 
 @pytest.mark.parametrize("ident", list(range(1, 24)))

@@ -451,6 +451,13 @@ def test_isolate_simple_linear():
     assert rep.exhaustive
 
 
+def test_count_is_the_zero_count_not_tuple_count():
+    # ZeroReport and Prop5Result are tuples: their count property shadows tuple.count
+    rep = isolate_zeros(lambda x: (x - 1.0) * (x - 2.0), 0.5, 3.0)
+    res = certify.Prop5Result((), {}, rep, rep)
+    assert (rep.count, res.count) == (2, 2)
+
+
 def test_isolate_w2_of_f11():
     # printed W2 has its single simple zero where (8k^2+6k+1)x^{4k} = 2k-1
     fams = family("F1", 1)

@@ -3,15 +3,17 @@ attribute stored on ``self`` in the package, dunders aside, must be read as a
 name, an attribute or an import (not in a string or comment, and not only
 assigned) somewhere in src, tests, scripts or perfbench.
 
-A dataclass field must be read as an attribute (``obj.field``): being
-passed to the constructor is not a read.  Such a read counts for the class
-the code makes evident as ``obj``'s owner: ``self`` in a method, an
-annotated parameter, a name bound to a constructor call or to a call with an
-annotated return, an annotated field of an evident owner, or a loop variable
-over a ``tuple[C, ...]`` field.  A read whose owner is not evident counts by
-name, unless the name is shadowed: another class in the scanned code defines
-it too, or a library type that the code reads carries it
-(``LIBRARY_ATTRIBUTES``).  A shadowed field needs a read by evident owner.
+A record field (of a dataclass, a ``typing.NamedTuple``, or a class built
+on a ``collections.namedtuple`` base) must be read as an attribute
+(``obj.field``): being passed to the constructor is not a read.  Such a read
+counts for the class the code makes evident as ``obj``'s owner: ``self`` in
+a method, an annotated parameter, a name bound to a constructor call or to a
+call with an annotated return, an annotated field of an evident owner, or a
+loop variable over a ``tuple[C, ...]`` field or a ``list[C]`` parameter or
+name.  A read whose owner is not evident counts by name, unless the name is
+shadowed: another class in the scanned code defines it too, or a library
+type that the code reads carries it (``LIBRARY_ATTRIBUTES``).  A shadowed
+field needs a read by evident owner.
 
 Other definitions are matched by name alone, whatever object they are read
 from: a ``self.T`` would count as read wherever numpy's ``.T`` is.
@@ -24,10 +26,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "melnlab"
 SCANNED = ("src", "tests", "scripts", "perfbench")
 # attributes of library types that the scanned code reads, with the type read:
-# a package dataclass field of the same name needs a read by evident owner
+# a package record field of the same name needs a read by evident owner
 LIBRARY_ATTRIBUTES = {
-    "denominator": "fractions.Fraction", "values": "dict.values",
-    "flags": "numpy.ndarray.flags", "real": "numpy.ndarray.real",
+    "values": "dict.values", "flags": "numpy.ndarray.flags", "real": "numpy.ndarray.real",
 }
 
 
@@ -55,13 +56,27 @@ def _self_attributes(tree: ast.Module):
             yield node.attr
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, (ast.Name, ast.Attribute)) and \
-                (target.id if isinstance(target, ast.Name) else target.attr) == "dataclass":
-            return True
-    return False
+def _name(node) -> str | None:
+    """The name a decorator or base class refers to (``f``, ``m.f``, ``f(...)``)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _record_fields(node: ast.ClassDef) -> list[str]:
+    """The field names of a record class: the annotated names of a dataclass
+    or a ``NamedTuple``, the names given to a ``namedtuple(...)`` base; none
+    for any other class."""
+    for base in node.bases:
+        if isinstance(base, ast.Call) and _name(base) == "namedtuple":
+            spec = base.args[1]
+            return spec.value.replace(",", " ").split() if isinstance(spec, ast.Constant) \
+                else [elt.value for elt in spec.elts]
+    if any(_name(b) == "NamedTuple" for b in node.bases) or \
+            any(_name(d) == "dataclass" for d in node.decorator_list):
+        return [stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return []
 
 
 def _sources():
@@ -106,7 +121,8 @@ def _class_info(trees):
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 names = members.setdefault(node.name, set())
-                names.update(_assigned_names(node.body, True), _self_attributes(node))
+                names.update(_assigned_names(node.body, True), _self_attributes(node),
+                             _record_fields(node))
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                         annotations[node.name, stmt.target.id] = stmt.annotation
@@ -151,7 +167,7 @@ def _attribute_reads(tree, info):
             ann = annotations.get((base, node.attr))
             return _annotated_class(ann, members, element) if ann is not None else None
         if element:
-            return None
+            return env.get((node.id, "element")) if isinstance(node, ast.Name) else None
         if isinstance(node, ast.Name):
             return env.get(node.id)
         if isinstance(node, ast.Call):
@@ -167,6 +183,8 @@ def _attribute_reads(tree, info):
         for pos, arg in enumerate(args):
             env[arg.arg] = (_annotated_class(arg.annotation, members)
                             if arg.annotation is not None else cls if pos == 0 else None)
+            env[arg.arg, "element"] = (_annotated_class(arg.annotation, members, True)
+                                       if arg.annotation is not None else None)
         for child in [*node.decorator_list, *node.body]:
             visit(child, env)
 
@@ -193,8 +211,10 @@ def _attribute_reads(tree, info):
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             env[node.targets[0].id] = owner(node.value, env)
+            env[node.targets[0].id, "element"] = owner(node.value, env, element=True)
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             env[node.target.id] = _annotated_class(node.annotation, members)
+            env[node.target.id, "element"] = _annotated_class(node.annotation, members, True)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             reads.append((node.attr, owner(node.value, env)))
         for child in ast.iter_child_nodes(node):
@@ -214,11 +234,8 @@ def test_every_dataclass_field_is_read():
         by_owner.update((cls, attr) for attr, cls in _attribute_reads(tree, info))
         if PACKAGE in path.parents:
             where = path.relative_to(ROOT).as_posix()
-            fields.update((where, node.name, stmt.target.id)
-                          for node in ast.walk(tree)
-                          if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                          for stmt in node.body
-                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+            fields.update((where, node.name, name) for node in ast.walk(tree)
+                          if isinstance(node, ast.ClassDef) for name in _record_fields(node))
 
     def read(cls, name):
         shadowed = name in LIBRARY_ATTRIBUTES or any(
@@ -227,4 +244,4 @@ def test_every_dataclass_field_is_read():
 
     unread = sorted(f"{where}: {cls}.{name}" for where, cls, name in fields
                     if not read(cls, name))
-    assert not unread, "dataclass fields never read as an attribute:\n" + "\n".join(unread)
+    assert not unread, "record fields never read as an attribute:\n" + "\n".join(unread)

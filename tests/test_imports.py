@@ -6,6 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from melnlab.basis import BasisFunction
+from melnlab.certify import AccuracyVerdict, Prop5Result, ZeroRecord, ZeroReport
+from melnlab.closedforms import SpanFit
+from melnlab.config import OrderCoefficients, SystemConfig
+from melnlab.simulate import CycleSearch, LimitCycle, MelnikovEstimate, PoincareResult
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -50,6 +56,39 @@ def test_import_loads_no_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=ENV)
     assert out.stdout.strip() == "[]"
+
+
+# the package's stdlib start-up cost: which of fractions and decimal are
+# loaded, and which melnlab classes carry dataclass fields
+START_UP = """
+import sys
+import melnlab, melnlab.cli
+
+print(sorted(m for m in ("fractions", "decimal") if m in sys.modules))
+print(sorted(f"{name}.{attr}" for name, module in list(sys.modules.items())
+             if name.startswith("melnlab") for attr, obj in vars(module).items()
+             if isinstance(obj, type) and "__dataclass_fields__" in vars(obj)))
+"""
+
+
+def test_import_runs_no_dataclass_code_and_loads_no_fractions():
+    # a frozen dataclass generates its methods as source and compiles each
+    # with exec on every import, about 1 ms a class, and fractions (with the
+    # decimal it loads) about 2 ms: start-up that every command paid
+    out = subprocess.run([sys.executable, "-c", START_UP], capture_output=True, text=True,
+                         check=True, env=ENV)
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("cls", [ZeroRecord, ZeroReport, AccuracyVerdict, Prop5Result, SpanFit,
+                                 PoincareResult, LimitCycle, MelnikovEstimate, CycleSearch,
+                                 BasisFunction, OrderCoefficients, SystemConfig],
+                         ids=lambda cls: cls.__name__)
+def test_records_are_immutable(cls):
+    record = cls._make([None] * len(cls._fields))
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 @pytest.mark.parametrize("argv", [
