@@ -19,6 +19,8 @@ coefficients only (``f_r_jets``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import SystemConfig
@@ -50,17 +52,23 @@ def _angular(coeffs, r, s, c):
     return _angular_num(coeffs, r, s, c) / r
 
 
-def _affine_r_jet(expr, coeffs, rvar: list, s, c, d: int) -> Jet:
-    """Order-d r-jet of ``_radial`` or ``_angular_num``, both affine in r:
-    coefficient m is the expression at the r-variable's coefficient rvar[m]
+def _affine_r_jets(expr, sides, rvar: list, s, c, orders: list[int]) -> list[Jet]:
+    """r-jets of ``_radial`` or ``_angular_num``, both affine in r, of the
+    stacked ``sides``: jet i of r-order orders[i], which does not grow with i.
+    Coefficient m is the expression at the r-variable's coefficient rvar[m]
     (r, 1, 0), with the constant terms in coefficient 0 only, as jet
-    arithmetic computes it.  Coefficients from 2 on are one read-only value."""
-    terms = [expr(coeffs, rm, s, c, m == 0) for m, rm in enumerate(rvar[:d + 1])]
-    if d >= 2:
-        if isinstance(terms[2], np.ndarray):
-            terms[2].flags.writeable = False
-        terms += terms[2:] * (d - 2)
-    return Jet._of(terms)
+    arithmetic computes it, evaluated once on the sides whose r-order reaches
+    m.  Coefficients from 2 on are one read-only value."""
+    terms = []
+    for m, rm in enumerate(rvar):
+        count = sum(d >= m for d in orders)
+        if count:
+            terms.append(expr(tuple(tuple(x[:count] for x in half) for half in sides),
+                              rm, s, c, m == 0))
+    if len(terms) > 2:
+        terms[2].flags.writeable = False
+    rows = [[t[i] for t in terms[:d + 1]] for i, d in enumerate(orders)]
+    return [Jet._of(row + row[2:] * (d - 2)) for row, d in zip(rows, orders)]
 
 
 def _divide(A: list, B: list) -> list:
@@ -86,15 +94,19 @@ class PolarField:
     def k(self) -> int:
         return self.config.k
 
-    def _side(self, sign, i: int):
+    def _side(self, sign: int, i: int):
         oc = self.config.order(i)
-        if isinstance(sign, np.ndarray):
-            sides = np.array((oc.a + oc.b, oc.alpha + oc.beta)).reshape((2, 6) + (1,) * sign.ndim)
-            pick = np.where(sign > 0, sides[0], sides[1])
-            return tuple(pick[:3]), tuple(pick[3:])
         if sign > 0:
             return oc.a, oc.b
         return oc.alpha, oc.beta
+
+    def _sides(self, sign, upto: int, ndim: int):
+        """((p0, p1, p2), (q0, q1, q2)) of orders 1..upto on the side of ``sign``
+        per entry, each stacked over the orders on an axis ahead of ``ndim`` axes."""
+        both = np.array([[oc.a + oc.b, oc.alpha + oc.beta] for oc in self.config.orders[:upto]])
+        both = both.transpose(1, 2, 0).reshape((2, 6, upto) + (1,) * ndim)
+        pick = np.where(sign > 0, both[0], both[1])
+        return tuple(pick[:3]), tuple(pick[3:])
 
     def radial_component(self, i: int, sign: int, r, theta):
         """A_i(r, theta) on the given side (+1 above the curve, -1 below)."""
@@ -125,20 +137,20 @@ class PolarField:
     def f_r_jets(self, sign, r, theta, order: int) -> list[Jet]:
         """[F_1, ..., F_{order+1}] (at most k) as jets in r, F_i of order order+1-i.
 
-        Coefficients follow theta's type; ``sign`` and ``r`` may be arrays
-        broadcast against theta.  The sector integrand of order i reads the
-        r-derivatives of F_q up to order i - q <= order + 1 - q, and no
-        F_q with q > order + 1; each coefficient has the bits it has in
-        ``f_all`` on a longer r-jet.
+        Coefficients are numpy values in the broadcast shape of ``sign``, ``r``
+        and theta.  The sector integrand of order i reads the r-derivatives of F_q
+        up to order i - q <= order + 1 - q, and no F_q with q > order + 1;
+        each coefficient has the bits it has in ``f_all`` on a longer r-jet.
+        The sides of all orders are picked at once; A_i and r B_i are evaluated
+        once per r-coefficient, on the orders that reach it.
         """
         s, c = _sincos(theta)
         rvar = Jet.variable(r, 2).c
         upto = min(order + 1, self.k)
-        sides = [self._side(sign, i) for i in range(1, upto + 1)]
-        A = [_affine_r_jet(_radial, sides[i - 1], rvar, s, c, order + 1 - i)
-             for i in range(1, upto + 1)]
-        B = [_affine_r_jet(_angular_num, sides[i - 1], rvar, s, c, order - i)
-             / Jet.variable(r, order - i) for i in range(1, upto)]
+        sides = self._sides(sign, upto, max(np.ndim(sign), np.ndim(r), np.ndim(theta)))
+        A = _affine_r_jets(_radial, sides, rvar, s, c, [order + 1 - i for i in range(1, upto + 1)])
+        B = [b / Jet.variable(r, b.order) for b in
+             _affine_r_jets(_angular_num, sides, rvar, s, c, [order - i for i in range(1, upto)])]
         return _divide(A, B)
 
     def f_nested_jets(self, sign: int, triangles: list[tuple]) -> list[TriangleJet]:
@@ -158,21 +170,40 @@ class PolarField:
         return _divide(A, B)
 
 
+def _negative_so_far(row: list, before: list) -> list:
+    """Entry p: before[p] holds and entries 0..p of ``row`` (floats, or
+    arrays of them) all have the sign bit."""
+    out, acc = [], True
+    for x, b in zip(row, before):
+        acc = acc & (np.signbit(x) if isinstance(x, np.ndarray) else math.copysign(1.0, x) < 0.0)
+        out.append(b & acc)
+    return out
+
+
 def endpoint_triangles(r, t0, degree: int) -> list[tuple[TriangleJet, TriangleJet, TriangleJet]]:
     """(r, sin t, cos t) at (r, t0) as (r, t)-jets, cut to each total degree.
 
     Entry d holds the three triangles of total degree d, for d = 0..degree;
-    they depend on the point only, not on the field's side.  They are
-    computed once as r-jets of t-jets and flattened.  ``r`` and ``t0`` are
-    floats, or arrays over several endpoints.
+    they depend on the point only, not on the field's side.  ``r`` and ``t0``
+    are floats, or arrays over several endpoints.  Row L of a triangle holds
+    its t-coefficients of r-order L.  Rows 0 of sin and cos are their t-jets
+    at t0, the other rows the zeros of ``jet_sincos`` on the r-jet (t, 0, ...)
+    of t-jets.  Each is a sum of +0.0 times coefficients, -0.0 only if every
+    term is, so entry p of sin row m is -0.0 iff entries 0..p of cos rows
+    0..m-1 are all negative, and of cos row m +0.0 iff those of sin are.
     """
-    def triangle(lead, first):
-        return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
-                             for L in range(1, degree + 1)])
-
-    rsc = (triangle(Jet.constant(r, degree), 1.0),
-           *jet_sincos(triangle(Jet.variable(t0, degree), 0.0)))
-    return [tuple(TriangleJet.of_nested(v.truncate(d)) for v in rsc) for d in range(degree + 1)]
+    r_rows = [Jet.constant(r, degree).c] + [[1.0 if L == 1 else 0.0] + [0.0] * (degree - L)
+                                           for L in range(1, degree + 1)]
+    sin_rows, cos_rows = ([v.c] for v in jet_sincos(Jet.variable(t0, degree)))
+    sin_neg = cos_neg = [True] * (degree + 1)
+    for m in range(degree):
+        sin_neg = _negative_so_far(sin_rows[m], sin_neg)
+        cos_neg = _negative_so_far(cos_rows[m], cos_neg)
+        # +0.0 times a value of the sign wanted, as the recurrence makes them
+        sin_rows.append([0.0 * (0.5 - neg) for neg in cos_neg[:degree - m]])
+        cos_rows.append([0.0 * (neg - 0.5) for neg in sin_neg[:degree - m]])
+    return [tuple(TriangleJet._of([x for L in range(d + 1) for x in rows[L][:d + 1 - L]], d)
+                  for rows in (r_rows, sin_rows, cos_rows)) for d in range(degree + 1)]
 
 
 def cartesian_field(config: SystemConfig, x: float, y: float, eps: float):

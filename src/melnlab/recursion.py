@@ -408,8 +408,9 @@ class ZTable:
             fs, zs, u, monomials = nodesets[key]
             zs.extend(_chebval_nodes(u, self._coef[m - 1][:, active, None])
                       for m in range(len(zs) + 1, i))
-            vals = _chain_sum(i, fs, zs, lambda f, lb: f.coefficient(lb) * math.factorial(lb),
-                              monomials)
+            # F_{i-l} has r-order self.order - i + l >= l >= lb: c[lb] exists
+            vals = _chain_sum(i, fs, zs, lambda f, lb: f.c[lb] if lb < 2
+                              else f.c[lb] * math.factorial(lb), monomials)
             coef = _dct2(vals) / n
             coef[:, 0] *= 0.5
             mag = np.abs(coef)
@@ -463,7 +464,8 @@ class ZTable:
         assert i + order <= self.order - 1, (i, order, self.order)
         zs = [self._tjet_z(m, j, side, self.order - m) for m in range(1, i)]
         return _chain_sum(i, self._nested_jets(j, side), zs,
-                          lambda f, lb: f.tjet(lb, order) * math.factorial(lb),
+                          lambda f, lb: f.tjet(lb, order) if lb < 2
+                          else f.tjet(lb, order) * math.factorial(lb),
                           self._monomials.setdefault((j, side), {}))
 
     def _tjet_z(self, i: int, j: int, side: str, order: int) -> Jet:
@@ -490,7 +492,8 @@ class ZTable:
         """t-jet of delta_m^j = (z_m^{j-1} - z_m^j)/m! at the j-th angle."""
         upper = self._tjet_z(m, j - 1, "R", order)
         lower = self._tjet_z(m, j, "L", order)
-        return (upper - lower) / math.factorial(m)
+        fac = math.factorial(m)
+        return Jet._of([(a - b) / fac for a, b in zip(upper.c, lower.c)])
 
     # crossing-time machinery ---------------------------------------------------
 

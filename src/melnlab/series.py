@@ -9,9 +9,8 @@ coefficients are t-jets).
 
 A :class:`TriangleJet` is a bivariate jet cut to a total degree, on one flat
 coefficient list: the same values as a nested jet of that shape, without a
-jet object per coefficient.  Nested jets now only build the endpoint
-triangles (``polar.endpoint_triangles``) and serve the tests as the
-reference that :class:`TriangleJet` must equal bit for bit.
+jet object per coefficient.  Nested jets serve the tests as the reference
+that :class:`TriangleJet` must equal bit for bit.
 
 Products and quotients of two jets, or of two triangles, call straight-line
 kernels: Python source of integer indices only, rendered once per result
@@ -141,6 +140,8 @@ class Jet:
         return self.c[0]
 
     def truncate(self, order: int) -> "Jet":
+        if 0 <= order < len(self.c) - 1:
+            return Jet._of(self.c[:order + 1])
         return Jet(self.c, order=order)
 
     def __repr__(self):
@@ -172,7 +173,9 @@ class Jet:
         return Jet._of([-cm for cm in self.c])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -1.0 * other)
+        if isinstance(other, Jet):
+            return Jet._of([a - b for a, b in zip(self.c, other.c)])
+        return self + -1.0 * other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -376,12 +379,6 @@ class TriangleJet:
         tri.c = c
         tri.degree = degree
         return tri
-
-    @staticmethod
-    def of_nested(jet: Jet) -> "TriangleJet":
-        """The triangle of degree ``jet.order`` of a jet of t-jets."""
-        d = jet.order
-        return TriangleJet([x for L, cm in enumerate(jet.c) for x in cm.c[:d + 1 - L]], d)
 
     def tjet(self, L: int, order: int) -> Jet:
         """r-coefficient L as a t-jet of the given order, at most degree - L."""

@@ -1,14 +1,16 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_config
-from melnlab import polar
+from melnlab import polar, recursion
 from melnlab.config import OrderCoefficients, SystemConfig
 from melnlab.errors import DomainError
 from melnlab.polar import PolarField, cartesian_field, endpoint_triangles
+from melnlab.recursion import ZTable
 from melnlab.series import Jet
 
 
@@ -207,14 +209,76 @@ def test_r_jet_coefficients_from_two_on_share_one_read_only_array(rng):
     field = PolarField(_edge_config(rng, "signed zeros"))
     r, theta = np.array([[0.7], [1.3]]), np.array([[0.0, 0.4], [2.0, 3.1]])
     s, c = np.sin(theta), np.cos(theta)
-    for i in (1, 2):
-        for expr in (polar._radial, polar._angular_num):
-            jet = polar._affine_r_jet(expr, field._side(np.array([[-1], [+1]]), i),
-                                      Jet.variable(r, 2).c, s, c, 4)
+    sides = field._sides(np.array([[-1], [+1]]), 3, 2)
+    for expr in (polar._radial, polar._angular_num):
+        jets = polar._affine_r_jets(expr, sides, Jet.variable(r, 2).c, s, c, [4, 4, 1])
+        for jet in jets[:2]:
             assert jet.c[2] is jet.c[3] is jet.c[4]
             with pytest.raises(ValueError):
                 jet.c[2] += 1.0
             assert not np.any(jet.c[2])
+        assert jets[2].order == 1
+
+
+def _per_order_r_jets(field, sign, r, theta, order):
+    """``f_r_jets`` by its reference evaluation: each order's side picked and
+    each of its r-coefficients evaluated on its own."""
+    s, c = np.sin(theta), np.cos(theta)
+    rvar = Jet.variable(r, 2).c
+    upto = min(order + 1, field.k)
+
+    def side(i):
+        oc = field.config.order(i)
+        both = np.array((oc.a + oc.b, oc.alpha + oc.beta)).reshape((2, 6) + (1,) * sign.ndim)
+        pick = np.where(sign > 0, both[0], both[1])
+        return tuple(pick[:3]), tuple(pick[3:])
+
+    def affine_r_jet(expr, coeffs, d):
+        terms = [expr(coeffs, rm, s, c, m == 0) for m, rm in enumerate(rvar[:d + 1])]
+        return Jet._of(terms + terms[2:] * (d - 2))
+
+    A = [affine_r_jet(polar._radial, side(i), order + 1 - i) for i in range(1, upto + 1)]
+    B = [affine_r_jet(polar._angular_num, side(i), order - i) / Jet.variable(r, order - i)
+         for i in range(1, upto)]
+    return polar._divide(A, B)
+
+
+@pytest.mark.parametrize("k", [6, 3])
+def test_stacked_r_jets_equal_the_per_order_evaluation_bit_for_bit(rng, monkeypatch, k):
+    # the recursion's node sets of a float x and of a 5-point grid, every fit
+    # started at degree 8 so that the refits cover different open rows; k = 3
+    # puts order + 1 above k.  A call evaluates A_i and r B_i once per
+    # r-coefficient, on the orders that reach it, so at most 3 times each.
+    cfg = random_config(rng, 3, k)
+    calls, counts = [], []
+    f_r_jets = PolarField.f_r_jets
+    monkeypatch.setattr(recursion, "CHEB_START_DEGREE", 8)
+    monkeypatch.setattr(PolarField, "f_r_jets", lambda self, *args: calls.append(args)
+                        or f_r_jets(self, *args))
+    for x in (1.1, np.geomspace(0.6, 1.9, 5)):
+        ZTable(cfg, x, k)
+    monkeypatch.undo()
+    assert len({theta.shape[0] for _, _, theta, _ in calls}) > 2
+    field = PolarField(cfg)
+    wants = [[_per_order_r_jets(field, sign, r, theta, order) for order in range(6)]
+             for sign, r, theta, _ in calls]
+    for name in ("_radial", "_angular_num"):
+        monkeypatch.setattr(polar, name, lambda *args, name=name, expr=getattr(polar, name):
+                            counts.append((name, len(args[0][0][0]))) or expr(*args))
+    for (sign, r, theta, _), want in zip(calls, wants):
+        for order in range(6):
+            counts.clear()
+            got = field.f_r_jets(sign, r, theta, order)
+            # coefficient m = 0, 1, 2 on the orders whose r-order reaches it:
+            # A_i has r-order order + 1 - i, B_i one less, both i <= upto
+            upto = min(order + 1, k)
+            assert sorted(counts) == sorted(
+                (name, count) for name, most, top in (
+                    ("_radial", upto, order + 1), ("_angular_num", upto - 1, order))
+                for m in range(3) for count in [min(most, top - m)] if count > 0)
+            assert max(Counter(name for name, _ in counts).values()) <= 3
+            assert len(got) == len(want[order]) == upto
+            assert all(_same(a, b) for a, b in zip(got, want[order]))
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 4])

@@ -1,7 +1,11 @@
+import importlib.util
+import json
 import math
 import re
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +479,31 @@ def test_order6_values_are_pinned(rng):
         got = melnikov_all(cfg, np.array(xs), 6).T.tolist()
         assert [[v.hex() for v in row] for row in got] == \
             [[w.hex() for w in row] for row in want]
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, loaded for its seeded ``deep`` inputs only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_deep_benchmark_bank_keeps_its_reference_bits():
+    # all 384 rows (16 banks x 3 configs x 8 points) of the benchmark's
+    # ``deep`` references, M_1..M_6 by the float call, bit for bit
+    wl = _benchmark_workloads()
+    refs = json.loads((Path(wl.__file__).parent / "references.json").read_text())["deep"]
+    assert len(refs) == 16
+    for bank, rows in refs.items():
+        configs = wl.deep_configs(int(bank))
+        assert len(configs) == len(rows) == 3
+        for cfg, want in zip(configs, rows):
+            got = [melnikov_all(cfg, x, 6) for x in wl.deep_grid()]
+            assert len(got) == len(want) == 8
+            assert [[v.hex() for v in row] for row in got] == \
+                [[float(w).hex() for w in row] for row in want], (bank, cfg.n)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 16, 17, 33, 97, 1000, 64, 128, 256, 512, 1024])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melnlab import series
+from melnlab.polar import endpoint_triangles
 from melnlab.series import (Jet, TriangleJet, jet_atan, jet_cos, jet_exp, jet_log, jet_sin,
                             jet_sincos, jet_sqrt)
 
@@ -307,6 +308,12 @@ def _nest(t: TriangleJet) -> Jet:
     return Jet([t.tjet(L, t.degree - L) for L in range(t.degree + 1)])
 
 
+def _of_nested(jet: Jet) -> TriangleJet:
+    """The triangle of degree ``jet.order`` of a jet of t-jets."""
+    d = jet.order
+    return TriangleJet([x for L, cm in enumerate(jet.c) for x in cm.c[:d + 1 - L]], d)
+
+
 @given(triangle_operands())
 @example(_normal_operands(None, 5, 5))
 @example(_normal_operands(None, 3, 5))
@@ -321,8 +328,42 @@ def test_triangle_jets_equal_nested_jets_bit_for_bit(operands):
              (f * z, nf * z), (z * f, z * nf), (f / s, nf / s)]
     for flat, nested in cases:
         assert flat.degree == nested.order
-        want = TriangleJet.of_nested(nested)
+        want = _of_nested(nested)
         assert [_bits(c) for c in flat.c] == [_bits(c) for c in want.c]
+
+
+def _nested_endpoint_triangles(r, t0, degree: int) -> list:
+    """``polar.endpoint_triangles`` by its reference construction: r-jets of
+    t-jets, sin and cos by ``jet_sincos``, flattened."""
+    def triangle(lead, first):
+        return Jet([lead] + [Jet.constant(first if L == 1 else 0.0, degree - L)
+                             for L in range(1, degree + 1)])
+
+    rsc = (triangle(Jet.constant(r, degree), 1.0),
+           *jet_sincos(triangle(Jet.variable(t0, degree), 0.0)))
+    return [tuple(_of_nested(v.truncate(d)) for v in rsc) for d in range(degree + 1)]
+
+
+QUADRANT_ANGLES = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, 0.3, 2.0, 3.5, 5.0, -1.0, -0.0]
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_endpoint_triangles_equal_the_nested_construction_bit_for_bit(rng, degree):
+    # rows from r-order 1 on are signed zeros written by a sign rule; the
+    # nested recurrence is the reference, so the sign of every zero counts
+    angles = QUADRANT_ANGLES + rng.uniform(0.0, 2.0 * math.pi, 8).tolist()
+    points = [(1.3, t0) for t0 in angles]
+    points.append((np.linspace(0.5, 2.0, len(angles)), np.array(angles)))
+    for r, t0 in points:
+        got, want = endpoint_triangles(r, t0, degree), _nested_endpoint_triangles(r, t0, degree)
+        assert len(got) == degree + 1
+        for d, (flat, nested) in enumerate(zip(got, want)):
+            for g, w in zip(flat, nested):
+                assert g.degree == w.degree == d
+                assert [_bits(c) for c in g.c] == [_bits(c) for c in w.c]
+    for t0 in (math.inf, -math.inf):   # math.sin raises
+        with pytest.raises(ValueError):
+            endpoint_triangles(1.3, t0, degree)
 
 
 # The loops that the generated product and quotient kernels replaced, kept as
